@@ -93,20 +93,17 @@ class GaussianSpec:
 def generate_gaussian(spec: GaussianSpec) -> Dataset:
     """Draw per_class samples around each class mean; class-major order.
 
-    Normals are drawn sample-major then dimension-major within each class,
-    so a fixed seed yields bit-identical features on every run.
+    Normals are drawn sample-major then dimension-major within each class
+    (one block per class), so a fixed seed yields bit-identical features on
+    every run.
     """
     k, dim = spec.means.shape
+    n = spec.per_class
     rng = Rng(spec.seed)
-    features = np.empty((k * spec.per_class, dim), dtype=np.float64)
-    labels = np.empty(k * spec.per_class, dtype=np.int64)
-    row = 0
+    features = np.empty((k * n, dim), dtype=np.float64)
     for c in range(k):
-        for _ in range(spec.per_class):
-            features[row] = spec.means[c] + spec.std * rng.normals((dim,))
-            labels[row] = c
-            row += 1
-    return Dataset(features, labels, k)
+        features[c * n : (c + 1) * n] = spec.means[c] + spec.std * rng.normals((n, dim))
+    return Dataset(features, np.repeat(np.arange(k, dtype=np.int64), n), k)
 
 
 def _open_maybe_gzip(path):
@@ -162,7 +159,8 @@ def load_csv(path, label_column: str) -> tuple[Dataset, dict]:
     """Load a rectangular numeric CSV with a header row.
 
     Labels are remapped to dense 0..K-1 in first-appearance order; the
-    returned dict maps each original label value to its dense index.
+    returned dict maps each original label value to its dense index. NaN and
+    Inf cells are rejected with the line they sit on.
     """
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -180,6 +178,7 @@ def load_csv(path, label_column: str) -> tuple[Dataset, dict]:
 
         rows = []
         raw_labels = []
+        line_numbers = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -193,9 +192,15 @@ def load_csv(path, label_column: str) -> tuple[Dataset, dict]:
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{line_no}: non-numeric cell ({exc})") from None
             rows.append(values)
+            line_numbers.append(line_no)
 
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
+    features = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(features).all(axis=1) & np.isfinite(raw_labels)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise DataFormatError(f"{path}:{line_numbers[bad]}: non-finite cell (NaN or Inf)")
 
     mapping: dict = {}
     labels = np.empty(len(raw_labels), dtype=np.int64)
@@ -204,7 +209,6 @@ def load_csv(path, label_column: str) -> tuple[Dataset, dict]:
         if key not in mapping:
             mapping[key] = len(mapping)
         labels[i] = mapping[key]
-    features = np.asarray(rows, dtype=np.float64)
     return Dataset(features, labels, len(mapping)), mapping
 
 

@@ -34,10 +34,24 @@ Derived quantities:
   ``r*sin(2 pi u2)`` for the next call.
 * permutation of n: Fisher-Yates, swapping index i (descending from n-1)
   with ``next_below(i + 1)``.
+
+Block draws. The state update is linear over GF(2), so the state k steps
+after s is the XOR of the k-step images of the basis vectors e_j at the set
+bits j of s. ``uniforms``, ``normals`` and ``permutation`` use this to
+produce up to ``BLOCK`` states at once from a (64, BLOCK) jump table, then
+apply the multiply and the derived transforms above elementwise in uint64
+and float64 arithmetic. The stream, the final state and the cached normal
+are bit-identical to drawing one value at a time: ``(u * n) >> 64`` is
+formed from 32-bit halves without overflow, and Box-Muller keeps the
+platform's libm (``math.log``, ``math.cos``, ``math.sin``) per element,
+because NumPy's own log and trigonometry may round differently. Box-Muller
+runs at most ``BLOCK`` pairs at a time, so its temporaries stay small
+however large the draw.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -46,6 +60,8 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _XORSHIFT_MULT = 0x2545F4914F6CDD1D
 _TWO_POW_NEG53 = 2.0 ** -53
+
+BLOCK = 1024  # states computed per jump-table pass
 
 
 def mix64(x: int) -> int:
@@ -63,6 +79,37 @@ def derive_seed(seed: int, stream: int) -> int:
     training epoch, ...) from a single run seed.
     """
     return mix64((seed + (stream + 1) * _GOLDEN) & _MASK64)
+
+
+def _advance(table: np.ndarray, state: int, count: int) -> np.ndarray:
+    """The xorshift states 1..count steps after ``state``; count <= table width."""
+    bits = [j for j in range(64) if state >> j & 1]
+    return np.bitwise_xor.reduce(table[bits, :count], axis=0)
+
+
+@functools.cache
+def _jump_table() -> np.ndarray:
+    """(64, BLOCK) table: row j holds the states 1..BLOCK steps after e_j.
+
+    Built once per process, on the first block draw, by stepping the 64
+    basis vectors together BLOCK times.
+    """
+    table = np.empty((64, BLOCK), dtype=np.uint64)
+    lanes = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    for k in range(BLOCK):
+        lanes ^= lanes >> np.uint64(12)
+        lanes ^= lanes << np.uint64(25)
+        lanes ^= lanes >> np.uint64(27)
+        table[:, k] = lanes
+    table.flags.writeable = False
+    return table
+
+
+def _below(u: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``(u * bounds) >> 64`` elementwise, for bounds up to 2**32."""
+    hi = u >> np.uint64(32)
+    lo = u & np.uint64(0xFFFFFFFF)
+    return (hi * bounds + ((lo * bounds) >> np.uint64(32))) >> np.uint64(32)
 
 
 class Rng:
@@ -107,26 +154,67 @@ class Rng:
         self._spare_normal = radius * math.sin(theta)
         return radius * math.cos(theta)
 
+    def _next_block(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs as uint64, as ``next_uint64`` would give."""
+        table = _jump_table()
+        states = np.empty(count, dtype=np.uint64)
+        state = self._state
+        for start in range(0, count, BLOCK):
+            stop = min(start + BLOCK, count)
+            states[start:stop] = _advance(table, state, stop - start)
+            state = int(states[stop - 1])
+        self._state = state
+        return states * np.uint64(_XORSHIFT_MULT)
+
+    def _next_floats(self, count: int) -> np.ndarray:
+        """The next ``count`` values of ``next_float``."""
+        return (self._next_block(count) >> np.uint64(11)).astype(np.float64) * _TWO_POW_NEG53
+
     def normals(self, shape: tuple[int, ...]) -> np.ndarray:
-        out = np.empty(int(np.prod(shape)), dtype=np.float64)
-        for i in range(out.size):
-            out[i] = self.normal()
-        return out.reshape(shape)
+        size = int(np.prod(shape))
+        flat = np.empty(size, dtype=np.float64)
+        done = 0
+        if size and self._spare_normal is not None:
+            flat[0] = self._spare_normal
+            self._spare_normal = None
+            done = 1
+        while done < size:
+            pairs = min((size - done + 1) // 2, BLOCK)
+            state = self._state
+            u = self._next_floats(2 * pairs)
+            u1, u2 = u[0::2], u[1::2]
+            if not u1.all():
+                # the scalar loop resamples a zero u1, shifting the pairing
+                self._state = state
+                flat[done:] = [self.normal() for _ in range(size - done)]
+                break
+            radius = np.sqrt(-2.0 * np.array(list(map(math.log, u1.tolist()))))
+            theta = (2.0 * math.pi * u2).tolist()
+            values = np.empty(2 * pairs, dtype=np.float64)
+            values[0::2] = radius * np.array(list(map(math.cos, theta)))
+            values[1::2] = radius * np.array(list(map(math.sin, theta)))
+            take = min(2 * pairs, size - done)
+            flat[done : done + take] = values[:take]
+            if take < 2 * pairs:
+                self._spare_normal = float(values[-1])
+            done += take
+        return flat.reshape(shape)
 
     def uniforms(self, shape: tuple[int, ...], lo: float, hi: float) -> np.ndarray:
-        out = np.empty(int(np.prod(shape)), dtype=np.float64)
-        span = hi - lo
-        for i in range(out.size):
-            out[i] = lo + span * self.next_float()
-        return out.reshape(shape)
+        size = int(np.prod(shape))
+        return (lo + (hi - lo) * self._next_floats(size)).reshape(shape)
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""
-        perm = np.arange(n, dtype=np.int64)
-        for i in range(n - 1, 0, -1):
-            j = self.next_below(i + 1)
+        if n > 1 << 32:
+            draws = [self.next_below(i + 1) for i in range(n - 1, 0, -1)]
+        else:
+            bounds = np.arange(n, 1, -1, dtype=np.uint64)
+            draws = _below(self._next_block(bounds.size), bounds).tolist()
+        perm = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), draws):
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=np.int64)
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:

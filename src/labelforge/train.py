@@ -110,6 +110,10 @@ class TrainConfig:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not self.weight_decay >= 0.0:
+            raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay}")
         if self.c_lr is not None and self.c_lr < 0:
             raise ValueError(f"c_lr must be nonnegative, got {self.c_lr}")
         if not 0.0 <= self.ols_mix <= 1.0:

@@ -122,6 +122,20 @@ class TestTrainCommand:
         assert code == 2
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--momentum", "-5"), ("--momentum", "1"),
+                                            ("--weight-decay", "-0.1")])
+    def test_optimizer_out_of_range_exits_2(self, data_csv, tmp_path, capsys, flag, value):
+        out = tmp_path / "bad"
+        assert run_train(data_csv, out, flag, value) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_csv_cell_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("f0,f1,label\n0,0,0\n1,nan,1\n0,1,0\n1,1,1\n")
+        assert run_train(path, tmp_path / "run") == 2
+        assert "nan.csv:3: non-finite" in capsys.readouterr().err
+
     def test_unknown_flag_exits_2(self, data_csv):
         assert main(["train", "--data", str(data_csv), "--frobnicate"]) == 2
 

@@ -189,6 +189,19 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match=":3.*non-numeric|non-numeric"):
             load_csv(path, "label")
 
+    @pytest.mark.parametrize("cell", ("nan", "NaN", "inf", "-Infinity"))
+    def test_non_finite_feature_reports_line(self, tmp_path, cell):
+        path = tmp_path / "nf.csv"
+        path.write_text(f"f0,f1,label\n1,2,0\n\n3,4,1\n5,{cell},1\n")
+        with pytest.raises(DataFormatError, match=r"nf\.csv:5: non-finite"):
+            load_csv(path, "label")
+
+    def test_non_finite_label_reports_line(self, tmp_path):
+        path = tmp_path / "nl.csv"
+        path.write_text("f0,label\n1,0\n2,inf\n")
+        with pytest.raises(DataFormatError, match=r"nl\.csv:3: non-finite"):
+            load_csv(path, "label")
+
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("f0,f1\n1,2\n")

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import labelforge.numerics as numerics
 from labelforge.numerics import (
+    BLOCK,
     Rng,
     cross_entropy,
     derive_seed,
@@ -224,3 +226,190 @@ class TestRng:
 
     def test_different_seeds_differ(self):
         assert Rng(1).next_uint64() != Rng(2).next_uint64()
+
+
+class ScalarReference:
+    """Per-draw oracle for the block paths: the documented recurrence and
+    derived quantities restated one value at a time, started from a copy of
+    a generator's state and cached normal."""
+
+    def __init__(self, rng):
+        self.state = rng._state
+        self.spare = rng._spare_normal
+
+    def next_uint64(self):
+        x = self.state
+        x ^= x >> 12
+        x = (x ^ (x << 25)) & M64
+        x ^= x >> 27
+        self.state = x
+        return (x * 0x2545F4914F6CDD1D) & M64
+
+    def next_float(self):
+        return (self.next_uint64() >> 11) * 2.0 ** -53
+
+    def normal(self):
+        if self.spare is not None:
+            value, self.spare = self.spare, None
+            return value
+        u1 = self.next_float()
+        while u1 == 0.0:
+            u1 = self.next_float()
+        u2 = self.next_float()
+        radius = math.sqrt(-2.0 * math.log(u1))
+        theta = 2.0 * math.pi * u2
+        self.spare = radius * math.sin(theta)
+        return radius * math.cos(theta)
+
+    def uniforms(self, n, lo, hi):
+        return [lo + (hi - lo) * self.next_float() for _ in range(n)]
+
+    def normals(self, n):
+        return [self.normal() for _ in range(n)]
+
+    def permutation(self, n):
+        perm = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = (self.next_uint64() * (i + 1)) >> 64
+            perm[i], perm[j] = perm[j], perm[i]
+        return perm
+
+
+def previous_state(x):
+    """Invert one xorshift step: the state whose successor is x."""
+    x ^= (x >> 27) ^ (x >> 54)
+    x = (x ^ (x << 25) ^ (x << 50)) & M64
+    return x ^ (x >> 12) ^ (x >> 24) ^ (x >> 36) ^ (x >> 48) ^ (x >> 60)
+
+
+def assert_same_bits(got, expected):
+    got = np.asarray(got, dtype=np.float64)
+    expected = np.asarray(expected, dtype=np.float64)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def assert_same_generator(rng, ref):
+    assert rng._state == ref.state
+    assert rng._spare_normal == ref.spare
+    assert type(rng._spare_normal) is type(ref.spare)
+
+
+SIZES = (0, 1, 2, 31, 32, 33, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)
+SEEDS = (0, 7, 2 ** 40 + 3)
+
+
+class TestBlockDraws:
+    """uniforms, normals and permutation against the per-draw oracle."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", SIZES)
+    def test_uniforms_match_oracle(self, seed, n):
+        rng = Rng(seed)
+        ref = ScalarReference(rng)
+        limit = math.sqrt(6.0 / 912)
+        assert_same_bits(rng.uniforms((n,), -limit, limit), ref.uniforms(n, -limit, limit))
+        assert_same_generator(rng, ref)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("spare_in", (False, True))
+    def test_normals_match_oracle(self, seed, n, spare_in):
+        rng = Rng(seed)
+        if spare_in:
+            rng.normal()
+        ref = ScalarReference(rng)
+        assert_same_bits(rng.normals((n,)), ref.normals(n))
+        assert_same_generator(rng, ref)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", SIZES)
+    def test_permutation_matches_oracle(self, seed, n):
+        rng = Rng(seed)
+        ref = ScalarReference(rng)
+        perm = rng.permutation(n)
+        assert perm.dtype == np.int64
+        assert perm.tolist() == ref.permutation(n)
+        assert_same_generator(rng, ref)
+
+    def test_shaped_draws_keep_row_major_order(self):
+        rng = Rng(3)
+        ref = ScalarReference(rng)
+        assert_same_bits(rng.normals((37, 5)), np.reshape(ref.normals(185), (37, 5)))
+        assert_same_bits(rng.uniforms((40, 3), 0.0, 2.0),
+                         np.reshape(ref.uniforms(120, 0.0, 2.0), (40, 3)))
+        assert_same_generator(rng, ref)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_block_draws_mixed_with_scalar_draws(self, seed):
+        rng = Rng(seed)
+        ref = ScalarReference(rng)
+        assert rng.next_uint64() == ref.next_uint64()
+        assert_same_bits(rng.normals((BLOCK + 1,)), ref.normals(BLOCK + 1))
+        assert rng.normal() == ref.normal()  # the spare left by the odd block
+        assert rng.next_float() == ref.next_float()
+        assert_same_bits(rng.normals((33,)), ref.normals(33))
+        assert_same_bits(rng.uniforms((2 * BLOCK + 3,), -1.0, 1.0),
+                         ref.uniforms(2 * BLOCK + 3, -1.0, 1.0))
+        assert_same_bits(rng.normals((3,)), ref.normals(3))
+        assert rng.permutation(BLOCK).tolist() == ref.permutation(BLOCK)
+        assert_same_bits(rng.normals((2 * BLOCK,)), ref.normals(2 * BLOCK))
+        assert rng.next_below(10) == (ref.next_uint64() * 10) >> 64
+        assert_same_generator(rng, ref)
+
+    @pytest.mark.parametrize("position", (0, 4, 2 * BLOCK + 2, 2 * BLOCK + 1))
+    def test_zero_u1_resampled_like_the_scalar_loop(self, position):
+        # choose the state so that draw number `position` is exactly 0.0: an
+        # even position is a u1, which is resampled; an odd one is a u2
+        target = pow(0x2545F4914F6CDD1D, -1, 1 << 64)  # the state whose output is 1
+        state = target
+        for _ in range(position + 1):
+            state = previous_state(state)
+        rng = Rng(0)
+        rng._state = state
+        probe = ScalarReference(rng)
+        assert [probe.next_float() for _ in range(position + 1)][-1] == 0.0
+        ref = ScalarReference(rng)
+        n = 2 * BLOCK + 8
+        got = rng.normals((n,))
+        expected = ref.normals(n)
+        assert_same_bits(got, expected)
+        assert_same_generator(rng, ref)
+
+    def test_zero_u1_falls_back_with_state_restored(self, monkeypatch):
+        rng = Rng(11)
+        rng.normal()
+        ref = ScalarReference(rng)
+        real = Rng._next_floats
+
+        def with_zero(self, count):
+            u = real(self, count)
+            u[0] = 0.0
+            return u
+
+        monkeypatch.setattr(Rng, "_next_floats", with_zero)
+        assert_same_bits(rng.normals((34,)), ref.normals(34))
+        assert_same_generator(rng, ref)
+
+    def test_bounded_draws_match_python_integers(self):
+        rng = np.random.default_rng(17)
+        u = np.concatenate([
+            rng.integers(0, 2 ** 64, size=500, dtype=np.uint64, endpoint=False),
+            np.array([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1], dtype=np.uint64),
+        ])
+        for bound in (1, 2, 3, 1000, 2 ** 31 + 11, 2 ** 32 - 1, 2 ** 32):
+            bounds = np.full(u.size, bound, dtype=np.uint64)
+            expected = [(int(v) * bound) >> 64 for v in u.tolist()]
+            assert numerics._below(u, bounds).tolist() == expected
+
+    def test_jump_table_rows_step_basis_vectors(self):
+        table = numerics._jump_table()
+        assert table.shape == (64, BLOCK) and table.dtype == np.uint64
+        ref = ScalarReference(Rng(0))
+        for j in (0, 1, 31, 63):
+            ref.state = 1 << j
+            states = []
+            for _ in range(BLOCK):
+                ref.next_uint64()
+                states.append(ref.state)
+            assert table[j].tolist() == states

@@ -64,6 +64,21 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(lr=0.0)
 
+    @pytest.mark.parametrize("momentum", (-5.0, -1e-9, 1.0, 1.5, float("nan")))
+    def test_momentum_outside_unit_interval_rejected(self, momentum):
+        with pytest.raises(ValueError, match="momentum"):
+            TrainConfig(momentum=momentum)
+
+    @pytest.mark.parametrize("weight_decay", (-1e-4, float("nan")))
+    def test_negative_weight_decay_rejected(self, weight_decay):
+        with pytest.raises(ValueError, match="weight_decay"):
+            TrainConfig(weight_decay=weight_decay)
+
+    def test_momentum_and_weight_decay_edges_accepted(self):
+        cfg = TrainConfig(momentum=0.0, weight_decay=0.0)
+        assert (cfg.momentum, cfg.weight_decay) == (0.0, 0.0)
+        assert TrainConfig(momentum=0.999).momentum == 0.999
+
     def test_resolved_materializes_defaults(self):
         cfg = TrainConfig().resolved(input_dim=2, num_classes=4)
         assert cfg.layer_sizes == (2, 32, 4)
