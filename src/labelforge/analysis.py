@@ -5,11 +5,9 @@ summaries. Everything is plain matrices, exportable as CSV."""
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
-from .dataio import Dataset
+from .dataio import Dataset, write_csv
 from .labelreg import CMatrix
 from .model import Mlp
 
@@ -85,8 +83,4 @@ def c_row_entropy(c: CMatrix) -> np.ndarray:
 def export_matrix_csv(matrix: np.ndarray, path) -> None:
     """Write a K x C matrix as CSV with a class-index header row."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow([str(i) for i in range(matrix.shape[1])])
-        for row in matrix:
-            writer.writerow([repr(float(v)) for v in row])
+    write_csv(path, [str(i) for i in range(matrix.shape[1])], matrix.tolist())

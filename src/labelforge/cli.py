@@ -179,6 +179,15 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+def _require_classes(dataset: Dataset, source) -> Dataset:
+    """Reject data with fewer than 2 classes: nothing to classify."""
+    if dataset.num_classes < 2:
+        raise UsageError(
+            f"{source}: data has {dataset.num_classes} class; at least 2 are needed"
+        )
+    return dataset
+
+
 def _load_datasets(args) -> tuple[Dataset, Dataset, dict]:
     """Resolve train/test datasets from CSV or IDX flags; returns input paths
     for the manifest alongside the datasets."""
@@ -186,22 +195,23 @@ def _load_datasets(args) -> tuple[Dataset, Dataset, dict]:
     try:
         if args.data:
             inputs["data"] = args.data
-            full, _ = load_csv(args.data, args.label_column)
+            full = _require_classes(load_csv(args.data, args.label_column)[0], args.data)
             if args.test_data:
                 inputs["test_data"] = args.test_data
                 test, _ = load_csv(args.test_data, args.label_column)
-                return full, test, inputs
+                return full, _require_classes(test, args.test_data), inputs
             train_set, test_set = split(full, args.train_fraction, args.split_seed)
             return train_set, test_set, inputs
         if args.idx_images and args.idx_labels:
             inputs["idx_images"] = args.idx_images
             inputs["idx_labels"] = args.idx_labels
-            full = load_idx(args.idx_images, args.idx_labels)
+            full = _require_classes(load_idx(args.idx_images, args.idx_labels),
+                                    args.idx_labels)
             if args.test_idx_images and args.test_idx_labels:
                 inputs["test_idx_images"] = args.test_idx_images
                 inputs["test_idx_labels"] = args.test_idx_labels
                 test = load_idx(args.test_idx_images, args.test_idx_labels)
-                return full, test, inputs
+                return full, _require_classes(test, args.test_idx_labels), inputs
             train_set, test_set = split(full, args.train_fraction, args.split_seed)
             return train_set, test_set, inputs
     except (OSError, DataFormatError, ValueError) as exc:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import gzip
+import math
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,14 +160,16 @@ def load_idx(images_path, labels_path) -> Dataset:
 def load_csv(path, label_column: str) -> tuple[Dataset, dict]:
     """Load a rectangular numeric CSV with a header row.
 
-    Labels are remapped to dense 0..K-1 in first-appearance order; the
-    returned dict maps each original label value to its dense index. NaN and
-    Inf cells are rejected with the line they sit on.
+    Cells are ASCII decimal floats, optionally double-quoted and padded with
+    spaces; blank lines are skipped and LF, CRLF and CR line ends are all
+    accepted. Labels are remapped to dense 0..K-1 in first-appearance order;
+    the returned dict maps each original label value to its dense index. A
+    wrong cell count, a non-numeric cell or a NaN/Inf cell is rejected with
+    the line it sits on.
     """
     with open(path, newline="") as f:
-        reader = csv.reader(f)
         try:
-            header = next(reader)
+            header = next(csv.reader(f))
         except StopIteration:
             raise DataFormatError(f"{path}: empty file") from None
         header = [name.strip() for name in header]
@@ -174,11 +178,55 @@ def load_csv(path, label_column: str) -> tuple[Dataset, dict]:
                 f"{path}: no column named {label_column!r} in header {header}"
             )
         label_idx = header.index(label_column)
-        feature_idx = [i for i in range(len(header)) if i != label_idx]
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is reported below as "no data rows"
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data", UserWarning
+                )
+                table = np.loadtxt(f, delimiter=",", dtype=np.float64, ndmin=2,
+                                   comments=None, quotechar='"')
+        except ValueError as exc:
+            _raise_for_bad_line(path, header, label_idx)
+            raise DataFormatError(f"{path}: {exc}") from None
 
-        rows = []
-        raw_labels = []
-        line_numbers = []
+    if table.shape[0] == 0:
+        raise DataFormatError(f"{path}: no data rows")
+    if table.shape[1] != len(header) or not np.isfinite(table).all():
+        _raise_for_bad_line(path, header, label_idx)
+        raise DataFormatError(f"{path}: rows do not match the header or hold NaN/Inf")
+
+    mapping: dict = {}
+    labels = np.empty(table.shape[0], dtype=np.int64)
+    for i, value in enumerate(table[:, label_idx].tolist()):
+        key = int(value) if value == int(value) else value
+        if key not in mapping:
+            mapping[key] = len(mapping)
+        labels[i] = mapping[key]
+    features = np.delete(table, label_idx, axis=1)
+    return Dataset(features, labels, len(mapping)), mapping
+
+
+def _parse_cell(cell: str) -> float:
+    """float() restricted to what NumPy's text reader accepts: no digit-group
+    underscores and no non-ASCII digits."""
+    if "_" in cell or not cell.strip().isascii():
+        raise ValueError(f"could not convert string to float: {cell!r}")
+    return float(cell)
+
+
+def _raise_for_bad_line(path, header, label_idx) -> None:
+    """Name the line that the fast parse in load_csv rejected.
+
+    Only diagnoses: it re-reads the file row by row and raises for the first
+    line with a wrong cell count or a non-numeric cell, else for the first
+    line with a NaN/Inf cell. It returns when it finds neither.
+    """
+    order = [i for i in range(len(header)) if i != label_idx] + [label_idx]
+    first_non_finite = None
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        next(reader)
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -187,38 +235,35 @@ def load_csv(path, label_column: str) -> tuple[Dataset, dict]:
                     f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}"
                 )
             try:
-                values = [float(row[i]) for i in feature_idx]
-                raw_labels.append(float(row[label_idx]))
+                values = [_parse_cell(row[i]) for i in order]
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{line_no}: non-numeric cell ({exc})") from None
-            rows.append(values)
-            line_numbers.append(line_no)
+            if first_non_finite is None and not all(map(math.isfinite, values)):
+                first_non_finite = line_no
+    if first_non_finite is not None:
+        raise DataFormatError(f"{path}:{first_non_finite}: non-finite cell (NaN or Inf)")
 
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows")
-    features = np.asarray(rows, dtype=np.float64)
-    finite = np.isfinite(features).all(axis=1) & np.isfinite(raw_labels)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise DataFormatError(f"{path}:{line_numbers[bad]}: non-finite cell (NaN or Inf)")
 
-    mapping: dict = {}
-    labels = np.empty(len(raw_labels), dtype=np.int64)
-    for i, value in enumerate(raw_labels):
-        key = int(value) if value == int(value) else value
-        if key not in mapping:
-            mapping[key] = len(mapping)
-        labels[i] = mapping[key]
-    return Dataset(features, labels, len(mapping)), mapping
+def write_csv(path, header, rows) -> None:
+    """Write a header row and rows of Python ints and floats as CSV.
+
+    The header goes through csv.writer, which quotes names where needed.
+    Each number is written as its repr, which round-trips every float64
+    exactly, and every line ends in "\\r\\n" as csv.writer's do: the bytes
+    equal those of csv.writer given repr(float(v)) cells.
+    """
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerow(header)
+        f.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:
     """Write a dataset in the format load_csv reads (floats via repr)."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow([f"f{i}" for i in range(dataset.num_features)] + [label_column])
-        for x, y in zip(dataset.features, dataset.labels):
-            writer.writerow([repr(float(v)) for v in x] + [int(y)])
+    header = [f"f{i}" for i in range(dataset.num_features)] + [label_column]
+    rows = (
+        x.tolist() + [y] for x, y in zip(dataset.features, dataset.labels.tolist())
+    )
+    write_csv(path, header, rows)
 
 
 def stratified_split_indices(

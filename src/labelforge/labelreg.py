@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import write_csv
 from .numerics import softmax_rows
 
 LOG_CLAMP = 1e-12
@@ -271,13 +272,8 @@ def proxy_teacher_target(teacher_c: CMatrix, y: int) -> np.ndarray:
 def export_cmatrix(c: CMatrix, csv_path, metadata: dict | None = None) -> None:
     """Write the expanded K x K probabilities as CSV (header = class
     indices, exact 0.0 diagonal) plus a JSON sidecar with alpha and K."""
-    expanded = c.expanded_probs()
     k = c.num_classes
-    with open(csv_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow([str(i) for i in range(k)])
-        for row in expanded:
-            writer.writerow([repr(float(v)) for v in row])
+    write_csv(csv_path, [str(i) for i in range(k)], c.expanded_probs().tolist())
     sidecar = {
         "alpha": c.alpha,
         "num_classes": k,
@@ -298,16 +294,31 @@ def load_cmatrix(csv_path) -> CMatrix:
 
     Logits are recovered as log of the off-diagonal probabilities (softmax
     is shift-invariant, so any representative works); zero probabilities are
-    clamped to keep the logits finite.
+    clamped to keep the logits finite. Raises ValueError when the sidecar
+    lacks a key, when the CSV is not K x K for the sidecar's K, or when a
+    cell is not a finite number.
     """
     with open(_sidecar_path(csv_path)) as f:
         sidecar = json.load(f)
+    missing = [key for key in ("alpha", "num_classes") if key not in sidecar]
+    if missing:
+        raise ValueError(f"{_sidecar_path(csv_path)}: missing keys {missing}")
     with open(csv_path, newline="") as f:
         rows = list(csv.reader(f))
     k = int(sidecar["num_classes"])
-    if len(rows) != k + 1:
-        raise ValueError(f"{csv_path}: expected {k + 1} rows, found {len(rows)}")
+    header = rows[0] if rows else []
+    if len(header) != k or len(rows) != k + 1:
+        raise ValueError(
+            f"{csv_path}: sidecar says {k} classes, but the CSV has a "
+            f"{len(header)}-column header and {max(len(rows) - 1, 0)} rows"
+        )
+    for line_no, row in enumerate(rows[1:], start=2):
+        if len(row) != k:
+            raise ValueError(f"{csv_path}:{line_no}: expected {k} cells, got {len(row)}")
     expanded = np.asarray([[float(v) for v in row] for row in rows[1:]])
+    if not np.isfinite(expanded).all():
+        line_no = 2 + int(np.argmin(np.isfinite(expanded).all(axis=1)))
+        raise ValueError(f"{csv_path}:{line_no}: non-finite cell (NaN or Inf)")
     idx = nontarget_indices(k)
     logits = np.empty((k, k - 1), dtype=np.float64)
     for y in range(k):

@@ -220,15 +220,28 @@ def save_checkpoint(model: Mlp, path) -> None:
         "biases": [b.tolist() for b in model.biases],
         "seed": model.seed,
     }
+    # json.dumps runs the C encoder; json.dump to a file takes the pure-Python
+    # one. Both write the same bytes.
     with open(path, "w") as f:
-        json.dump(doc, f)
-        f.write("\n")
+        f.write(json.dumps(doc) + "\n")
 
 
 def load_checkpoint(path) -> Mlp:
+    """Rebuild an Mlp from a checkpoint, rejecting a document that lacks a
+    key, holds the wrong number or size of layers, or has a NaN/Inf
+    parameter (all as ValueError)."""
     with open(path) as f:
         doc = json.load(f)
+    missing = [key for key in ("layer_sizes", "weights", "biases") if key not in doc]
+    if missing:
+        raise ValueError(f"{path}: missing keys {missing}")
     sizes = [int(s) for s in doc["layer_sizes"]]
+    layers = len(sizes) - 1
+    if len(doc["weights"]) != layers or len(doc["biases"]) != layers:
+        raise ValueError(
+            f"{path}: layer_sizes {sizes} need {layers} weight and bias lists, got "
+            f"{len(doc['weights'])} and {len(doc['biases'])}"
+        )
     weights = []
     biases = []
     for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
@@ -236,6 +249,8 @@ def load_checkpoint(path) -> Mlp:
             np.asarray(doc["weights"][i], dtype=np.float64).reshape(fan_in, fan_out)
         )
         biases.append(np.asarray(doc["biases"][i], dtype=np.float64))
+        if not (np.isfinite(weights[i]).all() and np.isfinite(biases[i]).all()):
+            raise ValueError(f"{path}: layer {i} has a NaN or Inf parameter")
     return Mlp(sizes, weights, biases, int(doc.get("seed", 0)))
 
 

@@ -34,7 +34,6 @@ learned, checkpoint.json, report.json.
 
 from __future__ import annotations
 
-import csv
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -44,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import c_row_entropy
-from .dataio import Dataset
+from .dataio import Dataset, write_csv
 from .labelreg import (
     LOG_CLAMP,
     CMatrix,
@@ -460,19 +459,20 @@ def config_to_dict(config: TrainConfig) -> dict:
 
 
 def write_metrics_csv(report: TrainReport, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["epoch", "train_acc", "test_acc", "train_loss", "mean_max_prob"])
-        for row in report.epoch_stats:
-            writer.writerow(
-                [
-                    row.epoch,
-                    repr(float(row.train_accuracy)),
-                    repr(float(row.test_accuracy)),
-                    repr(float(row.train_loss)),
-                    repr(float(row.mean_max_prob)),
-                ]
-            )
+    write_csv(
+        path,
+        ["epoch", "train_acc", "test_acc", "train_loss", "mean_max_prob"],
+        (
+            [
+                int(row.epoch),
+                float(row.train_accuracy),
+                float(row.test_accuracy),
+                float(row.train_loss),
+                float(row.mean_max_prob),
+            ]
+            for row in report.epoch_stats
+        ),
+    )
 
 
 def write_run_artifacts(run_dir, config: TrainConfig, result: TrainOutput,

@@ -1,9 +1,11 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from labelforge.cli import load_config, main, parse_config_file, UsageError
+from labelforge.model import init_model, save_checkpoint
 from labelforge.train import TrainConfig
 
 
@@ -136,6 +138,32 @@ class TestTrainCommand:
         assert run_train(path, tmp_path / "run") == 2
         assert "nan.csv:3: non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "ablate", "analyze", "distill"])
+    def test_single_class_csv_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "one.csv"
+        path.write_text("f0,f1,label\n" + "".join(f"{i},{i % 3},0\n" for i in range(10)))
+        teacher = tmp_path / "teacher.json"
+        save_checkpoint(init_model([2, 4, 2], seed=0), teacher)
+        extra = {
+            "analyze": ["--checkpoint", str(teacher)],
+            "distill": ["--teacher-checkpoint", str(teacher)],
+        }.get(command, [])
+        out = tmp_path / "run"
+        argv = [command, "--data", str(path), "--out", str(out), *extra]
+        assert main(argv) == 2
+        assert "one.csv: data has 1 class" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_single_class_idx_exits_2(self, tmp_path, capsys):
+        images = tmp_path / "img.idx"
+        labels = tmp_path / "lab.idx"
+        images.write_bytes(struct.pack(">IIII", 0x803, 6, 1, 2) + bytes(range(12)))
+        labels.write_bytes(struct.pack(">II", 0x801, 6) + bytes(6))
+        argv = ["train", "--idx-images", str(images), "--idx-labels", str(labels),
+                "--out", str(tmp_path / "run")]
+        assert main(argv) == 2
+        assert "lab.idx: data has 1 class" in capsys.readouterr().err
+
     def test_unknown_flag_exits_2(self, data_csv):
         assert main(["train", "--data", str(data_csv), "--frobnicate"]) == 2
 
@@ -264,6 +292,20 @@ class TestAnalyzeCommand:
         assert "c_row_entropy" in doc
         assert len(doc["c_row_entropy"]) == 4
         assert 0.0 <= doc["train"]["accuracy"] <= 1.0
+
+    def test_non_finite_checkpoint_exits_2(self, data_csv, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert run_train(data_csv, run_dir) == 0
+        checkpoint = run_dir / "checkpoint.json"
+        doc = json.loads(checkpoint.read_text())
+        doc["weights"][0][0] = float("nan")
+        checkpoint.write_text(json.dumps(doc))
+        code = main([
+            "analyze", "--data", str(data_csv), "--checkpoint", str(checkpoint),
+            "--out", str(tmp_path / "a"),
+        ])
+        assert code == 2
+        assert "layer 0 has a NaN or Inf parameter" in capsys.readouterr().err
 
     def test_bad_checkpoint_exits_2(self, data_csv, tmp_path):
         missing = tmp_path / "nope.json"

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -451,6 +452,46 @@ class TestExport:
         c = random_cmatrix(Rng(20), 3)
         export_cmatrix(c, tmp_path / "cm.csv")
         assert (tmp_path / "cm.json").exists()
+
+    def _exported_lines(self, tmp_path):
+        path = tmp_path / "cm.csv"
+        export_cmatrix(random_cmatrix(Rng(21), 3), path)
+        return path, path.read_text().splitlines()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        path, lines = self._exported_lines(tmp_path)
+        cells = lines[2].split(",")
+        cells[2] = cell
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"cm\.csv:3: non-finite cell"):
+            load_cmatrix(path)
+
+    def test_row_width_rejected(self, tmp_path):
+        path, lines = self._exported_lines(tmp_path)
+        lines[3] += ",0.5"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"cm\.csv:4: expected 3 cells, got 4"):
+            load_cmatrix(path)
+
+    def test_sidecar_class_count_mismatch_rejected(self, tmp_path):
+        path, _ = self._exported_lines(tmp_path)
+        sidecar = tmp_path / "cm.json"
+        doc = json.loads(sidecar.read_text())
+        doc["num_classes"] = 2
+        sidecar.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="sidecar says 2 classes"):
+            load_cmatrix(path)
+
+    def test_sidecar_missing_key_rejected(self, tmp_path):
+        path, _ = self._exported_lines(tmp_path)
+        sidecar = tmp_path / "cm.json"
+        doc = json.loads(sidecar.read_text())
+        del doc["alpha"]
+        sidecar.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"missing keys \['alpha'\]"):
+            load_cmatrix(path)
 
 
 def test_nontarget_indices():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from labelforge.model import (
     save_checkpoint,
     sgd_step,
 )
-from labelforge.numerics import Rng, gemm, log_softmax_rows, softmax_rows
+from labelforge.numerics import Rng, log_softmax_rows, softmax_rows
 
 
 def zero_model(sizes):
@@ -62,7 +63,7 @@ class TestForward:
         model = init_model([4, 3], seed=2)
         x = np.random.default_rng(1).normal(size=(5, 4))
         cache = model.forward(x)
-        expected = softmax_rows(gemm(x, model.weights[0]) + model.biases[0])
+        expected = softmax_rows(x @ model.weights[0] + model.biases[0])
         assert np.abs(cache.probs - expected).max() < 1e-15
 
     def test_probability_rows_sum_to_one(self):
@@ -219,3 +220,35 @@ class TestCheckpoint:
             assert np.array_equal(a, b)
         x = Rng(35).uniforms((5, 4), -1.0, 1.0)
         assert np.array_equal(loaded.forward(x).probs, model.forward(x).probs)
+
+    def _saved_doc(self, tmp_path):
+        path = tmp_path / "ck.json"
+        save_checkpoint(init_model([3, 4, 2], seed=1), path)
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("part,layer,value", [
+        ("weights", 0, float("nan")),
+        ("weights", 1, float("-inf")),
+        ("biases", 1, float("inf")),
+    ])
+    def test_non_finite_parameter_rejected(self, tmp_path, part, layer, value):
+        path, doc = self._saved_doc(tmp_path)
+        doc[part][layer][1] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"layer {layer} has a NaN or Inf"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["layer_sizes", "weights", "biases"])
+    def test_missing_key_rejected(self, tmp_path, key):
+        path, doc = self._saved_doc(tmp_path)
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"missing keys \\['{key}'\\]"):
+            load_checkpoint(path)
+
+    def test_layer_count_mismatch_rejected(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        doc["weights"].pop()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="need 2 weight and bias lists, got 1 and 2"):
+            load_checkpoint(path)
