@@ -188,6 +188,28 @@ def _require_classes(dataset: Dataset, source) -> Dataset:
     return dataset
 
 
+def _remap_labels(test: Dataset, test_mapping: dict, mapping: dict,
+                  test_path, train_path) -> Dataset:
+    """Give a --test-data set the class indices of the training file: each
+    file numbers its labels in its own order of first appearance. The test
+    file must hold exactly the training file's labels, since a Dataset has
+    at least one row of every class."""
+    unknown = [label for label in test_mapping if label not in mapping]
+    if unknown:
+        raise UsageError(
+            f"{test_path}: label {unknown[0]!r} does not occur in the "
+            f"training data {train_path}"
+        )
+    absent = [label for label in mapping if label not in test_mapping]
+    if absent:
+        raise UsageError(
+            f"{test_path}: training label {absent[0]!r} of {train_path} "
+            f"has no rows in the test data"
+        )
+    to_train = np.array([mapping[label] for label in test_mapping], dtype=np.int64)
+    return Dataset(test.features, to_train[test.labels], len(mapping))
+
+
 def _load_datasets(args) -> tuple[Dataset, Dataset, dict]:
     """Resolve train/test datasets from CSV or IDX flags; returns input paths
     for the manifest alongside the datasets."""
@@ -195,11 +217,13 @@ def _load_datasets(args) -> tuple[Dataset, Dataset, dict]:
     try:
         if args.data:
             inputs["data"] = args.data
-            full = _require_classes(load_csv(args.data, args.label_column)[0], args.data)
+            full, mapping = load_csv(args.data, args.label_column)
+            _require_classes(full, args.data)
             if args.test_data:
                 inputs["test_data"] = args.test_data
-                test, _ = load_csv(args.test_data, args.label_column)
-                return full, _require_classes(test, args.test_data), inputs
+                test, test_mapping = load_csv(args.test_data, args.label_column)
+                test = _remap_labels(test, test_mapping, mapping, args.test_data, args.data)
+                return full, test, inputs
             train_set, test_set = split(full, args.train_fraction, args.split_seed)
             return train_set, test_set, inputs
         if args.idx_images and args.idx_labels:

@@ -44,6 +44,19 @@ def nontarget_indices(num_classes: int) -> np.ndarray:
     return idx
 
 
+def _around_diagonal(off: np.ndarray, diagonal: float) -> np.ndarray:
+    """K x K matrix whose row y holds row y of the K x (K-1) ``off`` at the
+    columns nontarget_indices(K)[y], and ``diagonal`` at column y."""
+    k = off.shape[0]
+    out = np.empty((k, k), dtype=np.float64)
+    flat = out.reshape(-1)
+    # in row-major order the K*(K-1) off-diagonal cells come in runs of K
+    # between consecutive diagonal cells, in the order ``off`` lists them
+    flat[1:].reshape(k - 1, k + 1)[:, :k] = off.reshape(k - 1, k)
+    flat[:: k + 1] = diagonal
+    return out
+
+
 @dataclass
 class CMatrix:
     """K x (K-1) learnable logits; softmax per row shares alpha across
@@ -81,13 +94,7 @@ class CMatrix:
     def expanded_probs(self) -> np.ndarray:
         """K x K view with the per-row softmax scattered around an exact-0
         diagonal."""
-        k = self.num_classes
-        expanded = np.zeros((k, k), dtype=np.float64)
-        probs = self.all_row_probs()
-        idx = nontarget_indices(k)
-        for y in range(k):
-            expanded[y, idx[y]] = probs[y]
-        return expanded
+        return _around_diagonal(self.all_row_probs(), 0.0)
 
     def copy(self) -> "CMatrix":
         return CMatrix(self.logits.copy(), self.alpha)
@@ -128,14 +135,13 @@ def lspp_target(c: CMatrix, y: int) -> np.ndarray:
 
 def target_table(c: CMatrix) -> np.ndarray:
     """All K class targets at once; row y equals lspp_target(c, y)."""
-    k = c.num_classes
-    table = np.zeros((k, k), dtype=np.float64)
-    probs = c.all_row_probs()
-    idx = nontarget_indices(k)
-    for y in range(k):
-        table[y, idx[y]] = c.alpha * probs[y]
-    table[np.arange(k), np.arange(k)] = 1.0 - c.alpha
-    return table
+    return targets_from_row_probs(c.all_row_probs(), c.alpha)
+
+
+def targets_from_row_probs(row_probs: np.ndarray, alpha: float) -> np.ndarray:
+    """The K x K target table from a logit table's K x (K-1) row softmax:
+    1 - alpha on the diagonal, alpha times row y's softmax around it."""
+    return _around_diagonal(alpha * row_probs, 1.0 - alpha)
 
 
 def network_logit_grad(target: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -223,10 +229,12 @@ class OlsState:
         return means
 
 
-def ols_accumulate(state: OlsState, probs: np.ndarray, y: int) -> OlsState:
-    probs = np.asarray(probs, dtype=np.float64)
-    state.sums[y] += probs
-    state.counts[y] += 1
+def ols_accumulate(state: OlsState, probs: np.ndarray, y) -> OlsState:
+    """Add one prediction (probs of shape (K,), int y) or a batch of them
+    (B x K probs, B labels). A batch is added in row order, as B single
+    calls would add it, so repeated labels sum in the same order."""
+    np.add.at(state.sums, y, np.asarray(probs, dtype=np.float64))
+    np.add.at(state.counts, y, 1)
     return state
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Rng, log_softmax_rows, softmax_rows
+from .numerics import Rng, require_finite, softmax_pair
 
 
 @dataclass
@@ -35,6 +35,7 @@ class ForwardCache:
     hidden_activations: list  # post-ReLU, one per hidden layer
     logits: np.ndarray
     probs: np.ndarray
+    log_probs: np.ndarray
 
 
 @dataclass
@@ -94,7 +95,9 @@ class Mlp:
                 act = np.maximum(z, 0.0)
                 hidden_acts.append(act)
         logits = pre_acts[-1]
-        return ForwardCache(x, pre_acts, hidden_acts, logits, softmax_rows(logits))
+        require_finite(logits, "softmax input")
+        probs, log_probs = softmax_pair(logits)
+        return ForwardCache(x, pre_acts, hidden_acts, logits, probs, log_probs)
 
     def backward(self, cache: ForwardCache, dlogits: np.ndarray) -> Gradients:
         """Backpropagate d(scalar loss)/d(logits) to all parameters.
@@ -265,9 +268,8 @@ def mean_cross_entropy_loss(targets: np.ndarray):
 
     def loss_fn(model: Mlp, batch: np.ndarray):
         cache = model.forward(batch)
-        log_probs = log_softmax_rows(cache.logits)
         n = batch.shape[0]
-        loss = float(-(targets * log_probs).sum() / n)
+        loss = float(-(targets * cache.log_probs).sum() / n)
         grads = model.backward(cache, (cache.probs - targets) / n)
         return loss, grads
 

@@ -1,8 +1,14 @@
 """Dense linear algebra helpers, stable probability transforms, and seeded RNG.
 
-Matrices are plain 2-D float64 numpy arrays (row-major). Every public
-operation validates shapes and rejects non-finite inputs so that bad values
-surface where they are created instead of three modules later.
+Matrices are plain 2-D float64 numpy arrays (row-major). The operations
+that take values from outside the training loop (``gemm``, ``softmax_rows``,
+``log_softmax_rows``) validate shapes and reject non-finite inputs, so that
+bad values surface where they are created instead of three modules later.
+``row_max`` and ``softmax_pair`` trust their input: the training loop calls
+them where one check covers many operations. Training checks the network's
+logits once per forward pass (``Mlp.forward``) and the loss once per step
+(``train``); a NaN or Inf anywhere else on a step's path, in the logit
+table, the targets or the log-probabilities, reaches that loss.
 
 The random generator is written out explicitly (instead of delegating to a
 library) so that any reimplementation, in any language, can reproduce the
@@ -225,8 +231,8 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def _require_finite(m: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(m)):
+def require_finite(m: np.ndarray, name: str) -> None:
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains NaN or Inf")
 
 
@@ -237,8 +243,8 @@ def gemm(a, b, transpose_a: bool = False, transpose_b: bool = False) -> np.ndarr
     """
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
-    _require_finite(a, "gemm operand a")
-    _require_finite(b, "gemm operand b")
+    require_finite(a, "gemm operand a")
+    require_finite(b, "gemm operand b")
     left = a.T if transpose_a else a
     right = b.T if transpose_b else b
     if left.shape[1] != right.shape[0]:
@@ -249,21 +255,54 @@ def gemm(a, b, transpose_a: bool = False, transpose_b: bool = False) -> np.ndarr
     return left @ right
 
 
+def row_max(m: np.ndarray) -> np.ndarray:
+    """Maximum of each row of a 2-D array, equal to ``m.max(axis=1)``.
+
+    NumPy reduces a C-ordered array along axis 1 with one inner call per row,
+    which dominates for the narrow rows of a class axis. A Fortran-ordered
+    copy is reduced instead, which NumPy does with one elementwise maximum per
+    column: with NumPy 2.4.6 on an x86-64 core, 10 us against 125 us on
+    2000 x 4 and 37 against 135 on 2000 x 16, though 318 against 170 on
+    2000 x 100. A maximum is exact whatever the order, so the bits are the
+    same, with one exception: when 0.0 and -0.0 tie for a row's maximum, the
+    sign returned depends on the order, and NumPy's own per-row order depends
+    on the CPU's vector width. Shifting a softmax row by either zero gives the
+    same bits (see ``softmax_pair``).
+    """
+    return np.asfortranarray(m).max(axis=1)
+
+
+def softmax_pair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise softmax and log-softmax of a finite 2-D float64 array.
+
+    One shift by the row maximum, one exp and one row sum serve both:
+    ``exp(m - max) / sum`` and ``(m - max) - log(sum)``. The input is not
+    checked; softmax_rows and log_softmax_rows are the checked forms.
+
+    The sign of a zero maximum cannot reach either output: it changes the
+    shifted value only at entries equal to the maximum, only by the sign of
+    a zero, and only when a 0.0 and a -0.0 tie for it. exp gives 1 for both zeros,
+    and with two terms of 1 the row sum is at least 2, so the log form
+    subtracts a nonzero log(sum) from that zero.
+    """
+    shifted = m - row_max(m)[:, None]
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    return e / total, shifted - np.log(total)
+
+
 def softmax_rows(m) -> np.ndarray:
     """Row-wise softmax with per-row max subtraction for stability."""
     m = as_matrix(m)
-    _require_finite(m, "softmax input")
-    shifted = m - m.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    require_finite(m, "softmax input")
+    return softmax_pair(m)[0]
 
 
 def log_softmax_rows(m) -> np.ndarray:
     """Row-wise log-softmax in the fused stable form x - max - log(sum(exp))."""
     m = as_matrix(m)
-    _require_finite(m, "log_softmax input")
-    shifted = m - m.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    require_finite(m, "log_softmax input")
+    return softmax_pair(m)[1]
 
 
 def cross_entropy(target, log_probs) -> float:

@@ -35,6 +35,7 @@ learned, checkpoint.json, report.json.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -55,6 +56,7 @@ from .labelreg import (
     ols_target,
     reverse_cross_entropy,
     target_table,
+    targets_from_row_probs,
 )
 from .model import (
     Mlp,
@@ -66,7 +68,7 @@ from .model import (
     save_checkpoint,
     sgd_step,
 )
-from .numerics import Rng, derive_seed, log_softmax_rows
+from .numerics import Rng, derive_seed, row_max, softmax_pair
 
 STRATEGIES = ("onehot", "ls", "lspp", "ols", "distill", "proxy_distill", "ablation")
 ABLATION_LOSSES = ("ce", "sce_original", "sce_ours")
@@ -185,7 +187,7 @@ def evaluate(model: Mlp, dataset: Dataset) -> dict:
     accuracy = float(np.mean(predictions == dataset.labels))
     p_true = np.clip(probs[np.arange(len(dataset)), dataset.labels], 1e-12, None)
     mean_nll = float(np.mean(-np.log(p_true))) + 0.0
-    mean_max_prob = float(np.mean(probs.max(axis=1)))
+    mean_max_prob = float(np.mean(row_max(probs)))
     return {"accuracy": accuracy, "mean_nll": mean_nll, "mean_max_prob": mean_max_prob}
 
 
@@ -207,11 +209,11 @@ def _reverse_dlogits(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return -probs * (log_t - inner)
 
 
-def _accumulate_c_grads(cgrad, c, probs, log_probs, labels, nt_idx,
+def _accumulate_c_grads(cgrad, table_probs, alpha, probs, log_probs, labels, nt_idx,
                         use_forward: bool, use_reverse: bool) -> None:
-    """Add this batch's (unnormalized) table gradients into cgrad."""
+    """Add this batch's (unnormalized) table gradients into cgrad, given the
+    table's K x (K-1) row softmax."""
     rows = np.arange(len(labels))[:, None]
-    table_probs = c.all_row_probs()  # K x (K-1)
     p = table_probs[labels]  # batch x (K-1)
     cols = nt_idx[labels]
     if use_reverse:
@@ -221,7 +223,7 @@ def _accumulate_c_grads(cgrad, c, probs, log_probs, labels, nt_idx,
     if use_forward:
         off_logp = log_probs[rows, cols]
         inner = (p * off_logp).sum(axis=1, keepdims=True)
-        np.add.at(cgrad, labels, -c.alpha * p * (off_logp - inner))
+        np.add.at(cgrad, labels, -alpha * p * (off_logp - inner))
 
 
 def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
@@ -280,13 +282,14 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
         if strategy == "ols":
             next_state = OlsState.zeros(k)
 
-        for start in range(0, n, config.batch_size):
+        for batch, start in enumerate(range(0, n, config.batch_size)):
             idx = perm[start : start + config.batch_size]
             xb = features[idx]
             yb = labels[idx]
             b = len(idx)
 
             cache = model.forward(xb)
+            probs, log_probs = cache.probs, cache.log_probs
             if strategy == "distill":
                 targets = teacher_model.forward(xb).probs
             elif strategy == "ols":
@@ -294,20 +297,26 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
             elif fixed_table is not None:
                 targets = fixed_table[yb]
             else:
-                targets = target_table(cmatrix)[yb]
+                table_probs = softmax_pair(cmatrix.logits)[0]
+                targets = targets_from_row_probs(table_probs, cmatrix.alpha)[yb]
 
-            log_probs = log_softmax_rows(cache.logits)
-            loss_sum += float(-(targets * log_probs).sum())
+            # the one finiteness check of the step: a NaN or Inf in the
+            # table, the targets or the log-probabilities reaches the loss
+            step_loss = float(-(targets * log_probs).sum())
+            if not math.isfinite(step_loss):
+                raise ValueError(
+                    f"training diverged: loss is {step_loss} at epoch {epoch}, batch {batch}"
+                )
+            loss_sum += step_loss
 
-            dlogits = (cache.probs - targets) / b
+            dlogits = (probs - targets) / b
             if net_rev:
-                dlogits += _reverse_dlogits(cache.probs, targets) / b
+                dlogits += _reverse_dlogits(probs, targets) / b
 
             if cmatrix is not None and (c_fwd or c_rev):
                 cgrad = np.zeros_like(cmatrix.logits)
-                _accumulate_c_grads(
-                    cgrad, cmatrix, cache.probs, log_probs, yb, nt_idx, c_fwd, c_rev
-                )
+                _accumulate_c_grads(cgrad, table_probs, cmatrix.alpha, probs, log_probs,
+                                    yb, nt_idx, c_fwd, c_rev)
                 cgrad /= b
             else:
                 cgrad = None
@@ -318,11 +327,10 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
 
             if strategy == "ols":
                 if config.ols_correct_only:
-                    hits = np.argmax(cache.probs, axis=1) == yb
+                    hits = np.argmax(probs, axis=1) == yb
+                    ols_accumulate(next_state, probs[hits], yb[hits])
                 else:
-                    hits = np.ones(b, dtype=bool)
-                for i in np.flatnonzero(hits):
-                    ols_accumulate(next_state, cache.probs[i], int(yb[i]))
+                    ols_accumulate(next_state, probs, yb)
 
         if strategy == "ols":
             ols_state = next_state

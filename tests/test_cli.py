@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from labelforge.cli import load_config, main, parse_config_file, UsageError
+from labelforge.dataio import Dataset, GaussianSpec, generate_gaussian, save_csv
 from labelforge.model import init_model, save_checkpoint
 from labelforge.train import TrainConfig
 
@@ -163,6 +164,62 @@ class TestTrainCommand:
                 "--out", str(tmp_path / "run")]
         assert main(argv) == 2
         assert "lab.idx: data has 1 class" in capsys.readouterr().err
+
+    def test_test_data_labels_follow_training_mapping(self, tmp_path):
+        # the test file lists label 9 first, the training file label 5
+        train_csv = tmp_path / "train.csv"
+        train_csv.write_text("x,label\n0.0,5\n0.1,5\n0.2,5\n10.0,9\n10.1,9\n10.2,9\n")
+        test_csv = tmp_path / "test.csv"
+        test_csv.write_text("x,label\n10.05,9\n9.9,9\n0.05,5\n0.15,5\n")
+        out = tmp_path / "run"
+        argv = ["train", "--data", str(train_csv), "--test-data", str(test_csv),
+                "--epochs", "60", "--lr", "0.5", "--out", str(out)]
+        assert main(argv) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["final_train_accuracy"] == 1.0
+        assert report["final_test_accuracy"] == 1.0
+
+    def test_test_data_missing_a_training_label_exits_2(self, tmp_path, capsys):
+        # one class of the training file's two: named by its label, not
+        # reported as a one-class file
+        train_csv = tmp_path / "train.csv"
+        train_csv.write_text("x,label\n0.0,5\n0.1,5\n10.0,9\n10.1,9\n")
+        test_csv = tmp_path / "test.csv"
+        test_csv.write_text("x,label\n10.05,9\n9.9,9\n")
+        out = tmp_path / "run"
+        argv = ["train", "--data", str(train_csv), "--test-data", str(test_csv),
+                "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "test.csv: training label 5 of" in err
+        assert "has no rows in the test data" in err
+        assert not out.exists()
+
+    def test_unknown_test_data_label_exits_2(self, tmp_path, capsys):
+        train_csv = tmp_path / "train.csv"
+        train_csv.write_text("x,label\n0.0,5\n0.1,5\n10.0,9\n10.1,9\n")
+        test_csv = tmp_path / "test.csv"
+        test_csv.write_text("x,label\n10.05,9\n0.05,7\n")
+        out = tmp_path / "run"
+        argv = ["train", "--data", str(train_csv), "--test-data", str(test_csv),
+                "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "test.csv: label 7 does not occur in the training data" in err
+        assert not out.exists()
+
+    def test_diverged_run_exits_1_naming_the_step(self, tmp_path, capsys):
+        # features near 1e307: finite logits whose log-softmax overflows
+        means = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 10.0], [11.0, 10.0]])
+        data = generate_gaussian(GaussianSpec(means, 0.5, 40, seed=301))
+        path = tmp_path / "huge.csv"
+        save_csv(Dataset(data.features * 1e307, data.labels, 4), path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train", "--data", str(path), "--epochs", "2",
+                         "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "training diverged: loss is inf at epoch 0, batch 0" in err
 
     def test_unknown_flag_exits_2(self, data_csv):
         assert main(["train", "--data", str(data_csv), "--frobnicate"]) == 2

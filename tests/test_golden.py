@@ -44,7 +44,8 @@ def _sha256(data: bytes) -> str:
 
 def run_digests(out_dir: Path) -> dict:
     """sha256 of metrics.csv (and cmatrix.csv where a table is learned) for
-    five short runs on the paired task."""
+    nine short runs on the paired task: every strategy, the ``ce`` and
+    ``sce_original`` routings, and ols with correct-only accumulation."""
     train_set = generate_gaussian(GaussianSpec(PAIRED_MEANS, 0.5, 50, seed=11))
     test_set = generate_gaussian(GaussianSpec(PAIRED_MEANS, 0.5, 25, seed=12))
     lspp = train(TrainConfig(strategy="lspp", **BASE), train_set, test_set)
@@ -55,6 +56,16 @@ def run_digests(out_dir: Path) -> dict:
         "proxy_distill": distill(TrainConfig(**BASE), lspp.cmatrix, train_set, test_set),
         "ablation_sce_original": train_ablation(
             TrainConfig(strategy="ablation", ablation_loss="sce_original", **BASE),
+            train_set, test_set,
+        ),
+        "ls": train(TrainConfig(strategy="ls", **BASE), train_set, test_set),
+        "distill": distill(TrainConfig(**BASE), lspp.model, train_set, test_set),
+        "ablation_ce": train_ablation(
+            TrainConfig(strategy="ablation", ablation_loss="ce", **BASE),
+            train_set, test_set,
+        ),
+        "ols_correct_only": train(
+            TrainConfig(strategy="ols", ols_correct_only=True, **BASE),
             train_set, test_set,
         ),
     }

@@ -130,6 +130,25 @@ class TestLsppTarget:
         for y in range(6):
             assert np.abs(table[y] - lspp_target(c, y)).max() < 1e-15
 
+    def test_table_rows_bit_identical_to_lspp_target(self):
+        rng = np.random.default_rng(6)
+        for k in range(2, 21):
+            for alpha in (0.0, 0.1, 0.45):
+                c = CMatrix(rng.uniform(-30.0, 30.0, size=(k, k - 1)), alpha)
+                table = target_table(c)
+                for y in range(k):
+                    assert table[y].tobytes() == lspp_target(c, y).tobytes(), (k, y)
+
+    def test_expanded_probs_match_row_scatter(self):
+        rng = np.random.default_rng(7)
+        for k in range(2, 21):
+            c = CMatrix(rng.uniform(-5.0, 5.0, size=(k, k - 1)), 0.1)
+            expected = np.zeros((k, k))
+            probs = softmax_rows(c.logits)
+            for y in range(k):
+                expected[y, np.arange(k) != y] = probs[y]
+            assert c.expanded_probs().tobytes() == expected.tobytes(), k
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             lspp_target(CMatrix.zeros(3, 0.1), 3)
@@ -350,6 +369,23 @@ class TestOls:
         for c in range(4):
             expected = np.mean(per_class[c], axis=0)
             assert np.abs(means[c] - expected).max() < 1e-10
+
+    def test_batch_update_matches_sequential_updates(self):
+        rng = np.random.default_rng(15)
+        k = 4
+        probs = softmax_rows(rng.uniform(-4.0, 4.0, size=(64, k)))
+        labels = rng.integers(0, k - 1, size=64)  # class 3 never seen, 0-2 repeated
+        batched = ols_accumulate(OlsState.zeros(k), probs, labels)
+        one_by_one = OlsState.zeros(k)
+        in_place = OlsState.zeros(k)
+        for p, y in zip(probs, labels.tolist()):
+            ols_accumulate(one_by_one, p, y)
+            in_place.sums[y] += p
+            in_place.counts[y] += 1
+        for state in (one_by_one, in_place):
+            assert batched.sums.tobytes() == state.sums.tobytes()
+            assert np.array_equal(batched.counts, state.counts)
+        assert batched.counts[3] == 0
 
     def test_unseen_class_mean_is_zero_row(self):
         state = OlsState.zeros(3)

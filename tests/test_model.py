@@ -66,6 +66,21 @@ class TestForward:
         expected = softmax_rows(x @ model.weights[0] + model.biases[0])
         assert np.abs(cache.probs - expected).max() < 1e-15
 
+    def test_probs_and_log_probs_match_checked_ops(self):
+        for sizes, seed in (([6, 10, 7, 4], 3), ([5, 16, 10], 4), ([3, 8, 2], 5),
+                            ([4, 12, 20], 6)):
+            model = init_model(sizes, seed=seed)
+            x = 40.0 * np.random.default_rng(seed).normal(size=(37, sizes[0]))
+            cache = model.forward(x)
+            assert cache.probs.tobytes() == softmax_rows(cache.logits).tobytes()
+            assert cache.log_probs.tobytes() == log_softmax_rows(cache.logits).tobytes()
+
+    def test_non_finite_logits_rejected(self):
+        model = init_model([3, 4, 2], seed=1)
+        model.biases[-1][1] = float("inf")
+        with pytest.raises(ValueError, match="softmax input contains NaN or Inf"):
+            model.forward(np.zeros((2, 3)))
+
     def test_probability_rows_sum_to_one(self):
         model = init_model([6, 10, 7, 4], seed=3)
         cache = model.forward(np.random.default_rng(2).normal(size=(9, 6)))

@@ -12,6 +12,8 @@ from labelforge.numerics import (
     gemm,
     log_softmax_rows,
     mix64,
+    row_max,
+    softmax_pair,
     softmax_rows,
 )
 
@@ -124,6 +126,74 @@ class TestLogSoftmax:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             log_softmax_rows(np.array([[float("nan"), 1.0]]))
+
+
+def hard_rows(seed: int, k: int) -> np.ndarray:
+    """Rows that stress a row maximum: ties, signed zeros (rows whose maximum
+    is a tie between 0.0 and -0.0), subnormals, values at and near +-1e308,
+    plus plain normal draws, at an odd row count."""
+    rng = np.random.default_rng(seed)
+    big = np.finfo(np.float64).max
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, -5e-324,
+                     1e308, -1e308, big, -big])
+    picks = pool[rng.integers(0, pool.size, size=(97, k))]
+    signed_zeros = np.where(rng.random((97, k)) < 0.5, 0.0, -0.0)
+    zeros_and_negatives = np.where(rng.random((97, k)) < 0.3, -rng.random((97, k)),
+                                   signed_zeros)
+    normals = rng.standard_normal((97, k))
+    return np.concatenate([picks, signed_zeros, zeros_and_negatives, normals])
+
+
+def reference_softmax(m):
+    """The per-op softmax and log-softmax: NumPy's own row max, recomputing
+    exp and the row sum for the log form."""
+    shifted = m - m.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True), log_probs
+
+
+def assert_same_max(got, expected, k):
+    """Equal values, and equal bits wherever the maximum is not a zero (the
+    sign of a zero that 0.0 and -0.0 tie for follows the reduction order,
+    which NumPy sets by the CPU's vector width)."""
+    assert np.array_equal(got, expected), k
+    nonzero = expected != 0.0
+    assert got[nonzero].tobytes() == expected[nonzero].tobytes(), k
+
+
+class TestRowMax:
+    def test_matches_numpy_max(self):
+        for k in range(2, 65):
+            m = hard_rows(k, k)
+            assert_same_max(row_max(m), m.max(axis=1), k)
+            strided = np.repeat(m, 2, axis=1)[:, ::2]
+            assert_same_max(row_max(strided), strided.max(axis=1), k)
+
+    def test_unique_zero_maximum_keeps_its_sign(self):
+        m = np.array([[-0.0, -1.0, -3.0], [-2.0, 0.0, -3.0]])
+        assert row_max(m).tobytes() == np.array([-0.0, 0.0]).tobytes()
+        assert row_max(np.empty((0, 4))).shape == (0,)
+
+
+class TestSoftmaxPair:
+    def test_bit_identical_to_per_op_reference(self):
+        # rows whose maximum is a 0.0/-0.0 tie included: its sign, which may
+        # differ between row_max and NumPy's max, reaches neither output
+        # -1e308 - 1e308 overflows to -inf in the shift, in both forms
+        with np.errstate(over="ignore"):
+            for k in range(2, 65):
+                m = hard_rows(100 + k, k)
+                probs, log_probs = softmax_pair(m)
+                ref_probs, ref_log_probs = reference_softmax(m)
+                assert probs.tobytes() == ref_probs.tobytes(), k
+                assert log_probs.tobytes() == ref_log_probs.tobytes(), k
+
+    def test_checked_forms_return_its_halves(self):
+        m = np.random.default_rng(12).uniform(-30.0, 30.0, size=(33, 5))
+        probs, log_probs = softmax_pair(m)
+        assert softmax_rows(m).tobytes() == probs.tobytes()
+        assert log_softmax_rows(m).tobytes() == log_probs.tobytes()
 
 
 class TestCrossEntropy:

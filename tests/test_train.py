@@ -297,6 +297,58 @@ class TestDistill:
             distill(TrainConfig(), "not a teacher", train_set, test_set)
 
 
+class TestDivergence:
+    def test_overflowing_loss_names_epoch_and_batch(self, small_task):
+        # features near 1e307 keep every logit finite, but the log-softmax
+        # shift overflows and the first batch's loss is inf
+        train_set, test_set = small_task
+        huge = Dataset(train_set.features * 1e307, train_set.labels, 4)
+        config = TrainConfig(strategy="onehot", epochs=2, layer_sizes=(2, 8, 4))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match=r"^training diverged: loss is inf at epoch 0, batch 0$"
+        ):
+            train(config, huge, test_set)
+
+    def test_nan_targets_stop_the_step_they_enter(self, small_task):
+        train_set, test_set = small_task  # 160 rows: 5 batches per epoch
+
+        class NanTeacher(Mlp):
+            """Predicts NaN from its 8th forward pass on: epoch 1, batch 2."""
+
+            def forward(self, batch_features):
+                cache = super().forward(batch_features)
+                if self.forward_count >= 8:
+                    cache.probs[:] = np.nan
+                return cache
+
+        base = init_model([2, 8, 4], seed=5)
+        teacher = NanTeacher(base.layer_sizes, base.weights, base.biases)
+        config = TrainConfig(epochs=3, layer_sizes=(2, 8, 4))
+        with pytest.raises(ValueError, match=r"loss is nan at epoch 1, batch 2$"):
+            distill(config, teacher, train_set, test_set)
+        assert teacher.forward_count == 8
+
+    def test_nan_parameter_before_final_evaluation_is_rejected(self, small_task,
+                                                                monkeypatch):
+        import labelforge.train as lf_train
+
+        train_set, test_set = small_task
+        steps = []
+        real_step = lf_train.sgd_step
+
+        def poisoning_step(model, grads, opt):
+            real_step(model, grads, opt)
+            steps.append(None)
+            if len(steps) == 2 * 5:  # the last step of two epochs
+                model.weights[0][0, 0] = np.nan
+
+        monkeypatch.setattr(lf_train, "sgd_step", poisoning_step)
+        config = TrainConfig(strategy="onehot", epochs=2, layer_sizes=(2, 8, 4))
+        with pytest.raises(ValueError, match="softmax input contains NaN or Inf"):
+            train(config, train_set, test_set)
+        assert len(steps) == 10
+
+
 class TestBatchGradientConsistency:
     def test_vectorized_table_grads_match_per_sample_ops(self):
         from labelforge.labelreg import (
@@ -316,8 +368,8 @@ class TestBatchGradientConsistency:
         labels = np.array([rng.next_below(k) for _ in range(b)])
 
         vectorized = np.zeros_like(c.logits)
-        _accumulate_c_grads(vectorized, c, probs, log_probs, labels,
-                            nontarget_indices(k), True, True)
+        _accumulate_c_grads(vectorized, c.all_row_probs(), c.alpha, probs, log_probs,
+                            labels, nontarget_indices(k), True, True)
         looped = np.zeros_like(c.logits)
         for i, y in enumerate(labels):
             looped[int(y)] += c_logit_grad(c, int(y), probs[i])
