@@ -49,11 +49,9 @@ from .train import (
     ABLATION_LOSSES,
     TrainConfig,
     config_to_dict,
-    distill,
     evaluate,
     gradient_check,
     train,
-    train_ablation,
     write_run_artifacts,
 )
 
@@ -65,21 +63,12 @@ class UsageError(Exception):
     """Bad invocation: flags, config values, or unreadable inputs."""
 
 
-_CONFIG_TYPES = {
-    "strategy": str,
-    "alpha": float,
-    "epochs": int,
-    "batch_size": int,
-    "lr": float,
-    "momentum": float,
-    "weight_decay": float,
-    "c_lr": float,
-    "seed": int,
-    "layer_sizes": "int_list",
-    "ols_mix": float,
-    "ols_correct_only": bool,
-    "ablation_loss": str,
-}
+# Every TrainConfig field is a config key and a flag, parsed by the kind its
+# annotation names (a string: the module postpones annotation evaluation).
+# An annotation missing here fails at import.
+_KINDS = {"str": str, "int": int, "float": float, "bool": bool,
+          "tuple[int, ...]": "int_list"}
+_CONFIG_TYPES = {f.name: _KINDS[f.type.partition(" | ")[0]] for f in fields(TrainConfig)}
 
 
 def _parse_bool(text: str) -> bool:
@@ -190,10 +179,10 @@ def _require_classes(dataset: Dataset, source) -> Dataset:
 
 def _remap_labels(test: Dataset, test_mapping: dict, mapping: dict,
                   test_path, train_path) -> Dataset:
-    """Give a --test-data set the class indices of the training file: each
-    file numbers its labels in its own order of first appearance. The test
-    file must hold exactly the training file's labels, since a Dataset has
-    at least one row of every class."""
+    """Give a test set the class indices of the training set; each mapping
+    takes a label as its file writes it to that set's class index. The test
+    set must hold exactly the training set's labels, since a Dataset has at
+    least one row of every class."""
     unknown = [label for label in test_mapping if label not in mapping]
     if unknown:
         raise UsageError(
@@ -235,7 +224,11 @@ def _load_datasets(args) -> tuple[Dataset, Dataset, dict]:
                 inputs["test_idx_images"] = args.test_idx_images
                 inputs["test_idx_labels"] = args.test_idx_labels
                 test = load_idx(args.test_idx_images, args.test_idx_labels)
-                return full, _require_classes(test, args.test_idx_labels), inputs
+                # IDX labels are class indices already, K sized per file
+                test = _remap_labels(test, {y: y for y in range(test.num_classes)},
+                                     {y: y for y in range(full.num_classes)},
+                                     args.test_idx_labels, args.idx_labels)
+                return full, test, inputs
             train_set, test_set = split(full, args.train_fraction, args.split_seed)
             return train_set, test_set, inputs
     except (OSError, DataFormatError, ValueError) as exc:
@@ -301,8 +294,8 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _finish_training_command(args, subcommand, runner, teacher_inputs=None,
-                             strategy_override=None):
+def _finish_training_command(args, subcommand, strategy_override=None,
+                             teacher=None, teacher_inputs=None):
     train_set, test_set, inputs = _load_datasets(args)
     if args.config:
         inputs["config"] = args.config
@@ -322,7 +315,7 @@ def _finish_training_command(args, subcommand, runner, teacher_inputs=None,
         raise UsageError(str(exc)) from None
     run_dir = _resolve_run_dir(args, subcommand, resolved.seed)
     _write_manifest(run_dir, subcommand, config_to_dict(resolved), inputs)
-    result = runner(resolved, train_set, test_set)
+    result = train(resolved, train_set, test_set, teacher)
     write_run_artifacts(run_dir, resolved, result)
     print(
         f"{subcommand}: strategy={resolved.strategy} seed={resolved.seed} "
@@ -332,12 +325,11 @@ def _finish_training_command(args, subcommand, runner, teacher_inputs=None,
 
 
 def _cmd_train(args) -> int:
-    return _finish_training_command(args, "train", train)
+    return _finish_training_command(args, "train")
 
 
 def _cmd_ablate(args) -> int:
-    return _finish_training_command(args, "ablate", train_ablation,
-                                    strategy_override="ablation")
+    return _finish_training_command(args, "ablate", "ablation")
 
 
 def _cmd_distill(args) -> int:
@@ -354,12 +346,8 @@ def _cmd_distill(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         raise UsageError(f"cannot load teacher: {exc}") from None
 
-    def runner(config, train_set, test_set):
-        return distill(config, teacher, train_set, test_set)
-
     strategy = "distill" if args.teacher_checkpoint else "proxy_distill"
-    return _finish_training_command(args, "distill", runner, teacher_inputs,
-                                    strategy_override=strategy)
+    return _finish_training_command(args, "distill", strategy, teacher, teacher_inputs)
 
 
 def _cmd_gradcheck(args) -> int:
@@ -436,24 +424,17 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file (flags override)")
-    p.add_argument("--strategy")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--weight-decay", type=float, dest="weight_decay")
-    p.add_argument("--c-lr", type=float, dest="c_lr")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--layer-sizes", dest="layer_sizes", help="e.g. 2,32,4")
-    p.add_argument("--ols-mix", type=float, dest="ols_mix")
-    p.add_argument(
-        "--ols-correct-only",
-        dest="ols_correct_only",
-        action="store_const",
-        const=True,
-    )
-    p.add_argument("--ablation-loss", dest="ablation_loss", choices=ABLATION_LOSSES)
+    for key, kind in _CONFIG_TYPES.items():
+        flag = "--" + key.replace("_", "-")
+        if kind is bool:
+            p.add_argument(flag, dest=key, action="store_const", const=True)
+        elif kind in (int, float):
+            p.add_argument(flag, dest=key, type=kind)
+        elif kind == "int_list":
+            p.add_argument(flag, dest=key, help="e.g. 2,32,4")
+        else:
+            choices = ABLATION_LOSSES if key == "ablation_loss" else None
+            p.add_argument(flag, dest=key, choices=choices)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,9 +15,11 @@ argmax of every target stays at y for alpha < 0.5.
 Training uses a symmetric pair of cross-entropies with disjoint gradient
 routes: the forward direction H(target, prediction) updates only the
 network, and the reverse direction H(prediction, target) updates only the
-logit table. Both directions' gradients (and the un-gated ones needed by the
-loss ablations) live here in closed form; each is verified against central
-finite differences in the test suite.
+logit table. The table's gradients from both directions and the reverse
+direction's network gradient (both un-gated ones serve the loss ablations)
+live here in closed form, batched: the only implementation training runs.
+`gradient_check` and the test suite verify them against central finite
+differences.
 """
 
 from __future__ import annotations
@@ -36,17 +38,12 @@ LOG_CLAMP = 1e-12
 
 def nontarget_indices(num_classes: int) -> np.ndarray:
     """(K, K-1) table: row y lists all classes except y, in increasing order."""
-    k = num_classes
-    idx = np.empty((k, k - 1), dtype=np.int64)
-    for y in range(k):
-        idx[y, :y] = np.arange(y)
-        idx[y, y:] = np.arange(y + 1, k)
-    return idx
+    return _off_diagonal(np.tile(np.arange(num_classes, dtype=np.int64), (num_classes, 1)))
 
 
 def _around_diagonal(off: np.ndarray, diagonal: float) -> np.ndarray:
     """K x K matrix whose row y holds row y of the K x (K-1) ``off`` at the
-    columns nontarget_indices(K)[y], and ``diagonal`` at column y."""
+    columns other than y, in increasing order, and ``diagonal`` at column y."""
     k = off.shape[0]
     out = np.empty((k, k), dtype=np.float64)
     flat = out.reshape(-1)
@@ -55,6 +52,13 @@ def _around_diagonal(off: np.ndarray, diagonal: float) -> np.ndarray:
     flat[1:].reshape(k - 1, k + 1)[:, :k] = off.reshape(k - 1, k)
     flat[:: k + 1] = diagonal
     return out
+
+
+def _off_diagonal(full: np.ndarray) -> np.ndarray:
+    """Inverse of _around_diagonal: the K x (K-1) off-diagonal cells of a
+    K x K matrix, row y listing the columns other than y in increasing order."""
+    k = full.shape[0]
+    return full.reshape(-1)[1:].reshape(k - 1, k + 1)[:, :k].reshape(k, k - 1)
 
 
 @dataclass
@@ -161,50 +165,50 @@ def reverse_cross_entropy(c: CMatrix, y: int, probs: np.ndarray) -> float:
     return float(-np.dot(probs, np.log(target)))
 
 
-def c_logit_grad(c: CMatrix, y: int, probs: np.ndarray) -> np.ndarray:
-    """Closed-form gradient of the reverse cross-entropy w.r.t. row-y logits.
+def reverse_dlogits(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per-sample gradient of the reverse cross-entropy H(prediction, target)
+    w.r.t. the network logits, for a batch of frozen targets (clamped at
+    LOG_CLAMP before the log). Only the un-gated loss ablations use it.
 
-    With p = softmax(row_y) and S = sum of predicted probability off the
-    target class, g_j = -(probs_j - p_j * S) for each non-target slot j.
-    The smoothing weight alpha cancels: it only shifts the log additively.
+    d/dz_j = -probs_j * (log t_j - sum_i probs_i log t_i) per row.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    k = c.num_classes
-    if probs.shape != (k,):
-        raise ValueError(f"probs shape {probs.shape} does not match K={k}")
-    p = c.row_probs(y)
-    off_target = probs[nontarget_indices(k)[y]]
-    mass = off_target.sum()
-    return -(off_target - p * mass)
+    log_t = np.log(np.maximum(targets, LOG_CLAMP))
+    inner = (probs * log_t).sum(axis=1, keepdims=True)
+    return -probs * (log_t - inner)
 
 
-def c_logit_grad_forward(c: CMatrix, y: int, log_probs: np.ndarray) -> np.ndarray:
-    """Gradient of the forward cross-entropy w.r.t. row-y logits, i.e. what
-    the table would receive if its gradient were NOT gated off.
+def table_logit_grad(row_probs: np.ndarray, alpha: float, labels: np.ndarray,
+                     probs: np.ndarray, log_probs: np.ndarray, *,
+                     forward: bool, reverse: bool) -> np.ndarray:
+    """Gradient w.r.t. the K x (K-1) logit table of the selected loss terms,
+    summed (not averaged) over a batch; each sample feeds only the row of its
+    label. ``row_probs`` is the table's row softmax, ``probs``/``log_probs``
+    the batch's predictions. With p = row_probs[y] over the non-target slots:
 
-    g_j = -alpha * p_j * (log_probs_j - sum_i p_i * log_probs_i) over the
-    non-target slots. Descent on this concentrates the row on the class the
-    network already scores highest, collapsing the row's entropy; the loss
-    ablations exercise it.
+    reverse term H(prediction, target): g_j = -(probs_j - p_j * S), where S
+    is the predicted mass off the target class; alpha cancels, since it only
+    shifts the log additively.
+
+    forward term H(target, prediction): g_j = -alpha * p_j * (log_probs_j -
+    sum_i p_i * log_probs_i). Descent on it concentrates the row on the class
+    the network already scores highest, collapsing the row's entropy.
+
+    Samples are added in batch order, so repeated labels sum as a loop over
+    the batch would sum them.
     """
-    log_probs = np.asarray(log_probs, dtype=np.float64)
-    k = c.num_classes
-    if log_probs.shape != (k,):
-        raise ValueError(f"log_probs shape {log_probs.shape} does not match K={k}")
-    p = c.row_probs(y)
-    off_target = log_probs[nontarget_indices(k)[y]]
-    return -c.alpha * p * (off_target - np.dot(p, off_target))
-
-
-def network_logit_grad_reverse(c: CMatrix, y: int, probs: np.ndarray) -> np.ndarray:
-    """Gradient of the reverse cross-entropy w.r.t. the network logits
-    (needed only when that direction is not gated off the network).
-
-    d/dz_j = -probs_j * (log t_j - sum_i probs_i log t_i), t clamped.
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    log_t = np.log(np.maximum(lspp_target(c, y), LOG_CLAMP))
-    return -probs * (log_t - np.dot(probs, log_t))
+    k = row_probs.shape[0]
+    off = labels[:, None] != np.arange(k)  # the non-target slots, in class order
+    p = row_probs[labels]
+    grad = np.zeros_like(row_probs)
+    if reverse:
+        off_target = probs[off].reshape(p.shape)
+        mass = off_target.sum(axis=1, keepdims=True)
+        np.add.at(grad, labels, -(off_target - p * mass))
+    if forward:
+        off_logp = log_probs[off].reshape(p.shape)
+        inner = (p * off_logp).sum(axis=1, keepdims=True)
+        np.add.at(grad, labels, -alpha * p * (off_logp - inner))
+    return grad
 
 
 @dataclass
@@ -271,12 +275,6 @@ def teacher_target(teacher_probs: np.ndarray) -> np.ndarray:
     return probs
 
 
-def proxy_teacher_target(teacher_c: CMatrix, y: int) -> np.ndarray:
-    """Class-level distillation target built from a teacher's frozen logit
-    table; identical construction to lspp_target, no teacher forward pass."""
-    return lspp_target(teacher_c, y)
-
-
 def export_cmatrix(c: CMatrix, csv_path, metadata: dict | None = None) -> None:
     """Write the expanded K x K probabilities as CSV (header = class
     indices, exact 0.0 diagonal) plus a JSON sidecar with alpha and K."""
@@ -327,8 +325,5 @@ def load_cmatrix(csv_path) -> CMatrix:
     if not np.isfinite(expanded).all():
         line_no = 2 + int(np.argmin(np.isfinite(expanded).all(axis=1)))
         raise ValueError(f"{csv_path}:{line_no}: non-finite cell (NaN or Inf)")
-    idx = nontarget_indices(k)
-    logits = np.empty((k, k - 1), dtype=np.float64)
-    for y in range(k):
-        logits[y] = np.log(np.maximum(expanded[y, idx[y]], 1e-300))
+    logits = np.log(np.maximum(_off_diagonal(expanded), 1e-300))
     return CMatrix(logits, float(sidecar["alpha"]))

@@ -46,15 +46,14 @@ import numpy as np
 from .analysis import c_row_entropy
 from .dataio import Dataset, write_csv
 from .labelreg import (
-    LOG_CLAMP,
     CMatrix,
     OlsState,
-    c_logit_grad,
     export_cmatrix,
-    nontarget_indices,
     ols_accumulate,
     ols_target,
     reverse_cross_entropy,
+    reverse_dlogits,
+    table_logit_grad,
     target_table,
     targets_from_row_probs,
 )
@@ -73,12 +72,13 @@ from .numerics import Rng, derive_seed, row_max, softmax_pair
 STRATEGIES = ("onehot", "ls", "lspp", "ols", "distill", "proxy_distill", "ablation")
 ABLATION_LOSSES = ("ce", "sce_original", "sce_ours")
 
-# Which loss direction feeds which parameter set, per ablation variant:
-# (network gets forward, network gets reverse, table gets forward, table gets reverse)
+# Which loss direction feeds which parameter set beyond the forward term,
+# which always trains the network, per ablation variant:
+# (network gets reverse, table gets forward, table gets reverse)
 _ROUTING = {
-    "ce": (True, False, True, False),
-    "sce_original": (True, True, True, True),
-    "sce_ours": (True, False, False, True),
+    "ce": (False, True, False),
+    "sce_original": (True, True, True),
+    "sce_ours": (False, False, True),
 }
 
 
@@ -191,96 +191,39 @@ def evaluate(model: Mlp, dataset: Dataset) -> dict:
     return {"accuracy": accuracy, "mean_nll": mean_nll, "mean_max_prob": mean_max_prob}
 
 
-def _ols_table(state: OlsState, mix: float, num_classes: int) -> tuple[np.ndarray, int]:
-    means = state.class_means()
-    table = np.empty((num_classes, num_classes), dtype=np.float64)
-    fallbacks = 0
-    for y in range(num_classes):
-        table[y], fell_back = ols_target(means, y, mix)
-        fallbacks += int(fell_back)
-    return table, fallbacks
-
-
-def _reverse_dlogits(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per-sample gradient of the reverse cross-entropy w.r.t. network
-    logits, for a batch of frozen targets (clamped before the log)."""
-    log_t = np.log(np.maximum(targets, LOG_CLAMP))
-    inner = (probs * log_t).sum(axis=1, keepdims=True)
-    return -probs * (log_t - inner)
-
-
-def _accumulate_c_grads(cgrad, table_probs, alpha, probs, log_probs, labels, nt_idx,
-                        use_forward: bool, use_reverse: bool) -> None:
-    """Add this batch's (unnormalized) table gradients into cgrad, given the
-    table's K x (K-1) row softmax."""
-    rows = np.arange(len(labels))[:, None]
-    p = table_probs[labels]  # batch x (K-1)
-    cols = nt_idx[labels]
-    if use_reverse:
-        off_target = probs[rows, cols]
-        mass = off_target.sum(axis=1, keepdims=True)
-        np.add.at(cgrad, labels, -(off_target - p * mass))
-    if use_forward:
-        off_logp = log_probs[rows, cols]
-        inner = (p * off_logp).sum(axis=1, keepdims=True)
-        np.add.at(cgrad, labels, -alpha * p * (off_logp - inner))
-
-
 def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
          teacher_model: Mlp | None, teacher_c: CMatrix | None) -> TrainOutput:
     started = time.perf_counter()
     k = train_set.num_classes
-    if test_set.num_classes != k:
-        raise ValueError("train and test sets disagree on the class count")
     config = config.resolved(train_set.num_features, k)
     strategy = config.strategy
-
-    if strategy == "distill" and teacher_model is None:
-        raise ValueError("strategy 'distill' requires a teacher model")
-    if strategy == "proxy_distill" and teacher_c is None:
-        raise ValueError("strategy 'proxy_distill' requires a teacher logit table")
-    if teacher_model is not None and teacher_model.num_classes != k:
-        raise ValueError(
-            f"teacher has {teacher_model.num_classes} outputs, task has {k} classes"
-        )
-    if teacher_c is not None and teacher_c.num_classes != k:
-        raise ValueError(
-            f"teacher table covers {teacher_c.num_classes} classes, task has {k}"
-        )
-
     model = init_model(config.layer_sizes, config.seed)
     opt = OptState.for_model(model, config.lr, config.momentum, config.weight_decay)
+    net_rev, c_fwd, c_rev = _ROUTING[
+        config.ablation_loss if strategy == "ablation" else "sce_ours"
+    ]
 
-    if strategy == "ablation":
-        net_fwd, net_rev, c_fwd, c_rev = _ROUTING[config.ablation_loss]
-    else:
-        net_fwd, net_rev, c_fwd, c_rev = True, False, False, strategy == "lspp"
-
+    # the target source: every strategy but distill reads table[labels];
+    # lspp and ablation rebuild the table from the learned logits every
+    # step, ols from the previous epoch's mean predictions every epoch
     cmatrix: CMatrix | None = None
-    fixed_table: np.ndarray | None = None
+    table = np.eye(k, dtype=np.float64)  # onehot, and ols in epoch 0
     if strategy in ("lspp", "ablation"):
         cmatrix = CMatrix.zeros(k, config.alpha)
     elif strategy == "ls":
-        fixed_table = target_table(CMatrix.zeros(k, config.alpha))
-    elif strategy == "onehot":
-        fixed_table = np.eye(k, dtype=np.float64)
+        table = target_table(CMatrix.zeros(k, config.alpha))
     elif strategy == "proxy_distill":
-        fixed_table = target_table(teacher_c)
+        table = target_table(teacher_c)
 
-    nt_idx = nontarget_indices(k)
     teacher_calls_before = teacher_model.forward_count if teacher_model else 0
     features, labels = train_set.features, train_set.labels
     n = len(train_set)
     report = TrainReport()
 
-    ols_state = OlsState.zeros(k) if strategy == "ols" else None
-    ols_table = np.eye(k, dtype=np.float64)  # epoch 0 trains on one-hot
-
     for epoch in range(config.epochs):
         perm = Rng(derive_seed(config.seed, 1 + epoch)).permutation(n)
         loss_sum = 0.0
-        if strategy == "ols":
-            next_state = OlsState.zeros(k)
+        ols_state = OlsState.zeros(k) if strategy == "ols" else None
 
         for batch, start in enumerate(range(0, n, config.batch_size)):
             idx = perm[start : start + config.batch_size]
@@ -290,15 +233,13 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
 
             cache = model.forward(xb)
             probs, log_probs = cache.probs, cache.log_probs
-            if strategy == "distill":
+            if teacher_model is not None:
                 targets = teacher_model.forward(xb).probs
-            elif strategy == "ols":
-                targets = ols_table[yb]
-            elif fixed_table is not None:
-                targets = fixed_table[yb]
             else:
-                table_probs = softmax_pair(cmatrix.logits)[0]
-                targets = targets_from_row_probs(table_probs, cmatrix.alpha)[yb]
+                if cmatrix is not None:
+                    table_probs = softmax_pair(cmatrix.logits)[0]
+                    table = targets_from_row_probs(table_probs, cmatrix.alpha)
+                targets = table[yb]
 
             # the one finiteness check of the step: a NaN or Inf in the
             # table, the targets or the log-probabilities reaches the loss
@@ -311,31 +252,25 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
 
             dlogits = (probs - targets) / b
             if net_rev:
-                dlogits += _reverse_dlogits(probs, targets) / b
-
-            if cmatrix is not None and (c_fwd or c_rev):
-                cgrad = np.zeros_like(cmatrix.logits)
-                _accumulate_c_grads(cgrad, table_probs, cmatrix.alpha, probs, log_probs,
-                                    yb, nt_idx, c_fwd, c_rev)
-                cgrad /= b
-            else:
-                cgrad = None
-
+                dlogits += reverse_dlogits(probs, targets) / b
             sgd_step(model, model.backward(cache, dlogits), opt)
-            if cgrad is not None:
-                cmatrix.logits -= config.c_lr * cgrad
+            if cmatrix is not None:
+                cgrad = table_logit_grad(table_probs, cmatrix.alpha, yb, probs, log_probs,
+                                         forward=c_fwd, reverse=c_rev)
+                cmatrix.logits -= config.c_lr * (cgrad / b)
 
-            if strategy == "ols":
+            if ols_state is not None:
                 if config.ols_correct_only:
                     hits = np.argmax(probs, axis=1) == yb
-                    ols_accumulate(next_state, probs[hits], yb[hits])
+                    ols_accumulate(ols_state, probs[hits], yb[hits])
                 else:
-                    ols_accumulate(next_state, probs, yb)
+                    ols_accumulate(ols_state, probs, yb)
 
-        if strategy == "ols":
-            ols_state = next_state
-            ols_table, fallbacks = _ols_table(ols_state, config.ols_mix, k)
-            report.ols_fallbacks += fallbacks
+        if ols_state is not None:
+            means = ols_state.class_means()
+            for y in range(k):
+                table[y], fell_back = ols_target(means, y, config.ols_mix)
+                report.ols_fallbacks += int(fell_back)
 
         train_eval = evaluate(model, train_set)
         test_eval = evaluate(model, test_set)
@@ -367,36 +302,37 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset,
           teacher=None) -> TrainOutput:
     """Train one model under the configured strategy.
 
-    `teacher` is required for the distillation strategies: an `Mlp` for
-    ``distill``, a `CMatrix` for ``proxy_distill``.
+    A teacher selects the distillation strategy whatever ``config.strategy``
+    says: an `Mlp` trains ``distill`` (per-sample targets from its forward
+    passes), a `CMatrix` trains ``proxy_distill`` (per-class targets from its
+    frozen logit table). Both strategies require one.
     """
-    teacher_model = teacher if isinstance(teacher, Mlp) else None
-    teacher_c = teacher if isinstance(teacher, CMatrix) else None
-    if config.strategy in ("distill", "proxy_distill") and teacher is None:
-        raise ValueError(f"strategy {config.strategy!r} requires a teacher")
-    return _run(config, train_set, test_set, teacher_model, teacher_c)
+    k = train_set.num_classes
+    if test_set.num_classes != k:
+        raise ValueError("train and test sets disagree on the class count")
+    if teacher is None:
+        if config.strategy in ("distill", "proxy_distill"):
+            raise ValueError(f"strategy {config.strategy!r} requires a teacher")
+        return _run(config, train_set, test_set, None, None)
+    if not isinstance(teacher, (Mlp, CMatrix)):
+        raise ValueError(f"teacher must be an Mlp or a CMatrix, got {type(teacher)}")
+    if teacher.num_classes != k:
+        raise ValueError(f"teacher has {teacher.num_classes} outputs, task has {k} classes")
+    if isinstance(teacher, Mlp):
+        return _run(replace(config, strategy="distill"), train_set, test_set, teacher, None)
+    return _run(replace(config, strategy="proxy_distill"), train_set, test_set, None, teacher)
 
 
 def train_ablation(config: TrainConfig, train_set: Dataset,
                    test_set: Dataset) -> TrainOutput:
     """Train with one of the loss-routing variants (config.ablation_loss)."""
-    if config.strategy != "ablation":
-        config = replace(config, strategy="ablation")
-    return _run(config, train_set, test_set, None, None)
+    return train(replace(config, strategy="ablation"), train_set, test_set)
 
 
 def distill(student_config: TrainConfig, teacher, train_set: Dataset,
             test_set: Dataset) -> TrainOutput:
     """Distill a student from a teacher network or a frozen logit table."""
-    if isinstance(teacher, Mlp):
-        config = replace(student_config, strategy="distill")
-    elif isinstance(teacher, CMatrix):
-        config = replace(student_config, strategy="proxy_distill")
-    else:
-        raise ValueError(f"teacher must be an Mlp or a CMatrix, got {type(teacher)}")
-    return _run(config, train_set, test_set,
-                teacher if isinstance(teacher, Mlp) else None,
-                teacher if isinstance(teacher, CMatrix) else None)
+    return train(student_config, train_set, test_set, teacher)
 
 
 def gradient_check(num_classes: int, seed: int, hidden_sizes=(8,),
@@ -431,17 +367,16 @@ def gradient_check(num_classes: int, seed: int, hidden_sizes=(8,),
     targets = target_table(cmatrix)[labels]
     network_err = finite_diff_check(model, batch, mean_cross_entropy_loss(targets), step)
 
-    probs = model.forward(batch).probs
+    cache = model.forward(batch)
+    probs = cache.probs
 
     def mean_reverse(c: CMatrix) -> float:
         return sum(
             reverse_cross_entropy(c, int(y), probs[i]) for i, y in enumerate(labels)
         ) / batch_size
 
-    analytic = np.zeros_like(cmatrix.logits)
-    for i, y in enumerate(labels):
-        analytic[int(y)] += c_logit_grad(cmatrix, int(y), probs[i])
-    analytic /= batch_size
+    analytic = table_logit_grad(cmatrix.all_row_probs(), cmatrix.alpha, labels, probs,
+                                cache.log_probs, forward=False, reverse=True) / batch_size
 
     cmatrix_err = 0.0
     flat = cmatrix.logits.reshape(-1)

@@ -1,10 +1,18 @@
 import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from labelforge.cli import load_config, main, parse_config_file, UsageError
+from labelforge.cli import (
+    UsageError,
+    _config_overrides,
+    build_parser,
+    load_config,
+    main,
+    parse_config_file,
+)
 from labelforge.dataio import Dataset, GaussianSpec, generate_gaussian, save_csv
 from labelforge.model import init_model, save_checkpoint
 from labelforge.train import TrainConfig
@@ -16,6 +24,16 @@ def data_csv(tmp_path_factory):
     path = root / "data.csv"
     assert main(["gen-data", "--out", str(path), "--per-class", "40", "--seed", "5"]) == 0
     return path
+
+
+def write_idx(tmp_path, name, labels):
+    """An IDX image/label pair of 1x2 images, one per label."""
+    images = tmp_path / f"{name}-img.idx"
+    label_file = tmp_path / f"{name}-lab.idx"
+    n = len(labels)
+    images.write_bytes(struct.pack(">IIII", 0x803, n, 1, 2) + bytes(range(2 * n)))
+    label_file.write_bytes(struct.pack(">II", 0x801, n) + bytes(labels))
+    return images, label_file
 
 
 def run_train(data_csv, out_dir, *extra):
@@ -72,6 +90,37 @@ class TestConfigFile:
         path.write_text("alpha=0.9\n")
         with pytest.raises(UsageError):
             load_config(path, {"alpha": 1.5})
+
+
+# a value other than the default for every TrainConfig field, as the text a
+# config file or a flag gives, and the parsed value
+FIELD_EXAMPLES = {
+    "strategy": ("ols", "ols"),
+    "alpha": ("0.2", 0.2),
+    "epochs": ("7", 7),
+    "batch_size": ("16", 16),
+    "lr": ("0.05", 0.05),
+    "momentum": ("0.5", 0.5),
+    "weight_decay": ("0.001", 0.001),
+    "c_lr": ("0.3", 0.3),
+    "seed": ("11", 11),
+    "layer_sizes": ("2,8,4", (2, 8, 4)),
+    "ols_mix": ("0.25", 0.25),
+    "ols_correct_only": ("true", True),
+    "ablation_loss": ("ce", "ce"),
+}
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(TrainConfig)])
+def test_every_config_field_is_a_key_and_a_flag(key, tmp_path):
+    text, value = FIELD_EXAMPLES[key]
+    path = tmp_path / "c.cfg"
+    path.write_text(f"{key}={text}\n")
+    assert getattr(load_config(path, {}), key) == value
+    flag = "--" + key.replace("_", "-")
+    argv = ["train", flag] if isinstance(value, bool) else ["train", flag, text]
+    args = build_parser().parse_args(argv)
+    assert getattr(load_config(None, _config_overrides(args)), key) == value
 
 
 class TestGenData:
@@ -164,6 +213,34 @@ class TestTrainCommand:
                 "--out", str(tmp_path / "run")]
         assert main(argv) == 2
         assert "lab.idx: data has 1 class" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("train_labels, test_labels, message", [
+        ([0, 0, 1, 1, 2, 2], [0, 1, 0, 1],
+         "test-lab.idx: training label 2 of {train} has no rows in the test data"),
+        ([0, 0, 1, 1], [0, 1, 2, 1],
+         "test-lab.idx: label 2 does not occur in the training data {train}"),
+    ])
+    def test_idx_test_set_class_mismatch_exits_2(self, tmp_path, capsys, train_labels,
+                                                  test_labels, message):
+        images, labels = write_idx(tmp_path, "train", train_labels)
+        test_images, test_labels = write_idx(tmp_path, "test", test_labels)
+        out = tmp_path / "run"
+        argv = ["train", "--idx-images", str(images), "--idx-labels", str(labels),
+                "--test-idx-images", str(test_images), "--test-idx-labels",
+                str(test_labels), "--epochs", "1", "--out", str(out)]
+        assert main(argv) == 2
+        assert message.format(train=labels) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_idx_test_set_gets_the_training_class_count(self, tmp_path):
+        images, labels = write_idx(tmp_path, "train", [0, 1, 2, 0, 1, 2])
+        test_images, test_labels = write_idx(tmp_path, "test", [2, 1, 0])
+        out = tmp_path / "run"
+        argv = ["train", "--idx-images", str(images), "--idx-labels", str(labels),
+                "--test-idx-images", str(test_images), "--test-idx-labels",
+                str(test_labels), "--epochs", "1", "--out", str(out)]
+        assert main(argv) == 0
+        assert (out / "metrics.csv").exists()
 
     def test_test_data_labels_follow_training_mapping(self, tmp_path):
         # the test file lists label 9 first, the training file label 5

@@ -3,10 +3,11 @@ generator draws, recorded once in golden.json and checked on every run.
 
 Generator draws use only integer arithmetic and the C library's log, cos
 and sin, so their digests are checked everywhere. Training runs also go
-through BLAS matrix products, whose rounding can differ between NumPy
-builds and CPU kernels; their digests are checked when NumPy, its BLAS and
-the machine type match the recording, and skipped (with the reason) when
-they do not, or when NumPy cannot report its BLAS build. A CI job that
+through BLAS matrix products and NumPy's own SIMD loops, whose rounding can
+differ between NumPy builds and CPU kernels; their digests are checked when
+NumPy, its BLAS, the SIMD extensions NumPy dispatches to and the machine
+type match the recording, and skipped (with the reason) when they do not,
+or when NumPy cannot report its build. A CI job that
 installs the latest NumPy therefore checks only the draw digests. A change
 that alters any of these bytes must say why in CHANGES.md and re-record
 them with ``PYTHONPATH=src python tests/test_golden.py``.
@@ -93,10 +94,12 @@ def draw_digests() -> dict:
 
 
 def build_fingerprint() -> dict:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    build = np.show_config(mode="dicts")
+    blas = build["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
+        "simd": build["SIMD Extensions"]["found"],
         "machine": platform.machine(),
     }
 
@@ -110,7 +113,7 @@ def test_run_digests_unchanged(tmp_path):
     try:
         here = build_fingerprint()
     except (TypeError, KeyError) as exc:  # show_config(mode=...) is NumPy >= 1.25
-        pytest.skip(f"NumPy {np.__version__} does not report its BLAS build: {exc!r}")
+        pytest.skip(f"NumPy {np.__version__} does not report its build: {exc!r}")
     if here != golden["recorded_with"]:
         pytest.skip(f"recorded with {golden['recorded_with']}, running with {here}")
     assert run_digests(tmp_path) == golden["runs"]

@@ -7,20 +7,18 @@ import pytest
 from labelforge.labelreg import (
     CMatrix,
     OlsState,
-    c_logit_grad,
-    c_logit_grad_forward,
     export_cmatrix,
     load_cmatrix,
     lspp_target,
     ls_target,
     network_logit_grad,
-    network_logit_grad_reverse,
     nontarget_indices,
     ols_accumulate,
     ols_target,
     onehot_target,
-    proxy_teacher_target,
     reverse_cross_entropy,
+    reverse_dlogits,
+    table_logit_grad,
     target_table,
     teacher_target,
 )
@@ -34,6 +32,21 @@ def random_probs(rng, k):
 
 def random_cmatrix(rng, k, alpha=0.1):
     return CMatrix(rng.uniforms((k, k - 1), -2.0, 2.0), alpha)
+
+
+def c_logit_grad(c, y, probs):
+    """Reverse-term gradient on row y for one sample: a batch of one
+    through the batched table gradient."""
+    grad = table_logit_grad(c.all_row_probs(), c.alpha, np.array([y]),
+                            np.asarray(probs)[None], None, forward=False, reverse=True)
+    return grad[y]
+
+
+def c_logit_grad_forward(c, y, log_probs):
+    """Forward-term gradient on row y for one sample, batched as above."""
+    grad = table_logit_grad(c.all_row_probs(), c.alpha, np.array([y]), None,
+                            np.asarray(log_probs)[None], forward=True, reverse=False)
+    return grad[y]
 
 
 class TestOnehot:
@@ -287,7 +300,7 @@ class TestNetworkLogitGradReverse:
             return reverse_cross_entropy(c, y, softmax_rows(z[None])[0])
 
         probs = softmax_rows(logits[None])[0]
-        analytic = network_logit_grad_reverse(c, y, probs)
+        analytic = reverse_dlogits(probs[None], lspp_target(c, y)[None])[0]
         step = 1e-6
         for j in range(k):
             z = logits.copy()
@@ -441,15 +454,15 @@ class TestTeacherTargets:
     def test_proxy_equals_learnable_target(self):
         c = random_cmatrix(Rng(16), 5)
         for y in range(5):
-            assert np.array_equal(proxy_teacher_target(c, y), lspp_target(c, y))
+            assert np.array_equal(target_table(c)[y], lspp_target(c, y))
 
     def test_proxy_is_per_class(self):
         c = random_cmatrix(Rng(17), 4)
-        assert np.array_equal(proxy_teacher_target(c, 2), proxy_teacher_target(c, 2))
+        assert np.array_equal(target_table(c)[2], target_table(c)[2])
 
     def test_zero_logit_teacher_reduces_to_uniform_nontarget_smoothing(self):
         c = CMatrix.zeros(5, 0.1)
-        t = proxy_teacher_target(c, 3)
+        t = target_table(c)[3]
         expected = np.full(5, 0.1 / 4)
         expected[3] = 0.9
         assert np.abs(t - expected).max() < 1e-12

@@ -29,6 +29,20 @@ def small_task():
     return train_set, test_set
 
 
+def equality_cases(small_task):
+    """(train set, test set, K, alpha, batch size) for the bit-for-bit
+    strategy equalities: the small task at batch 32, then seeded tasks with
+    K from 2 to 12 whose last batch is short."""
+    cases = [(*small_task, 4, 0.1, 32)]
+    for k, alpha, batch_size, seed in ((2, 0.3, 5, 41), (5, 0.15, 8, 42), (12, 0.05, 32, 43)):
+        means = np.column_stack([np.arange(k), np.arange(k) % 3]).astype(np.float64)
+        train_set = generate_gaussian(GaussianSpec(means, 0.4, 7, seed=seed))
+        test_set = generate_gaussian(GaussianSpec(means, 0.4, 3, seed=seed + 100))
+        assert len(train_set) % batch_size != 0
+        cases.append((train_set, test_set, k, alpha, batch_size))
+    return cases
+
+
 def zero_model(sizes):
     weights = [np.zeros((a, b)) for a, b in zip(sizes, sizes[1:])]
     biases = [np.zeros(b) for b in sizes[1:]]
@@ -144,23 +158,23 @@ class TestTrainBasics:
         assert out.report.wall_time_sec > 0.0
 
     def test_ls_alpha_zero_equals_onehot_bitwise(self, small_task, tmp_path):
-        train_set, test_set = small_task
-        a = train(TrainConfig(strategy="ls", alpha=0.0, epochs=8, seed=7,
-                              layer_sizes=(2, 8, 4)), train_set, test_set)
-        b = train(TrainConfig(strategy="onehot", alpha=0.0, epochs=8, seed=7,
-                              layer_sizes=(2, 8, 4)), train_set, test_set)
-        assert metrics_bytes(tmp_path, a, "a.csv") == metrics_bytes(tmp_path, b, "b.csv")
-        for wa, wb in zip(a.model.weights, b.model.weights):
-            assert np.array_equal(wa, wb)
+        for train_set, test_set, k, _, batch_size in equality_cases(small_task):
+            base = dict(alpha=0.0, epochs=8, seed=7, batch_size=batch_size,
+                        layer_sizes=(2, 8, k))
+            a = train(TrainConfig(strategy="ls", **base), train_set, test_set)
+            b = train(TrainConfig(strategy="onehot", **base), train_set, test_set)
+            assert metrics_bytes(tmp_path, a, "a.csv") == metrics_bytes(tmp_path, b, "b.csv"), k
+            for wa, wb in zip(a.model.weights, b.model.weights):
+                assert np.array_equal(wa, wb), k
 
     def test_lspp_frozen_table_equals_ls_bitwise(self, small_task, tmp_path):
-        train_set, test_set = small_task
-        a = train(TrainConfig(strategy="lspp", c_lr=0.0, epochs=8, seed=7,
-                              layer_sizes=(2, 8, 4)), train_set, test_set)
-        b = train(TrainConfig(strategy="ls", epochs=8, seed=7,
-                              layer_sizes=(2, 8, 4)), train_set, test_set)
-        assert metrics_bytes(tmp_path, a, "a.csv") == metrics_bytes(tmp_path, b, "b.csv")
-        assert np.array_equal(a.cmatrix.logits, np.zeros((4, 3)))
+        for train_set, test_set, k, alpha, batch_size in equality_cases(small_task):
+            base = dict(alpha=alpha, epochs=8, seed=7, batch_size=batch_size,
+                        layer_sizes=(2, 8, k))
+            a = train(TrainConfig(strategy="lspp", c_lr=0.0, **base), train_set, test_set)
+            b = train(TrainConfig(strategy="ls", **base), train_set, test_set)
+            assert metrics_bytes(tmp_path, a, "a.csv") == metrics_bytes(tmp_path, b, "b.csv"), k
+            assert np.array_equal(a.cmatrix.logits, np.zeros((k, k - 1))), k
 
     def test_deterministic_repeat(self, small_task, tmp_path):
         train_set, test_set = small_task
@@ -350,14 +364,30 @@ class TestDivergence:
 
 
 class TestBatchGradientConsistency:
+    """The batched closed forms in labelreg against per-sample oracles."""
+
+    @staticmethod
+    def reverse_row_grad(c, y, probs):
+        p = c.row_probs(y)
+        off_target = np.delete(probs, y)
+        return -(off_target - p * off_target.sum())
+
+    @staticmethod
+    def forward_row_grad(c, y, log_probs):
+        p = c.row_probs(y)
+        off_target = np.delete(log_probs, y)
+        return -c.alpha * p * (off_target - np.dot(p, off_target))
+
+    @staticmethod
+    def reverse_network_grad(c, y, probs):
+        from labelforge.labelreg import LOG_CLAMP, lspp_target
+
+        log_t = np.log(np.maximum(lspp_target(c, y), LOG_CLAMP))
+        return -probs * (log_t - np.dot(probs, log_t))
+
     def test_vectorized_table_grads_match_per_sample_ops(self):
-        from labelforge.labelreg import (
-            c_logit_grad,
-            c_logit_grad_forward,
-            nontarget_indices,
-        )
+        from labelforge.labelreg import table_logit_grad
         from labelforge.numerics import Rng, log_softmax_rows, softmax_rows
-        from labelforge.train import _accumulate_c_grads
 
         rng = Rng(55)
         k, b = 5, 12
@@ -367,28 +397,26 @@ class TestBatchGradientConsistency:
         log_probs = log_softmax_rows(logits)
         labels = np.array([rng.next_below(k) for _ in range(b)])
 
-        vectorized = np.zeros_like(c.logits)
-        _accumulate_c_grads(vectorized, c.all_row_probs(), c.alpha, probs, log_probs,
-                            labels, nontarget_indices(k), True, True)
+        vectorized = table_logit_grad(c.all_row_probs(), c.alpha, labels, probs,
+                                      log_probs, forward=True, reverse=True)
         looped = np.zeros_like(c.logits)
         for i, y in enumerate(labels):
-            looped[int(y)] += c_logit_grad(c, int(y), probs[i])
-            looped[int(y)] += c_logit_grad_forward(c, int(y), log_probs[i])
+            looped[int(y)] += self.reverse_row_grad(c, int(y), probs[i])
+            looped[int(y)] += self.forward_row_grad(c, int(y), log_probs[i])
         assert np.abs(vectorized - looped).max() < 1e-12
 
     def test_vectorized_reverse_dlogits_match_per_sample_op(self):
-        from labelforge.labelreg import network_logit_grad_reverse, target_table
+        from labelforge.labelreg import reverse_dlogits, target_table
         from labelforge.numerics import Rng, softmax_rows
-        from labelforge.train import _reverse_dlogits
 
         rng = Rng(56)
         k, b = 4, 10
         c = CMatrix(rng.uniforms((k, k - 1), -2.0, 2.0), 0.1)
         probs = softmax_rows(rng.uniforms((b, k), -2.0, 2.0))
         labels = np.array([rng.next_below(k) for _ in range(b)])
-        batched = _reverse_dlogits(probs, target_table(c)[labels])
+        batched = reverse_dlogits(probs, target_table(c)[labels])
         for i, y in enumerate(labels):
-            per_sample = network_logit_grad_reverse(c, int(y), probs[i])
+            per_sample = self.reverse_network_grad(c, int(y), probs[i])
             assert np.abs(batched[i] - per_sample).max() < 1e-12
 
 
