@@ -17,7 +17,7 @@ def class_mean_probs(model: Mlp, dataset: Dataset) -> np.ndarray:
     samples whose true class is i."""
     if model.num_classes != dataset.num_classes:
         raise ValueError("model and dataset disagree on the class count")
-    probs = model.forward(dataset.features).probs
+    probs = model.predict(dataset.features)
     k = dataset.num_classes
     out = np.empty((k, k), dtype=np.float64)
     for c in range(k):

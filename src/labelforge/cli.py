@@ -40,6 +40,7 @@ from .dataio import (
     generate_gaussian,
     load_csv,
     load_idx,
+    read_idx,
     save_csv,
     split,
 )
@@ -177,9 +178,10 @@ def _require_classes(dataset: Dataset, source) -> Dataset:
     return dataset
 
 
-def _remap_labels(test: Dataset, test_mapping: dict, mapping: dict,
+def _remap_labels(features, labels, test_mapping: dict, mapping: dict,
                   test_path, train_path) -> Dataset:
-    """Give a test set the class indices of the training set; each mapping
+    """Build a test set with the class indices of the training set from test
+    rows whose ``labels`` index the test file's own classes; each mapping
     takes a label as its file writes it to that set's class index. The test
     set must hold exactly the training set's labels, since a Dataset has at
     least one row of every class."""
@@ -196,7 +198,7 @@ def _remap_labels(test: Dataset, test_mapping: dict, mapping: dict,
             f"has no rows in the test data"
         )
     to_train = np.array([mapping[label] for label in test_mapping], dtype=np.int64)
-    return Dataset(test.features, to_train[test.labels], len(mapping))
+    return Dataset(features, to_train[labels], len(mapping))
 
 
 def _load_datasets(args) -> tuple[Dataset, Dataset, dict]:
@@ -211,7 +213,8 @@ def _load_datasets(args) -> tuple[Dataset, Dataset, dict]:
             if args.test_data:
                 inputs["test_data"] = args.test_data
                 test, test_mapping = load_csv(args.test_data, args.label_column)
-                test = _remap_labels(test, test_mapping, mapping, args.test_data, args.data)
+                test = _remap_labels(test.features, test.labels, test_mapping, mapping,
+                                     args.test_data, args.data)
                 return full, test, inputs
             train_set, test_set = split(full, args.train_fraction, args.split_seed)
             return train_set, test_set, inputs
@@ -223,9 +226,12 @@ def _load_datasets(args) -> tuple[Dataset, Dataset, dict]:
             if args.test_idx_images and args.test_idx_labels:
                 inputs["test_idx_images"] = args.test_idx_images
                 inputs["test_idx_labels"] = args.test_idx_labels
-                test = load_idx(args.test_idx_images, args.test_idx_labels)
-                # IDX labels are class indices already, K sized per file
-                test = _remap_labels(test, {y: y for y in range(test.num_classes)},
+                features, labels = read_idx(args.test_idx_images, args.test_idx_labels)
+                # IDX labels are class indices already; the test file may
+                # lack or add any of them, which _remap_labels names
+                present, dense = np.unique(labels, return_inverse=True)
+                test = _remap_labels(features, dense,
+                                     {int(y): i for i, y in enumerate(present)},
                                      {y: y for y in range(full.num_classes)},
                                      args.test_idx_labels, args.idx_labels)
                 return full, test, inputs

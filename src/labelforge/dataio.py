@@ -123,8 +123,9 @@ def _read_exact(f, n: int, path, what: str) -> bytes:
     return data
 
 
-def load_idx(images_path, labels_path) -> Dataset:
-    """Load an IDX image/label file pair (gzip accepted transparently).
+def read_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
+    """Read an IDX image/label file pair (gzip accepted transparently) into
+    an N x (H*W) float64 feature matrix and N int64 labels.
 
     Images: big-endian magic 0x00000803 then N, H, W and N*H*W unsigned
     bytes. Labels: magic 0x00000801 then N and N unsigned bytes. Pixels are
@@ -154,7 +155,18 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise DataFormatError(
             f"image/label count mismatch: {n} images vs {n_labels} labels"
         )
-    return Dataset(pixels.reshape(n, h * w), labels, int(labels.max()) + 1)
+    return pixels.reshape(n, h * w), labels
+
+
+def load_idx(images_path, labels_path) -> Dataset:
+    """`read_idx` as a Dataset whose class count is the largest label + 1;
+    labels that leave a class below it without rows are rejected, naming
+    the labels file."""
+    features, labels = read_idx(images_path, labels_path)
+    try:
+        return Dataset(features, labels, int(labels.max()) + 1)
+    except ValueError as exc:
+        raise DataFormatError(f"{labels_path}: {exc}") from None
 
 
 def load_csv(path, label_column: str) -> tuple[Dataset, dict]:

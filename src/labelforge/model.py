@@ -5,6 +5,17 @@ gradient of their scalar loss with respect to the output logits, and get
 back gradients for every weight and bias. Label strategies therefore never
 touch network internals, and the network never sees a target vector.
 
+Parameters live in one float64 buffer, ``Mlp.params``, laid out
+``W0, b0, W1, b1, ...`` with each weight matrix row-major (fan_in x
+fan_out). ``Mlp.weights`` and ``Mlp.biases`` are tuples of per-layer views
+of it, so a layer is changed in place (``model.weights[0][...] = w``), never
+rebound. Gradients and the optimizer's velocity use the same layout, so an
+SGD step is three whole-buffer operations.
+
+``forward`` keeps what ``backward`` needs (the training pass); ``predict``
+returns only the probabilities and works in place (inference). Both run the
+same layer loop and give the same probabilities, bit for bit.
+
 Checkpoint format (JSON, one object):
 
     {
@@ -17,13 +28,14 @@ Checkpoint format (JSON, one object):
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Rng, require_finite, softmax_pair
+from .numerics import Rng, require_finite, softmax_pair, softmax_probs_inplace
 
 
 @dataclass
@@ -38,21 +50,84 @@ class ForwardCache:
     log_probs: np.ndarray
 
 
+def _layout(shapes) -> list:
+    """(start, stop, shape) of each shape's slice of a flat buffer, in order."""
+    layout = []
+    start = 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        layout.append((start, stop, shape))
+        start = stop
+    return layout
+
+
+def _split(flat: np.ndarray, layout) -> tuple[tuple, tuple]:
+    """Views of ``flat`` as laid out by `_layout`, returned as (weights,
+    biases): the even and the odd entries."""
+    views = [flat[start:stop].reshape(shape) for start, stop, shape in layout]
+    return tuple(views[0::2]), tuple(views[1::2])
+
+
+def _pack(weights, biases) -> np.ndarray:
+    """A new float64 buffer holding W0, b0, W1, b1, ... one after another."""
+    return np.concatenate(
+        [np.asarray(a, dtype=np.float64).reshape(-1) for pair in zip(weights, biases) for a in pair]
+    )
+
+
 @dataclass
 class Gradients:
-    weights: list
-    biases: list
+    """Per-layer gradient views of one flat buffer laid out like `Mlp.params`.
+
+    `backward` fills the buffer directly. Built from separate arrays, as
+    ``Gradients(weights, biases)``, the arrays are copied into a new buffer
+    once, so `sgd_step` always updates through ``flat``.
+    """
+
+    weights: tuple
+    biases: tuple
+    flat: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.flat is not None:
+            return
+        if len(self.weights) != len(self.biases):
+            raise ValueError(
+                f"{len(self.weights)} weight gradients but {len(self.biases)} bias gradients"
+            )
+        shapes = [np.shape(a) for pair in zip(self.weights, self.biases) for a in pair]
+        self.flat = _pack(self.weights, self.biases)
+        self.weights, self.biases = _split(self.flat, _layout(shapes))
+
+
+def _checked_sizes(layer_sizes) -> list:
+    sizes = [int(s) for s in layer_sizes]
+    if len(sizes) < 2:
+        raise ValueError("need at least input and output sizes")
+    if any(s <= 0 for s in sizes):
+        raise ValueError(f"layer sizes must be positive, got {sizes}")
+    return sizes
+
+
+def _param_count(layer_sizes) -> int:
+    return sum(
+        fan_in * fan_out + fan_out for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:])
+    )
 
 
 class Mlp:
     """Fully connected ReLU network ending in K output logits."""
 
     def __init__(self, layer_sizes, weights, biases, seed: int = 0):
-        layer_sizes = [int(s) for s in layer_sizes]
-        if len(layer_sizes) < 2:
-            raise ValueError("need at least input and output sizes")
-        if any(s <= 0 for s in layer_sizes):
-            raise ValueError(f"layer sizes must be positive, got {layer_sizes}")
+        """Copy per-layer weights (fan_in x fan_out) and biases into one new
+        parameter buffer."""
+        layer_sizes = _checked_sizes(layer_sizes)
+        layers = len(layer_sizes) - 1
+        if len(weights) != layers or len(biases) != layers:
+            raise ValueError(
+                f"layer sizes {layer_sizes} need {layers} weight and bias arrays, got "
+                f"{len(weights)} and {len(biases)}"
+            )
         for i, (w, b) in enumerate(zip(weights, biases)):
             expect = (layer_sizes[i], layer_sizes[i + 1])
             if w.shape != expect or b.shape != (expect[1],):
@@ -60,9 +135,31 @@ class Mlp:
                     f"layer {i} parameter shapes {w.shape}/{b.shape} do not chain "
                     f"with sizes {layer_sizes}"
                 )
+        self._bind(layer_sizes, _pack(weights, biases), seed)
+
+    @classmethod
+    def from_params(cls, layer_sizes, params: np.ndarray, seed: int = 0) -> "Mlp":
+        """An Mlp whose parameter buffer is ``params`` itself, not a copy: a
+        1-D float64 array laid out ``W0, b0, W1, b1, ...``."""
+        model = cls.__new__(cls)
+        model._bind(_checked_sizes(layer_sizes), params, seed)
+        return model
+
+    def _bind(self, layer_sizes: list, params: np.ndarray, seed: int) -> None:
+        # W0, b0, W1, b1, ...: (fan_in, fan_out) then (fan_out,) per layer
+        layout = _layout(
+            [shape for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:])
+             for shape in ((fan_in, fan_out), (fan_out,))]
+        )
+        if params.dtype != np.float64 or params.shape != (layout[-1][1],):
+            raise ValueError(
+                f"sizes {layer_sizes} need {layout[-1][1]} float64 parameters, got "
+                f"{params.dtype} {params.shape}"
+            )
         self.layer_sizes = layer_sizes
-        self.weights = list(weights)
-        self.biases = list(biases)
+        self._layout = layout
+        self.params = params
+        self.weights, self.biases = _split(params, layout)
         self.seed = seed
         self.forward_count = 0  # instrumentation; see distillation report
 
@@ -78,7 +175,14 @@ class Mlp:
     def input_dim(self) -> int:
         return self.layer_sizes[0]
 
-    def forward(self, batch_features: np.ndarray) -> ForwardCache:
+    def _logits(self, batch_features, keep: bool):
+        """The layer loop shared by `forward` and `predict`.
+
+        Returns the float64 input, the checked logits, and the pre-activations
+        (logits last) and post-ReLU activations of every layer when ``keep``;
+        without ``keep`` each hidden layer's ReLU overwrites its own
+        pre-activation and both lists stay empty.
+        """
         x = np.asarray(batch_features, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ValueError(
@@ -88,99 +192,107 @@ class Mlp:
         pre_acts = []
         hidden_acts = []
         act = x
+        top = self.num_layers - 1
         for layer in range(self.num_layers):
-            z = act @ self.weights[layer] + self.biases[layer]
-            pre_acts.append(z)
-            if layer < self.num_layers - 1:
-                act = np.maximum(z, 0.0)
-                hidden_acts.append(act)
-        logits = pre_acts[-1]
-        require_finite(logits, "softmax input")
+            z = act @ self.weights[layer]
+            z += self.biases[layer]
+            if keep:
+                pre_acts.append(z)
+            if layer < top:
+                act = np.maximum(z, 0.0, out=None if keep else z)
+                if keep:
+                    hidden_acts.append(act)
+        require_finite(z, "softmax input")
+        return x, z, pre_acts, hidden_acts
+
+    def forward(self, batch_features: np.ndarray) -> ForwardCache:
+        """The training pass: probabilities, log-probabilities and everything
+        `backward` needs."""
+        x, logits, pre_acts, hidden_acts = self._logits(batch_features, keep=True)
         probs, log_probs = softmax_pair(logits)
         return ForwardCache(x, pre_acts, hidden_acts, logits, probs, log_probs)
+
+    def predict(self, batch_features: np.ndarray) -> np.ndarray:
+        """Softmax probabilities of a batch, equal bit for bit to
+        ``forward(batch).probs``, without the backward cache or the
+        log-probabilities; counts as a forward pass in `forward_count`."""
+        return softmax_probs_inplace(self._logits(batch_features, keep=False)[1])
 
     def backward(self, cache: ForwardCache, dlogits: np.ndarray) -> Gradients:
         """Backpropagate d(scalar loss)/d(logits) to all parameters.
 
         The ReLU derivative is taken as 0 at exactly-zero pre-activations.
+        Every gradient is written into one new buffer laid out like `params`.
         """
         dlogits = np.asarray(dlogits, dtype=np.float64)
         if dlogits.shape != cache.logits.shape:
             raise ValueError(
                 f"dlogits shape {dlogits.shape} does not match logits {cache.logits.shape}"
             )
-        d_weights = [None] * self.num_layers
-        d_biases = [None] * self.num_layers
+        flat = np.empty_like(self.params)
+        d_weights, d_biases = _split(flat, self._layout)
         delta = dlogits
         for layer in range(self.num_layers - 1, -1, -1):
             below = cache.inputs if layer == 0 else cache.hidden_activations[layer - 1]
-            d_weights[layer] = below.T @ delta
-            d_biases[layer] = delta.sum(axis=0)
+            np.matmul(below.T, delta, out=d_weights[layer])
+            delta.sum(axis=0, out=d_biases[layer])
             if layer > 0:
                 delta = delta @ self.weights[layer].T
-                delta = delta * (cache.pre_activations[layer - 1] > 0.0)
-        return Gradients(d_weights, d_biases)
+                delta *= cache.pre_activations[layer - 1] > 0.0
+        return Gradients(d_weights, d_biases, flat)
 
 
 def init_model(layer_sizes, seed: int) -> Mlp:
     """Glorot-uniform weights (row-major draw order), zero biases."""
-    layer_sizes = [int(s) for s in layer_sizes]
-    if len(layer_sizes) < 2:
-        raise ValueError("need at least input and output sizes")
-    if any(s <= 0 for s in layer_sizes):
-        raise ValueError(f"layer sizes must be positive, got {layer_sizes}")
+    sizes = _checked_sizes(layer_sizes)
     rng = Rng(seed)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
+    model = Mlp.from_params(sizes, np.zeros(_param_count(sizes)), seed)
+    for w in model.weights:
+        fan_in, fan_out = w.shape
         limit = math.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniforms((fan_in, fan_out), -limit, limit))
-        biases.append(np.zeros(fan_out, dtype=np.float64))
-    return Mlp(layer_sizes, weights, biases, seed)
+        w[...] = rng.uniforms((fan_in, fan_out), -limit, limit)
+    return model
 
 
 @dataclass
 class OptState:
-    """SGD with momentum and weight decay: v <- mu*v + g + wd*theta."""
+    """SGD with momentum and weight decay: v <- mu*v + g + wd*theta.
+
+    ``velocity`` is one buffer laid out like `Mlp.params`.
+    """
 
     lr: float
     momentum: float = 0.0
     weight_decay: float = 0.0
-    velocity_weights: list = field(default_factory=list)
-    velocity_biases: list = field(default_factory=list)
+    velocity: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     @classmethod
     def for_model(cls, model: Mlp, lr: float, momentum: float = 0.0,
                   weight_decay: float = 0.0) -> "OptState":
-        return cls(
-            lr=lr,
-            momentum=momentum,
-            weight_decay=weight_decay,
-            velocity_weights=[np.zeros_like(w) for w in model.weights],
-            velocity_biases=[np.zeros_like(b) for b in model.biases],
-        )
+        return cls(lr=lr, momentum=momentum, weight_decay=weight_decay,
+                   velocity=np.zeros_like(model.params))
 
 
 def sgd_step(model: Mlp, grads: Gradients, opt: OptState) -> None:
-    """One in-place update: v <- mu*v + g + wd*theta; theta <- theta - lr*v."""
-    for i in range(model.num_layers):
-        if grads.weights[i].shape != model.weights[i].shape:
+    """One in-place update of the whole parameter buffer:
+    v <- mu*v + g + wd*theta; theta <- theta - lr*v."""
+    if len(grads.weights) != len(model.weights):
+        raise ValueError(
+            f"{len(grads.weights)} layer gradients for a {model.num_layers}-layer model"
+        )
+    for i, (g, w) in enumerate(zip(grads.weights, model.weights)):
+        if g.shape != w.shape:
             raise ValueError(f"gradient shape mismatch at layer {i}")
-        vw = opt.velocity_weights[i]
-        vw *= opt.momentum
-        vw += grads.weights[i] + opt.weight_decay * model.weights[i]
-        model.weights[i] -= opt.lr * vw
-
-        vb = opt.velocity_biases[i]
-        vb *= opt.momentum
-        vb += grads.biases[i] + opt.weight_decay * model.biases[i]
-        model.biases[i] -= opt.lr * vb
-
-
-def _iter_params(model: Mlp):
-    for layer in range(model.num_layers):
-        yield model.weights[layer]
-        yield model.biases[layer]
+    # with every layer's shape matching, grads.flat matches params too
+    if opt.velocity.shape != model.params.shape:
+        raise ValueError(
+            f"velocity {opt.velocity.shape} does not match the "
+            f"{model.params.shape} parameters"
+        )
+    v = opt.velocity
+    v *= opt.momentum
+    v += grads.flat + opt.weight_decay * model.params
+    model.params -= opt.lr * v
 
 
 def relative_error(analytic: float, numeric: float) -> float:
@@ -195,24 +307,20 @@ def finite_diff_check(model: Mlp, batch: np.ndarray, scalar_loss_fn,
     deterministic. Every weight and bias entry is perturbed by +-step.
     """
     _, analytic = scalar_loss_fn(model, batch)
+    flat = model.params
+    gflat = analytic.flat
+    if gflat.shape != flat.shape:
+        raise ValueError(f"gradient buffer {gflat.shape} does not match parameters {flat.shape}")
     worst = 0.0
-    params = list(_iter_params(model))
-    grads = []
-    for layer in range(model.num_layers):
-        grads.append(analytic.weights[layer])
-        grads.append(analytic.biases[layer])
-    for tensor, grad in zip(params, grads):
-        flat = tensor.reshape(-1)
-        gflat = np.asarray(grad, dtype=np.float64).reshape(-1)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + step
-            loss_plus, _ = scalar_loss_fn(model, batch)
-            flat[i] = original - step
-            loss_minus, _ = scalar_loss_fn(model, batch)
-            flat[i] = original
-            numeric = (loss_plus - loss_minus) / (2.0 * step)
-            worst = max(worst, relative_error(float(gflat[i]), numeric))
+    for i in range(flat.size):
+        original = flat[i]
+        flat[i] = original + step
+        loss_plus, _ = scalar_loss_fn(model, batch)
+        flat[i] = original - step
+        loss_minus, _ = scalar_loss_fn(model, batch)
+        flat[i] = original
+        numeric = (loss_plus - loss_minus) / (2.0 * step)
+        worst = max(worst, relative_error(float(gflat[i]), numeric))
     return worst
 
 
@@ -245,16 +353,24 @@ def load_checkpoint(path) -> Mlp:
             f"{path}: layer_sizes {sizes} need {layers} weight and bias lists, got "
             f"{len(doc['weights'])} and {len(doc['biases'])}"
         )
-    weights = []
-    biases = []
     for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
-        weights.append(
-            np.asarray(doc["weights"][i], dtype=np.float64).reshape(fan_in, fan_out)
-        )
-        biases.append(np.asarray(doc["biases"][i], dtype=np.float64))
-        if not (np.isfinite(weights[i]).all() and np.isfinite(biases[i]).all()):
+        got = (len(doc["weights"][i]), len(doc["biases"][i]))
+        if got != (fan_in * fan_out, fan_out):
+            raise ValueError(
+                f"{path}: layer {i} needs {fan_in * fan_out} weights and {fan_out} "
+                f"biases, got {got[0]} and {got[1]}"
+            )
+    # one pass from the parsed lists into the model's buffer, without a
+    # temporary array per layer
+    values = itertools.chain.from_iterable(
+        itertools.chain(w, b) for w, b in zip(doc["weights"], doc["biases"])
+    )
+    params = np.fromiter(values, dtype=np.float64, count=_param_count(sizes))
+    model = Mlp.from_params(sizes, params, int(doc.get("seed", 0)))
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise ValueError(f"{path}: layer {i} has a NaN or Inf parameter")
-    return Mlp(sizes, weights, biases, int(doc.get("seed", 0)))
+    return model
 
 
 def mean_cross_entropy_loss(targets: np.ndarray):

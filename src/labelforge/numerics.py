@@ -4,11 +4,12 @@ Matrices are plain 2-D float64 numpy arrays (row-major). The operations
 that take values from outside the training loop (``gemm``, ``softmax_rows``,
 ``log_softmax_rows``) validate shapes and reject non-finite inputs, so that
 bad values surface where they are created instead of three modules later.
-``row_max`` and ``softmax_pair`` trust their input: the training loop calls
-them where one check covers many operations. Training checks the network's
-logits once per forward pass (``Mlp.forward``) and the loss once per step
-(``train``); a NaN or Inf anywhere else on a step's path, in the logit
-table, the targets or the log-probabilities, reaches that loss.
+``row_max``, ``softmax_pair`` and ``softmax_probs_inplace`` trust their
+input: the training loop calls them where one check covers many operations.
+Training checks the network's logits once per forward pass (``Mlp.forward``
+and ``Mlp.predict``) and the loss once per step (``train``); a NaN or Inf
+anywhere else on a step's path, in the logit table, the targets or the
+log-probabilities, reaches that loss.
 
 The random generator is written out explicitly (instead of delegating to a
 library) so that any reimplementation, in any language, can reproduce the
@@ -289,6 +290,17 @@ def softmax_pair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e = np.exp(shifted)
     total = e.sum(axis=1, keepdims=True)
     return e / total, shifted - np.log(total)
+
+
+def softmax_probs_inplace(m: np.ndarray) -> np.ndarray:
+    """Overwrite a finite 2-D float64 array with its row-wise softmax and
+    return it: the first half of ``softmax_pair``, bit for bit, with the
+    same three steps (row-max shift, exp, divide by the row sum) done in
+    place and no log half. The input is not checked."""
+    m -= row_max(m)[:, None]
+    np.exp(m, out=m)
+    m /= m.sum(axis=1, keepdims=True)
+    return m
 
 
 def softmax_rows(m) -> np.ndarray:

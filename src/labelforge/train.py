@@ -27,6 +27,13 @@ Strategies:
                     ``sce_original`` feeds both from the sum of both terms,
                     ``sce_ours`` is the split rule (identical to ``lspp``).
 
+A run stops with ``ValueError("training diverged: ...")`` when a step's
+loss is NaN or Inf, or when an epoch's mean training loss exceeds
+``DIVERGED_LOSS_FACTOR * ln K``. A network that predicts uniformly scores
+ln K against any targets, and the best attainable loss, the targets' own
+entropy, is at most ln K; a mean a thousand times that means the logits have
+run away, though every number is still finite.
+
 Run directory layout: config.json, metrics.csv (epoch, train_acc, test_acc,
 train_loss, mean_max_prob), cmatrix.csv (+ .json sidecar) when a table was
 learned, checkpoint.json, report.json.
@@ -71,6 +78,7 @@ from .numerics import Rng, derive_seed, row_max, softmax_pair
 
 STRATEGIES = ("onehot", "ls", "lspp", "ols", "distill", "proxy_distill", "ablation")
 ABLATION_LOSSES = ("ce", "sce_original", "sce_ours")
+DIVERGED_LOSS_FACTOR = 1000.0  # epoch mean loss bound, in units of ln K
 
 # Which loss direction feeds which parameter set beyond the forward term,
 # which always trains the network, per ablation variant:
@@ -182,7 +190,7 @@ def evaluate(model: Mlp, dataset: Dataset) -> dict:
         )
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    probs = model.forward(dataset.features).probs
+    probs = model.predict(dataset.features)
     predictions = np.argmax(probs, axis=1)
     accuracy = float(np.mean(predictions == dataset.labels))
     p_true = np.clip(probs[np.arange(len(dataset)), dataset.labels], 1e-12, None)
@@ -234,7 +242,7 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
             cache = model.forward(xb)
             probs, log_probs = cache.probs, cache.log_probs
             if teacher_model is not None:
-                targets = teacher_model.forward(xb).probs
+                targets = teacher_model.predict(xb)
             else:
                 if cmatrix is not None:
                     table_probs = softmax_pair(cmatrix.logits)[0]
@@ -266,6 +274,13 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
                 else:
                     ols_accumulate(ols_state, probs, yb)
 
+        train_loss = loss_sum / n
+        if train_loss > DIVERGED_LOSS_FACTOR * math.log(k):
+            raise ValueError(
+                f"training diverged: mean loss {train_loss!r} in epoch {epoch} exceeds "
+                f"{DIVERGED_LOSS_FACTOR:g} * ln {k}"
+            )
+
         if ols_state is not None:
             means = ols_state.class_means()
             for y in range(k):
@@ -279,7 +294,7 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
                 epoch=epoch,
                 train_accuracy=train_eval["accuracy"],
                 test_accuracy=test_eval["accuracy"],
-                train_loss=loss_sum / n,
+                train_loss=train_loss,
                 mean_max_prob=train_eval["mean_max_prob"],
             )
         )
@@ -424,36 +439,25 @@ def write_run_artifacts(run_dir, config: TrainConfig, result: TrainOutput,
     (when a table was learned) cmatrix.csv with its sidecar."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    resolved = config
     with open(run_dir / "config.json", "w") as f:
-        json.dump(config_to_dict(resolved), f, indent=2, sort_keys=True)
+        json.dump(config_to_dict(config), f, indent=2, sort_keys=True)
         f.write("\n")
     write_metrics_csv(result.report, run_dir / "metrics.csv")
     save_checkpoint(result.model, run_dir / "checkpoint.json")
 
-    report_doc = {
-        "final_train_accuracy": result.report.final_train_accuracy,
-        "final_test_accuracy": result.report.final_test_accuracy,
-        "final_train_nll": result.report.final_train_nll,
-        "final_test_nll": result.report.final_test_nll,
-        "final_train_max_prob": result.report.final_train_max_prob,
-        "final_test_max_prob": result.report.final_test_max_prob,
-        "wall_time_sec": result.report.wall_time_sec,
-        "teacher_forward_calls": result.report.teacher_forward_calls,
-        "ols_fallbacks": result.report.ols_fallbacks,
-        "epochs": [asdict(row) for row in result.report.epoch_stats],
-    }
+    report_doc = asdict(result.report)
+    report_doc["epochs"] = report_doc.pop("epoch_stats")
     if result.cmatrix is not None:
         export_cmatrix(
             result.cmatrix,
             run_dir / "cmatrix.csv",
             metadata={
-                "strategy": resolved.strategy,
-                "ablation_loss": resolved.ablation_loss
-                if resolved.strategy == "ablation"
+                "strategy": config.strategy,
+                "ablation_loss": config.ablation_loss
+                if config.strategy == "ablation"
                 else None,
-                "seed": resolved.seed,
-                "epochs": resolved.epochs,
+                "seed": config.seed,
+                "epochs": config.epochs,
             },
         )
         report_doc["c_row_entropy"] = [

@@ -219,6 +219,8 @@ class TestTrainCommand:
          "test-lab.idx: training label 2 of {train} has no rows in the test data"),
         ([0, 0, 1, 1], [0, 1, 2, 1],
          "test-lab.idx: label 2 does not occur in the training data {train}"),
+        ([0, 0, 1, 1, 2, 2], [0, 2, 0, 2],
+         "test-lab.idx: training label 1 of {train} has no rows in the test data"),
     ])
     def test_idx_test_set_class_mismatch_exits_2(self, tmp_path, capsys, train_labels,
                                                   test_labels, message):
@@ -297,6 +299,14 @@ class TestTrainCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "training diverged: loss is inf at epoch 0, batch 0" in err
+
+    @pytest.mark.parametrize("strategy", ["onehot", "lspp"])
+    def test_runaway_finite_loss_exits_1(self, data_csv, tmp_path, capsys, strategy):
+        # every loss stays finite, but the epoch mean passes 1000 * ln K
+        code = main(["train", "--data", str(data_csv), "--lr", "1000", "--epochs", "5",
+                     "--strategy", strategy, "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "training diverged: mean loss" in capsys.readouterr().err
 
     def test_unknown_flag_exits_2(self, data_csv):
         assert main(["train", "--data", str(data_csv), "--frobnicate"]) == 2

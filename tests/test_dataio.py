@@ -148,6 +148,12 @@ class TestLoadIdx:
             load_idx(images, labels3)
 
 
+    def test_skipped_label_names_the_labels_file(self, tmp_path):
+        images, labels = write_idx_pair(tmp_path, [0] * 8, [0, 2])
+        with pytest.raises(DataFormatError, match=r"lab\.idx: classes \[1\] have no samples"):
+            load_idx(images, labels)
+
+
 class TestLoadCsv:
     def test_label_remap_first_appearance(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -44,9 +44,10 @@ def _sha256(data: bytes) -> str:
 
 
 def run_digests(out_dir: Path) -> dict:
-    """sha256 of metrics.csv (and cmatrix.csv where a table is learned) for
-    nine short runs on the paired task: every strategy, the ``ce`` and
-    ``sce_original`` routings, and ols with correct-only accumulation."""
+    """sha256 of metrics.csv, checkpoint.json and (where a table is learned)
+    cmatrix.csv for nine short runs on the paired task: every strategy, the
+    ``ce`` and ``sce_original`` routings, and ols with correct-only
+    accumulation."""
     train_set = generate_gaussian(GaussianSpec(PAIRED_MEANS, 0.5, 50, seed=11))
     test_set = generate_gaussian(GaussianSpec(PAIRED_MEANS, 0.5, 25, seed=12))
     lspp = train(TrainConfig(strategy="lspp", **BASE), train_set, test_set)
@@ -74,7 +75,7 @@ def run_digests(out_dir: Path) -> dict:
     for name, result in runs.items():
         run_dir = out_dir / name
         write_run_artifacts(run_dir, TrainConfig(**BASE), result)
-        for file in ("metrics.csv", "cmatrix.csv"):
+        for file in ("metrics.csv", "cmatrix.csv", "checkpoint.json"):
             if (run_dir / file).exists():
                 digests[f"{name}/{file}"] = _sha256((run_dir / file).read_bytes())
     return digests

@@ -103,6 +103,90 @@ class TestForward:
         assert np.abs(-log_probs - math.log(5.0)).max() < 1e-12
 
 
+class TestPredict:
+    @pytest.mark.parametrize("sizes", [(2, 32, 4), (784, 128, 10), (5, 16, 12, 8, 3)])
+    @pytest.mark.parametrize("rows", [1, 37])
+    def test_bit_identical_to_forward_probs(self, sizes, rows):
+        model = init_model(sizes, seed=len(sizes) + rows)
+        x = 5.0 * np.random.default_rng(rows).normal(size=(rows, sizes[0]))
+        probs = model.predict(x)
+        assert probs.shape == (rows, sizes[-1])
+        assert probs.tobytes() == model.forward(x).probs.tobytes()
+
+    def test_nan_weight_rejected(self):
+        model = init_model([3, 4, 2], seed=1)
+        model.weights[0][1, 2] = np.nan
+        with pytest.raises(ValueError, match="softmax input contains NaN or Inf"):
+            model.predict(np.ones((2, 3)))
+
+    def test_counts_as_a_forward_pass(self):
+        model = init_model([3, 4, 2], seed=1)
+        model.predict(np.zeros((2, 3)))
+        model.forward(np.zeros((2, 3)))
+        assert model.forward_count == 2
+
+    def test_leaves_input_and_parameters_alone(self):
+        model = init_model([3, 4], seed=2)
+        x = np.random.default_rng(8).normal(size=(5, 3))
+        x_before, params_before = x.copy(), model.params.copy()
+        model.predict(x)
+        assert np.array_equal(x, x_before)
+        assert np.array_equal(model.params, params_before)
+
+    def test_dimension_mismatch(self):
+        model = init_model([3, 2], seed=0)
+        with pytest.raises(ValueError, match="input dimension"):
+            model.predict(np.zeros((4, 5)))
+
+
+class TestFlatParameters:
+    def test_layers_are_views_of_one_buffer_in_order(self):
+        model = init_model([3, 5, 4, 2], seed=3)
+        for w, b in zip(model.weights, model.biases):
+            assert np.shares_memory(w, model.params)
+            assert np.shares_memory(b, model.params)
+        pieces = [a.reshape(-1) for pair in zip(model.weights, model.biases) for a in pair]
+        assert model.params.tobytes() == np.concatenate(pieces).tobytes()
+        model.params[0] = 7.0
+        assert model.weights[0][0, 0] == 7.0
+
+    def test_layers_cannot_be_rebound(self):
+        model = init_model([3, 4, 2], seed=3)
+        with pytest.raises(TypeError):
+            model.weights[0] = np.zeros((3, 4))
+        with pytest.raises(TypeError):
+            model.biases[1] = np.zeros(2)
+
+    def test_constructor_copies_its_arrays(self):
+        weights = [np.ones((2, 3))]
+        biases = [np.zeros(3)]
+        model = Mlp([2, 3], weights, biases)
+        weights[0][0, 0] = 5.0
+        assert model.weights[0][0, 0] == 1.0
+
+    def test_layer_count_must_match_sizes(self):
+        with pytest.raises(ValueError, match="need 2 weight and bias arrays, got 1 and 1"):
+            Mlp([2, 3, 4], [np.zeros((2, 3))], [np.zeros(3)])
+
+    def test_from_params_adopts_the_buffer(self):
+        params = np.arange(21.0)
+        model = Mlp.from_params([3, 4, 1], params)
+        assert model.params is params
+        assert model.weights[1].tolist() == [[16.0], [17.0], [18.0], [19.0]]
+        with pytest.raises(ValueError, match="need 21 float64 parameters"):
+            Mlp.from_params([3, 4, 1], np.zeros(16))
+        with pytest.raises(ValueError, match="float64"):
+            Mlp.from_params([3, 4, 1], np.zeros(21, dtype=np.float32))
+
+    def test_gradients_fill_one_buffer(self):
+        model = init_model([3, 6, 4], seed=6)
+        cache = model.forward(np.random.default_rng(5).normal(size=(5, 3)))
+        grads = model.backward(cache, np.ones_like(cache.logits))
+        assert grads.flat.shape == model.params.shape
+        for g in grads.weights + grads.biases:
+            assert np.shares_memory(g, grads.flat)
+
+
 class TestBackward:
     def test_zero_dlogits_zero_grads(self):
         model = init_model([3, 6, 4], seed=6)
@@ -172,6 +256,45 @@ class TestSgdStep:
         v2 = 0.9 * v1 + g
         t2 = t1 - 0.1 * v2
         assert np.abs(model.weights[0] - t2).max() < 1e-12
+
+    def test_fifty_steps_match_per_layer_reference(self):
+        # the per-layer update the flat buffer replaced, kept as the oracle
+        model = init_model([3, 7, 5, 4], seed=15)
+        ref_w = [w.copy() for w in model.weights]
+        ref_b = [b.copy() for b in model.biases]
+        vel_w = [np.zeros_like(w) for w in ref_w]
+        vel_b = [np.zeros_like(b) for b in ref_b]
+        lr, mu, wd = 0.05, 0.9, 0.01
+        opt = OptState.for_model(model, lr=lr, momentum=mu, weight_decay=wd)
+        rng = np.random.default_rng(16)
+        for _ in range(50):
+            gw = [rng.normal(size=w.shape) for w in ref_w]
+            gb = [rng.normal(size=b.shape) for b in ref_b]
+            sgd_step(model, Gradients(gw, gb), opt)
+            for theta, vel, grad in zip(ref_w + ref_b, vel_w + vel_b, gw + gb):
+                vel *= mu
+                vel += grad + wd * theta
+                theta -= lr * vel
+        for got, want in zip(model.weights + model.biases, ref_w + ref_b):
+            assert got.tobytes() == want.tobytes()
+
+    def test_separate_arrays_step_like_backward(self):
+        model = init_model([3, 6, 4], seed=17)
+        cache = model.forward(np.random.default_rng(18).normal(size=(7, 3)))
+        grads = model.backward(cache, cache.probs - 0.25)
+        packed = Gradients([w.copy() for w in grads.weights], [b.copy() for b in grads.biases])
+        twin = Mlp(model.layer_sizes, model.weights, model.biases, model.seed)
+        sgd_step(model, grads, OptState.for_model(model, lr=0.1, momentum=0.9,
+                                                  weight_decay=0.01))
+        sgd_step(twin, packed, OptState.for_model(twin, lr=0.1, momentum=0.9,
+                                                  weight_decay=0.01))
+        assert model.params.tobytes() == twin.params.tobytes()
+
+    def test_shape_mismatch_names_the_layer(self):
+        model = init_model([2, 3, 4], seed=9)
+        grads = Gradients([np.zeros((2, 3)), np.zeros((4, 3))], [np.zeros(3), np.zeros(4)])
+        with pytest.raises(ValueError, match="gradient shape mismatch at layer 1"):
+            sgd_step(model, grads, OptState.for_model(model, lr=0.1))
 
     def test_weight_decay_enters_velocity(self):
         model, grads = self.make()
@@ -260,6 +383,20 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"missing keys \\['{key}'\\]"):
             load_checkpoint(path)
+
+    def test_layer_length_mismatch_rejected(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        doc["biases"][0].append(0.0)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="layer 0 needs 12 weights and 4 biases, got 12 and 5"):
+            load_checkpoint(path)
+
+    def test_loaded_model_owns_one_buffer(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        model = load_checkpoint(path)
+        flat = [v for w, b in zip(doc["weights"], doc["biases"]) for v in w + b]
+        assert model.params.tolist() == flat
+        assert all(np.shares_memory(w, model.params) for w in model.weights)
 
     def test_layer_count_mismatch_rejected(self, tmp_path):
         path, doc = self._saved_doc(tmp_path)

@@ -14,6 +14,7 @@ from labelforge.numerics import (
     mix64,
     row_max,
     softmax_pair,
+    softmax_probs_inplace,
     softmax_rows,
 )
 
@@ -188,6 +189,15 @@ class TestSoftmaxPair:
                 ref_probs, ref_log_probs = reference_softmax(m)
                 assert probs.tobytes() == ref_probs.tobytes(), k
                 assert log_probs.tobytes() == ref_log_probs.tobytes(), k
+
+    def test_inplace_probs_match_first_half(self):
+        with np.errstate(over="ignore"):
+            for k in range(2, 65):
+                m = hard_rows(100 + k, k)
+                work = m.copy()
+                out = softmax_probs_inplace(work)
+                assert out is work
+                assert out.tobytes() == softmax_pair(m)[0].tobytes(), k
 
     def test_checked_forms_return_its_halves(self):
         m = np.random.default_rng(12).uniform(-30.0, 30.0, size=(33, 5))

@@ -1,5 +1,6 @@
 import json
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ from labelforge.dataio import Dataset, GaussianSpec, generate_gaussian
 from labelforge.labelreg import CMatrix
 from labelforge.model import Mlp, init_model
 from labelforge.train import (
+    EpochStats,
     TrainConfig,
+    TrainOutput,
+    TrainReport,
     distill,
     evaluate,
     gradient_check,
@@ -117,7 +121,7 @@ class TestEvaluate:
     def test_near_perfect_predictor(self):
         # huge logit gap saturates the softmax to a one-hot output
         model = zero_model([4, 4])
-        model.weights[0] = np.eye(4) * 100.0
+        model.weights[0][...] = np.eye(4) * 100.0
         data = Dataset(np.eye(4), [0, 1, 2, 3], 4)
         out = evaluate(model, data)
         assert out["accuracy"] == 1.0
@@ -285,6 +289,15 @@ class TestDistill:
                       teacher, train_set, test_set)
         assert out.report.teacher_forward_calls > 0
 
+    def test_one_teacher_pass_per_step(self, small_task):
+        # 160 rows in batches of 32: 5 steps per epoch; evaluation never
+        # runs the teacher
+        train_set, test_set = small_task
+        teacher = init_model([2, 8, 4], seed=3)
+        out = distill(TrainConfig(epochs=3, seed=2, layer_sizes=(2, 8, 4)),
+                      teacher, train_set, test_set)
+        assert out.report.teacher_forward_calls == 3 * 5
+
     def test_uniform_teacher_yields_uniform_student(self, small_task):
         train_set, test_set = small_task
         teacher = zero_model([2, 8, 4])  # predicts exactly uniform everywhere
@@ -323,17 +336,40 @@ class TestDivergence:
         ):
             train(config, huge, test_set)
 
+    def test_runaway_finite_loss_is_divergence(self, small_task):
+        train_set, test_set = small_task
+        config = TrainConfig(strategy="onehot", lr=100.0, epochs=5, layer_sizes=(2, 8, 4))
+        with pytest.raises(ValueError, match=r"^training diverged: mean loss .* in epoch 0 "
+                                             r"exceeds 1000 \* ln 4$"):
+            train(config, train_set, test_set)
+
+    def test_divergence_bound_is_on_the_epoch_mean(self, small_task, monkeypatch):
+        import labelforge.train as lf_train
+
+        train_set, test_set = small_task
+        config = TrainConfig(strategy="onehot", epochs=3, layer_sizes=(2, 8, 4))
+        losses = [row.train_loss for row in train(config, train_set, test_set)
+                  .report.epoch_stats]
+        worst = max(losses) / np.log(4)
+        monkeypatch.setattr(lf_train, "DIVERGED_LOSS_FACTOR", worst * (1 + 1e-9))
+        assert [row.train_loss for row in train(config, train_set, test_set)
+                .report.epoch_stats] == losses
+        monkeypatch.setattr(lf_train, "DIVERGED_LOSS_FACTOR", worst * (1 - 1e-9))
+        epoch = losses.index(max(losses))
+        with pytest.raises(ValueError, match=f"training diverged: mean loss .* in epoch {epoch} "):
+            train(config, train_set, test_set)
+
     def test_nan_targets_stop_the_step_they_enter(self, small_task):
         train_set, test_set = small_task  # 160 rows: 5 batches per epoch
 
         class NanTeacher(Mlp):
             """Predicts NaN from its 8th forward pass on: epoch 1, batch 2."""
 
-            def forward(self, batch_features):
-                cache = super().forward(batch_features)
+            def predict(self, batch_features):
+                probs = super().predict(batch_features)
                 if self.forward_count >= 8:
-                    cache.probs[:] = np.nan
-                return cache
+                    probs[:] = np.nan
+                return probs
 
         base = init_model([2, 8, 4], seed=5)
         teacher = NanTeacher(base.layer_sizes, base.weights, base.biases)
@@ -460,6 +496,29 @@ class TestRunArtifacts:
         assert config["c_lr"] == config["lr"]
         header = (run_dir / "metrics.csv").read_text().splitlines()[0]
         assert header == "epoch,train_acc,test_acc,train_loss,mean_max_prob"
+
+    def test_report_json_bytes_match_key_by_key_copy(self, tmp_path):
+        rows = [EpochStats(e, 0.5 + e / 8, 0.25 + e / 16, 1.0 / (e + 3), 0.3 + e / 10)
+                for e in range(3)]
+        report = TrainReport(rows, 0.875, 0.6, 0.1 / 3, 2.0 / 7, 0.91, 0.8, 1.25, 15, 2)
+        result = TrainOutput(init_model([2, 3, 4], seed=1), report, None)
+        write_run_artifacts(tmp_path, TrainConfig(), result, {"extra": [1, 2]})
+        # the key-by-key document write_run_artifacts wrote before asdict, as oracle
+        oracle = {
+            "final_train_accuracy": report.final_train_accuracy,
+            "final_test_accuracy": report.final_test_accuracy,
+            "final_train_nll": report.final_train_nll,
+            "final_test_nll": report.final_test_nll,
+            "final_train_max_prob": report.final_train_max_prob,
+            "final_test_max_prob": report.final_test_max_prob,
+            "wall_time_sec": report.wall_time_sec,
+            "teacher_forward_calls": report.teacher_forward_calls,
+            "ols_fallbacks": report.ols_fallbacks,
+            "epochs": [asdict(row) for row in report.epoch_stats],
+            "extra": [1, 2],
+        }
+        expected = json.dumps(oracle, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "report.json").read_text() == expected
 
     def test_no_cmatrix_files_for_onehot(self, small_task, tmp_path):
         train_set, test_set = small_task
