@@ -10,7 +10,8 @@ Parameters live in one float64 buffer, ``Mlp.params``, laid out
 fan_out). ``Mlp.weights`` and ``Mlp.biases`` are tuples of per-layer views
 of it, so a layer is changed in place (``model.weights[0][...] = w``), never
 rebound. Gradients and the optimizer's velocity use the same layout, so an
-SGD step is three whole-buffer operations.
+SGD step is a few whole-buffer operations: four passes over the buffer
+without weight decay (see `sgd_step`), six with it.
 
 ``forward`` keeps what ``backward`` needs (the training pass); ``predict``
 returns only the probabilities and works in place (inference). Both run the
@@ -275,7 +276,17 @@ class OptState:
 
 def sgd_step(model: Mlp, grads: Gradients, opt: OptState) -> None:
     """One in-place update of the whole parameter buffer:
-    v <- mu*v + g + wd*theta; theta <- theta - lr*v."""
+    v <- mu*v + g + wd*theta; theta <- theta - lr*v.
+
+    With ``weight_decay == 0`` the decay term is left out, which saves two
+    passes over the buffer and two buffer-sized temporaries. This writes the
+    same parameters: ``0.0*theta`` is a zero, and adding it to ``g`` can
+    only turn a ``-0.0`` gradient entry into ``+0.0``. That changes at most
+    the sign of a zero velocity entry, which reaches ``theta`` only through
+    ``theta - lr*(+-0.0)``, equal to ``theta`` unless ``theta`` is ``-0.0``.
+    Training never makes a ``-0.0`` parameter: Glorot draws and zero biases
+    are not ``-0.0``, and ``x - y`` is ``-0.0`` only when ``x`` is.
+    """
     if len(grads.weights) != len(model.weights):
         raise ValueError(
             f"{len(grads.weights)} layer gradients for a {model.num_layers}-layer model"
@@ -291,7 +302,10 @@ def sgd_step(model: Mlp, grads: Gradients, opt: OptState) -> None:
         )
     v = opt.velocity
     v *= opt.momentum
-    v += grads.flat + opt.weight_decay * model.params
+    if opt.weight_decay == 0.0:
+        v += grads.flat
+    else:
+        v += grads.flat + opt.weight_decay * model.params
     model.params -= opt.lr * v
 
 

@@ -74,10 +74,11 @@ from .model import (
     save_checkpoint,
     sgd_step,
 )
-from .numerics import Rng, derive_seed, row_max, softmax_pair
+from .numerics import Rng, derive_seed, row_max, softmax_probs_inplace
 
 STRATEGIES = ("onehot", "ls", "lspp", "ols", "distill", "proxy_distill", "ablation")
 ABLATION_LOSSES = ("ce", "sce_original", "sce_ours")
+LEARNED_TABLE = ("lspp", "ablation")  # the strategies that learn a logit table
 DIVERGED_LOSS_FACTOR = 1000.0  # epoch mean loss bound, in units of ln K
 
 # Which loss direction feeds which parameter set beyond the forward term,
@@ -113,6 +114,14 @@ class TrainConfig:
             )
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
+        if self.strategy in LEARNED_TABLE and self.alpha >= 0.5:
+            # a learned row can put up to alpha on one class, which outranks
+            # the pinned 1 - alpha once alpha >= 0.5
+            raise ValueError(
+                f"alpha must be below 0.5 for strategy {self.strategy!r}, got "
+                f"{self.alpha}: the argmax-pinning invariant (every target's "
+                f"argmax is its true class) needs 1 - alpha > alpha"
+            )
         if self.epochs < 0:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
         if self.batch_size < 1:
@@ -216,7 +225,7 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
     # step, ols from the previous epoch's mean predictions every epoch
     cmatrix: CMatrix | None = None
     table = np.eye(k, dtype=np.float64)  # onehot, and ols in epoch 0
-    if strategy in ("lspp", "ablation"):
+    if strategy in LEARNED_TABLE:
         cmatrix = CMatrix.zeros(k, config.alpha)
     elif strategy == "ls":
         table = target_table(CMatrix.zeros(k, config.alpha))
@@ -245,7 +254,7 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
                 targets = teacher_model.predict(xb)
             else:
                 if cmatrix is not None:
-                    table_probs = softmax_pair(cmatrix.logits)[0]
+                    table_probs = softmax_probs_inplace(cmatrix.logits.copy())
                     table = targets_from_row_probs(table_probs, cmatrix.alpha)
                 targets = table[yb]
 
@@ -299,8 +308,11 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
             )
         )
 
-    train_eval = evaluate(model, train_set)
-    test_eval = evaluate(model, test_set)
+    # the model has not moved since the last epoch's evaluation, so the
+    # final report reuses it; only a run of no epochs evaluates here
+    if config.epochs == 0:
+        train_eval = evaluate(model, train_set)
+        test_eval = evaluate(model, test_set)
     report.final_train_accuracy = train_eval["accuracy"]
     report.final_test_accuracy = test_eval["accuracy"]
     report.final_train_nll = train_eval["mean_nll"]

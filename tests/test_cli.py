@@ -174,6 +174,23 @@ class TestTrainCommand:
         assert code == 2
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha,code", [("0.49", 0), ("0.5", 2), ("0.7", 2)])
+    def test_lspp_alpha_from_half_up_exits_2(self, data_csv, tmp_path, capsys, alpha, code):
+        out = tmp_path / "run"
+        assert run_train(data_csv, out, "--strategy", "lspp", "--alpha", alpha) == code
+        if code == 2:
+            assert "argmax-pinning invariant" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert (out / "cmatrix.csv").exists()
+
+    def test_ablate_alpha_from_half_up_exits_2(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["ablate", "--data", str(data_csv), "--alpha", "0.7", "--out", str(out)])
+        assert code == 2
+        assert "argmax-pinning invariant" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value", [("--momentum", "-5"), ("--momentum", "1"),
                                             ("--weight-decay", "-0.1")])
     def test_optimizer_out_of_range_exits_2(self, data_csv, tmp_path, capsys, flag, value):

@@ -278,6 +278,64 @@ class TestSgdStep:
         for got, want in zip(model.weights + model.biases, ref_w + ref_b):
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("mu", [0.9, 0.0])
+    def test_zero_decay_steps_match_reference_with_decay_term(self, mu):
+        # the zero-decay step leaves out "+ 0.0 * theta"; that term can only
+        # turn a -0.0 gradient entry into +0.0, which reaches no parameter
+        model = init_model([3, 7, 5, 4], seed=19)
+        rng = np.random.default_rng(20)
+        for b in model.biases:
+            b[...] = rng.normal(size=b.shape)
+        assert (model.params > 0).any() and (model.params < 0).any()
+        ref_w = [w.copy() for w in model.weights]
+        ref_b = [b.copy() for b in model.biases]
+        vel_w = [np.zeros_like(w) for w in ref_w]
+        vel_b = [np.zeros_like(b) for b in ref_b]
+        lr = 0.05
+        opt = OptState.for_model(model, lr=lr, momentum=mu)
+        for _ in range(50):
+            gw = [rng.normal(size=w.shape) for w in ref_w]
+            gb = [rng.normal(size=b.shape) for b in ref_b]
+            for g in gw + gb:
+                flat = g.reshape(-1)
+                flat[rng.random(flat.size) < 0.3] = -0.0
+                flat[rng.random(flat.size) < 0.1] = 0.0
+            sgd_step(model, Gradients(gw, gb), opt)
+            for theta, vel, grad in zip(ref_w + ref_b, vel_w + vel_b, gw + gb):
+                vel *= mu
+                vel += grad + 0.0 * theta
+                theta -= lr * vel
+        for got, want in zip(model.weights + model.biases, ref_w + ref_b):
+            assert got.tobytes() == want.tobytes()
+        # the velocities agree in value; they may differ in the sign of a zero
+        assert np.array_equal(opt.velocity, Gradients(vel_w, vel_b).flat)
+
+    def test_zero_decay_step_with_dead_relu_gradients(self):
+        # a hidden unit that no input activates, with positive outgoing
+        # weights and all-negative dlogits, back-propagates -0.0 to every
+        # sample; its bias gradient is their batch sum, which keeps that sign
+        # or not depending on how NumPy starts the reduction (NumPy 2.4
+        # starts from +0.0), so only its being zero is asserted
+        model = init_model([3, 6, 4], seed=21)
+        model.biases[0][2] = -100.0
+        model.weights[1][2] = np.abs(model.weights[1][2])
+        x = np.random.default_rng(22).normal(size=(9, 3))
+        ref = [a.copy() for a in model.weights + model.biases]
+        vel = [np.zeros_like(a) for a in ref]
+        opt = OptState.for_model(model, lr=0.1, momentum=0.9)
+        for _ in range(50):
+            # the reference steps with the model's gradients
+            cache = model.forward(x)
+            grads = model.backward(cache, -cache.probs)
+            assert grads.biases[0][2] == 0.0
+            sgd_step(model, grads, opt)
+            for theta, v, grad in zip(ref, vel, grads.weights + grads.biases):
+                v *= 0.9
+                v += grad + 0.0 * theta
+                theta -= 0.1 * v
+        for got, want in zip(model.weights + model.biases, ref):
+            assert got.tobytes() == want.tobytes()
+
     def test_separate_arrays_step_like_backward(self):
         model = init_model([3, 6, 4], seed=17)
         cache = model.forward(np.random.default_rng(18).normal(size=(7, 3)))

@@ -66,6 +66,22 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="alpha"):
             TrainConfig(alpha=-0.1)
 
+    @pytest.mark.parametrize("strategy", ["lspp", "ablation"])
+    def test_learned_table_needs_alpha_below_half(self, strategy):
+        assert TrainConfig(strategy=strategy, alpha=0.49).alpha == 0.49
+        for alpha in (0.5, 0.7):
+            with pytest.raises(ValueError, match="argmax-pinning invariant"):
+                TrainConfig(strategy=strategy, alpha=alpha)
+
+    def test_alpha_from_half_up_rejected_when_forced_to_ablation(self, small_task):
+        train_set, test_set = small_task
+        with pytest.raises(ValueError, match="argmax-pinning invariant"):
+            train_ablation(TrainConfig(alpha=0.7, epochs=1), train_set, test_set)
+
+    @pytest.mark.parametrize("strategy", ["onehot", "ls", "ols"])
+    def test_alpha_from_half_up_allowed_without_learned_table(self, strategy):
+        assert TrainConfig(strategy=strategy, alpha=0.7).alpha == 0.7
+
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="strategy"):
             TrainConfig(strategy="mystery")
@@ -154,6 +170,56 @@ class TestTrainBasics:
         for a, b in zip(out.model.weights, fresh.weights):
             assert np.array_equal(a, b)
         assert out.report.epoch_stats == []
+
+    @pytest.mark.parametrize("strategy", ["onehot", "lspp", "ols"])
+    def test_final_report_is_the_last_epochs_evaluation(self, small_task, monkeypatch,
+                                                         strategy):
+        import labelforge.train as lf_train
+
+        train_set, test_set = small_task
+        evaluated = []
+        real_evaluate = lf_train.evaluate
+
+        def counting_evaluate(model, dataset):
+            result = real_evaluate(model, dataset)
+            evaluated.append(result)
+            return result
+
+        monkeypatch.setattr(lf_train, "evaluate", counting_evaluate)
+        cfg = TrainConfig(strategy=strategy, epochs=3, seed=4, layer_sizes=(2, 8, 4))
+        out = train(cfg, train_set, test_set)
+        report = out.report
+        assert len(evaluated) == 2 * cfg.epochs
+        last_train, last_test = evaluated[-2:]
+        # the returned model is the one the last epoch evaluated
+        assert real_evaluate(out.model, train_set) == last_train
+        assert real_evaluate(out.model, test_set) == last_test
+        final = {
+            "final_train_accuracy": last_train["accuracy"],
+            "final_test_accuracy": last_test["accuracy"],
+            "final_train_nll": last_train["mean_nll"],
+            "final_test_nll": last_test["mean_nll"],
+            "final_train_max_prob": last_train["mean_max_prob"],
+            "final_test_max_prob": last_test["mean_max_prob"],
+        }
+        for name, value in final.items():
+            assert getattr(report, name) == value, name
+        last = report.epoch_stats[-1]
+        assert (last.train_accuracy, last.test_accuracy, last.mean_max_prob) == (
+            report.final_train_accuracy, report.final_test_accuracy,
+            report.final_train_max_prob,
+        )
+
+    def test_zero_epochs_reports_the_initial_model(self, small_task):
+        train_set, test_set = small_task
+        out = train(TrainConfig(epochs=0, seed=3, layer_sizes=(2, 8, 4)), train_set, test_set)
+        fresh = init_model([2, 8, 4], seed=3)
+        for prefix, dataset in (("final_train", train_set), ("final_test", test_set)):
+            want = evaluate(fresh, dataset)
+            assert want["mean_nll"] > 0.0
+            assert getattr(out.report, f"{prefix}_accuracy") == want["accuracy"]
+            assert getattr(out.report, f"{prefix}_nll") == want["mean_nll"]
+            assert getattr(out.report, f"{prefix}_max_prob") == want["mean_max_prob"]
 
     def test_progresses_on_easy_task(self, small_task):
         train_set, test_set = small_task
@@ -397,6 +463,57 @@ class TestDivergence:
         with pytest.raises(ValueError, match="softmax input contains NaN or Inf"):
             train(config, train_set, test_set)
         assert len(steps) == 10
+
+
+class TestTargetsAreDistributions:
+    """Seeded property check: every target source training reads gives rows
+    that are distributions, for random K, alpha below 0.5 and batch size."""
+
+    @staticmethod
+    def assert_distributions(targets, where):
+        assert (targets >= 0.0).all(), where
+        assert np.abs(targets.sum(axis=1) - 1.0).max() <= 1e-12, where
+
+    def test_every_target_source(self):
+        from labelforge.labelreg import (
+            OlsState, ols_accumulate, ols_target, target_table, targets_from_row_probs,
+        )
+        from labelforge.numerics import softmax_probs_inplace
+
+        rng = np.random.default_rng(2024)
+        for trial in range(200):
+            k = int(rng.integers(2, 13))
+            alpha = float(rng.uniform(0.0, 0.5))
+            batch = int(rng.integers(1, 65))
+            labels = rng.integers(0, k, size=batch)
+            where = (trial, k, alpha, batch)
+            logits = rng.uniform(-30.0, 30.0, size=(k, k - 1))
+
+            # onehot, ls, and lspp both as the step builds it and as a table
+            self.assert_distributions(np.eye(k)[labels], where)
+            self.assert_distributions(target_table(CMatrix.zeros(k, alpha))[labels], where)
+            step_table = targets_from_row_probs(softmax_probs_inplace(logits.copy()), alpha)
+            self.assert_distributions(step_table[labels], where)
+            self.assert_distributions(target_table(CMatrix(logits, alpha))[labels], where)
+
+            # proxy_distill: a teacher's frozen table
+            teacher_c = CMatrix(rng.uniform(-30.0, 30.0, size=(k, k - 1)), alpha)
+            self.assert_distributions(target_table(teacher_c)[labels], where)
+
+            # ols: mean predictions of a batch, some classes possibly unseen
+            state = OlsState.zeros(k)
+            seen = rng.integers(0, k, size=batch)
+            probs = softmax_probs_inplace(rng.uniform(-30.0, 30.0, size=(batch, k)))
+            ols_accumulate(state, probs, seen)
+            for mix in (0.0, 1.0, float(rng.uniform())):
+                table = np.array([ols_target(state.class_means(), y, mix)[0]
+                                  for y in range(k)])
+                self.assert_distributions(table[labels], (*where, mix))
+
+            # distill: a teacher network's probabilities
+            teacher = init_model([3, 8, k], seed=trial)
+            x = rng.normal(scale=10.0, size=(batch, 3))
+            self.assert_distributions(teacher.predict(x), where)
 
 
 class TestBatchGradientConsistency:
