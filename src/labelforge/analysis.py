@@ -8,8 +8,15 @@ from __future__ import annotations
 import numpy as np
 
 from .dataio import Dataset, write_csv
-from .labelreg import CMatrix
+from .labelreg import CMatrix, around_diagonal, off_diagonal
 from .model import Mlp
+
+
+def _per_class_mean(values: np.ndarray, dataset: Dataset) -> np.ndarray:
+    """K x C matrix; row c is the mean of the rows of ``values`` whose
+    sample has true class c (a Dataset has at least one of each)."""
+    return np.stack([values[dataset.labels == c].mean(axis=0)
+                     for c in range(dataset.num_classes)])
 
 
 def class_mean_probs(model: Mlp, dataset: Dataset) -> np.ndarray:
@@ -17,31 +24,14 @@ def class_mean_probs(model: Mlp, dataset: Dataset) -> np.ndarray:
     samples whose true class is i."""
     if model.num_classes != dataset.num_classes:
         raise ValueError("model and dataset disagree on the class count")
-    probs = model.predict(dataset.features)
-    k = dataset.num_classes
-    out = np.empty((k, k), dtype=np.float64)
-    for c in range(k):
-        rows = dataset.labels == c
-        if not rows.any():
-            raise ValueError(f"class {c} has no samples")
-        out[c] = probs[rows].mean(axis=0)
-    return out
+    return _per_class_mean(model.predict(dataset.features), dataset)
 
 
 def class_centers(model: Mlp, dataset: Dataset) -> np.ndarray:
     """K x H matrix of mean last-hidden-layer activations per class."""
     if model.num_layers < 2:
         raise ValueError("model has no hidden layer to take features from")
-    cache = model.forward(dataset.features)
-    feats = cache.hidden_activations[-1]
-    k = dataset.num_classes
-    centers = np.empty((k, feats.shape[1]), dtype=np.float64)
-    for c in range(k):
-        rows = dataset.labels == c
-        if not rows.any():
-            raise ValueError(f"class {c} has no samples")
-        centers[c] = feats[rows].mean(axis=0)
-    return centers
+    return _per_class_mean(model.forward(dataset.features).hidden_activations[-1], dataset)
 
 
 def center_distance_matrix(centers: np.ndarray) -> np.ndarray:
@@ -58,19 +48,11 @@ def center_distance_matrix(centers: np.ndarray) -> np.ndarray:
         bad = np.flatnonzero(norms == 0).tolist()
         raise ValueError(f"zero-norm centers for classes {bad}")
     unit = centers / norms[:, None]
-    dist = 1.0 - unit @ unit.T
-    k = centers.shape[0]
-    np.fill_diagonal(dist, 0.0)
-    off_diag = ~np.eye(k, dtype=bool)
-    out = np.zeros_like(dist)
-    for i in range(k):
-        row = dist[i][off_diag[i]]
-        total = row.sum()
-        if total <= 0.0:
-            out[i][off_diag[i]] = 1.0 / (k - 1)
-        else:
-            out[i][off_diag[i]] = row / total
-    return out
+    off = off_diagonal(1.0 - unit @ unit.T)
+    total = off.sum(axis=1, keepdims=True)
+    # rows whose sum is not positive keep the uniform value, undivided
+    uniform = np.full_like(off, 1.0 / off.shape[1])
+    return around_diagonal(np.divide(off, total, out=uniform, where=total > 0.0), 0.0)
 
 
 def c_row_entropy(c: CMatrix) -> np.ndarray:

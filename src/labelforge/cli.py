@@ -49,6 +49,7 @@ from .model import load_checkpoint
 from .train import (
     ABLATION_LOSSES,
     TrainConfig,
+    check_teacher,
     config_to_dict,
     evaluate,
     gradient_check,
@@ -317,6 +318,7 @@ def _finish_training_command(args, subcommand, strategy_override=None,
         )
     try:
         resolved = config.resolved(train_set.num_features, train_set.num_classes)
+        check_teacher(resolved, teacher, train_set)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     run_dir = _resolve_run_dir(args, subcommand, resolved.seed)

@@ -36,12 +36,7 @@ from .numerics import softmax_rows
 LOG_CLAMP = 1e-12
 
 
-def nontarget_indices(num_classes: int) -> np.ndarray:
-    """(K, K-1) table: row y lists all classes except y, in increasing order."""
-    return _off_diagonal(np.tile(np.arange(num_classes, dtype=np.int64), (num_classes, 1)))
-
-
-def _around_diagonal(off: np.ndarray, diagonal: float) -> np.ndarray:
+def around_diagonal(off: np.ndarray, diagonal: float) -> np.ndarray:
     """K x K matrix whose row y holds row y of the K x (K-1) ``off`` at the
     columns other than y, in increasing order, and ``diagonal`` at column y."""
     k = off.shape[0]
@@ -54,8 +49,8 @@ def _around_diagonal(off: np.ndarray, diagonal: float) -> np.ndarray:
     return out
 
 
-def _off_diagonal(full: np.ndarray) -> np.ndarray:
-    """Inverse of _around_diagonal: the K x (K-1) off-diagonal cells of a
+def off_diagonal(full: np.ndarray) -> np.ndarray:
+    """Inverse of around_diagonal: the K x (K-1) off-diagonal cells of a
     K x K matrix, row y listing the columns other than y in increasing order."""
     k = full.shape[0]
     return full.reshape(-1)[1:].reshape(k - 1, k + 1)[:, :k].reshape(k, k - 1)
@@ -98,18 +93,7 @@ class CMatrix:
     def expanded_probs(self) -> np.ndarray:
         """K x K view with the per-row softmax scattered around an exact-0
         diagonal."""
-        return _around_diagonal(self.all_row_probs(), 0.0)
-
-    def copy(self) -> "CMatrix":
-        return CMatrix(self.logits.copy(), self.alpha)
-
-
-def onehot_target(y: int, num_classes: int) -> np.ndarray:
-    if not 0 <= y < num_classes:
-        raise ValueError(f"label {y} out of range for {num_classes} classes")
-    target = np.zeros(num_classes, dtype=np.float64)
-    target[y] = 1.0
-    return target
+        return around_diagonal(self.all_row_probs(), 0.0)
 
 
 def ls_target(y: int, num_classes: int, alpha: float) -> np.ndarray:
@@ -145,17 +129,7 @@ def target_table(c: CMatrix) -> np.ndarray:
 def targets_from_row_probs(row_probs: np.ndarray, alpha: float) -> np.ndarray:
     """The K x K target table from a logit table's K x (K-1) row softmax:
     1 - alpha on the diagonal, alpha times row y's softmax around it."""
-    return _around_diagonal(alpha * row_probs, 1.0 - alpha)
-
-
-def network_logit_grad(target: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """d/d(logits) of the forward cross-entropy with the target held fixed:
-    simply probs - target, per sample."""
-    target = np.asarray(target, dtype=np.float64)
-    probs = np.asarray(probs, dtype=np.float64)
-    if target.shape != probs.shape:
-        raise ValueError(f"shape mismatch: {target.shape} vs {probs.shape}")
-    return probs - target
+    return around_diagonal(alpha * row_probs, 1.0 - alpha)
 
 
 def reverse_cross_entropy(c: CMatrix, y: int, probs: np.ndarray) -> float:
@@ -242,37 +216,27 @@ def ols_accumulate(state: OlsState, probs: np.ndarray, y) -> OlsState:
     return state
 
 
-def ols_target(class_means: np.ndarray, y: int, mix: float) -> tuple[np.ndarray, bool]:
-    """One-hot pulled toward the class's mean prediction by `mix`.
+def ols_table(class_means: np.ndarray, mix: float) -> tuple[np.ndarray, int]:
+    """The K x K online-smoothing table: row y is one-hot at y pulled toward
+    class y's mean prediction by `mix`, plus the number of fallback rows.
 
     Computed as onehot + mix * (mean - onehot), which is exact when the mean
     itself is one-hot (the collapse case) for every mix. A class whose mean
-    row is all-zero (never observed) falls back to plain one-hot; the second
-    return value flags that fallback. Rows are renormalized only when their
-    sum drifts from 1 by more than 1e-9.
+    row is all-zero (never observed) falls back to plain one-hot, and counts
+    as a fallback. Rows are renormalized only when their sum drifts from 1
+    by more than 1e-9.
     """
     if not 0.0 <= mix <= 1.0:
         raise ValueError(f"mix must be in [0, 1], got {mix}")
     class_means = np.asarray(class_means, dtype=np.float64)
-    k = class_means.shape[0]
-    onehot = onehot_target(y, k)
-    row = class_means[y]
-    if row.sum() == 0.0:
-        return onehot, True
-    target = onehot + mix * (row - onehot)
-    total = target.sum()
-    if abs(total - 1.0) > 1e-9:
-        target = target / total
-    return target, False
-
-
-def teacher_target(teacher_probs: np.ndarray) -> np.ndarray:
-    """Pass a teacher's predicted distribution through unchanged."""
-    probs = np.asarray(teacher_probs, dtype=np.float64)
-    total = float(probs.sum())
-    if probs.ndim != 1 or abs(total - 1.0) > 1e-9 or (probs < 0).any():
-        raise ValueError("teacher output is not a probability distribution")
-    return probs
+    onehot = np.eye(class_means.shape[0])
+    table = onehot + mix * (class_means - onehot)
+    unseen = class_means.sum(axis=1) == 0.0
+    table[unseen] = onehot[unseen]
+    total = table.sum(axis=1)
+    drift = np.abs(total - 1.0) > 1e-9
+    table[drift] /= total[drift, None]
+    return table, int(unseen.sum())
 
 
 def export_cmatrix(c: CMatrix, csv_path, metadata: dict | None = None) -> None:
@@ -325,5 +289,5 @@ def load_cmatrix(csv_path) -> CMatrix:
     if not np.isfinite(expanded).all():
         line_no = 2 + int(np.argmin(np.isfinite(expanded).all(axis=1)))
         raise ValueError(f"{csv_path}:{line_no}: non-finite cell (NaN or Inf)")
-    logits = np.log(np.maximum(_off_diagonal(expanded), 1e-300))
+    logits = np.log(np.maximum(off_diagonal(expanded), 1e-300))
     return CMatrix(logits, float(sidecar["alpha"]))

@@ -309,10 +309,6 @@ def sgd_step(model: Mlp, grads: Gradients, opt: OptState) -> None:
     model.params -= opt.lr * v
 
 
-def relative_error(analytic: float, numeric: float) -> float:
-    return abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
-
-
 def finite_diff_check(model: Mlp, batch: np.ndarray, scalar_loss_fn,
                       step: float = 1e-5) -> float:
     """Worst relative error between analytic and central-difference gradients.
@@ -321,20 +317,29 @@ def finite_diff_check(model: Mlp, batch: np.ndarray, scalar_loss_fn,
     deterministic. Every weight and bias entry is perturbed by +-step.
     """
     _, analytic = scalar_loss_fn(model, batch)
-    flat = model.params
-    gflat = analytic.flat
-    if gflat.shape != flat.shape:
-        raise ValueError(f"gradient buffer {gflat.shape} does not match parameters {flat.shape}")
+    return central_difference_error(model.params, analytic.flat,
+                                    lambda: scalar_loss_fn(model, batch)[0], step)
+
+
+def central_difference_error(flat: np.ndarray, analytic: np.ndarray, loss,
+                             step: float) -> float:
+    """Worst relative error |a - n| / max(1e-8, |a| + |n|) between
+    ``analytic`` and the central differences of ``loss()`` over every entry
+    of the 1-D buffer ``flat``, which is perturbed by +-step in place and
+    restored after each entry."""
+    if analytic.shape != flat.shape:
+        raise ValueError(f"gradient buffer {analytic.shape} does not match {flat.shape}")
     worst = 0.0
     for i in range(flat.size):
         original = flat[i]
         flat[i] = original + step
-        loss_plus, _ = scalar_loss_fn(model, batch)
+        loss_plus = loss()
         flat[i] = original - step
-        loss_minus, _ = scalar_loss_fn(model, batch)
+        loss_minus = loss()
         flat[i] = original
         numeric = (loss_plus - loss_minus) / (2.0 * step)
-        worst = max(worst, relative_error(float(gflat[i]), numeric))
+        exact = float(analytic[i])
+        worst = max(worst, abs(exact - numeric) / max(1e-8, abs(exact) + abs(numeric)))
     return worst
 
 

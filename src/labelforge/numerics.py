@@ -1,7 +1,7 @@
-"""Dense linear algebra helpers, stable probability transforms, and seeded RNG.
+"""Row reductions, stable probability transforms, and seeded RNG.
 
 Matrices are plain 2-D float64 numpy arrays (row-major). The operations
-that take values from outside the training loop (``gemm``, ``softmax_rows``,
+that take values from outside the training loop (``softmax_rows``,
 ``log_softmax_rows``) validate shapes and reject non-finite inputs, so that
 bad values surface where they are created instead of three modules later.
 ``row_max``, ``softmax_pair`` and ``softmax_probs_inplace`` trust their
@@ -235,25 +235,6 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
 def require_finite(m: np.ndarray, name: str) -> None:
     if not np.isfinite(m).all():
         raise ValueError(f"{name} contains NaN or Inf")
-
-
-def gemm(a, b, transpose_a: bool = False, transpose_b: bool = False) -> np.ndarray:
-    """Dense matrix product with optional operand transposes.
-
-    Raises ValueError when the inner dimensions disagree, naming both shapes.
-    """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    require_finite(a, "gemm operand a")
-    require_finite(b, "gemm operand b")
-    left = a.T if transpose_a else a
-    right = b.T if transpose_b else b
-    if left.shape[1] != right.shape[0]:
-        raise ValueError(
-            f"gemm shape mismatch: ({left.shape[0]}x{left.shape[1]}) @ "
-            f"({right.shape[0]}x{right.shape[1]})"
-        )
-    return left @ right
 
 
 def row_max(m: np.ndarray) -> np.ndarray:

@@ -57,7 +57,7 @@ from .labelreg import (
     OlsState,
     export_cmatrix,
     ols_accumulate,
-    ols_target,
+    ols_table,
     reverse_cross_entropy,
     reverse_dlogits,
     table_logit_grad,
@@ -67,10 +67,10 @@ from .labelreg import (
 from .model import (
     Mlp,
     OptState,
+    central_difference_error,
     finite_diff_check,
     init_model,
     mean_cross_entropy_loss,
-    relative_error,
     save_checkpoint,
     sgd_step,
 )
@@ -89,6 +89,13 @@ _ROUTING = {
     "sce_original": (True, True, True),
     "sce_ours": (False, False, True),
 }
+
+
+def _pinning_error(subject: str, bound: str, alpha: float, needs: str) -> ValueError:
+    return ValueError(
+        f"alpha must be below {bound} for {subject}, got {alpha}: the argmax-pinning "
+        f"invariant (every target's argmax is its true class) needs {needs}"
+    )
 
 
 @dataclass(frozen=True)
@@ -117,11 +124,8 @@ class TrainConfig:
         if self.strategy in LEARNED_TABLE and self.alpha >= 0.5:
             # a learned row can put up to alpha on one class, which outranks
             # the pinned 1 - alpha once alpha >= 0.5
-            raise ValueError(
-                f"alpha must be below 0.5 for strategy {self.strategy!r}, got "
-                f"{self.alpha}: the argmax-pinning invariant (every target's "
-                f"argmax is its true class) needs 1 - alpha > alpha"
-            )
+            raise _pinning_error(f"strategy {self.strategy!r}", "0.5", self.alpha,
+                                 "1 - alpha > alpha")
         if self.epochs < 0:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
         if self.batch_size < 1:
@@ -152,6 +156,11 @@ class TrainConfig:
                 f"layer_sizes {sizes} do not match data with {input_dim} features "
                 f"and {num_classes} classes"
             )
+        if self.strategy == "ls" and self.alpha >= (num_classes - 1) / num_classes:
+            # ls spreads alpha evenly over the K - 1 other classes
+            raise _pinning_error(f"strategy 'ls' with {num_classes} classes",
+                                 f"(K-1)/K = {(num_classes - 1) / num_classes:g}",
+                                 self.alpha, "1 - alpha > alpha / (K-1)")
         return replace(
             self,
             layer_sizes=tuple(sizes),
@@ -291,10 +300,8 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
             )
 
         if ols_state is not None:
-            means = ols_state.class_means()
-            for y in range(k):
-                table[y], fell_back = ols_target(means, y, config.ols_mix)
-                report.ols_fallbacks += int(fell_back)
+            table, fallbacks = ols_table(ols_state.class_means(), config.ols_mix)
+            report.ols_fallbacks += fallbacks
 
         train_eval = evaluate(model, train_set)
         test_eval = evaluate(model, test_set)
@@ -334,20 +341,39 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset,
     passes), a `CMatrix` trains ``proxy_distill`` (per-class targets from its
     frozen logit table). Both strategies require one.
     """
-    k = train_set.num_classes
-    if test_set.num_classes != k:
+    if test_set.num_classes != train_set.num_classes:
         raise ValueError("train and test sets disagree on the class count")
+    check_teacher(config, teacher, train_set)
+    if isinstance(teacher, Mlp):
+        return _run(replace(config, strategy="distill"), train_set, test_set, teacher, None)
+    if isinstance(teacher, CMatrix):
+        return _run(replace(config, strategy="proxy_distill"), train_set, test_set, None, teacher)
+    return _run(config, train_set, test_set, None, None)
+
+
+def check_teacher(config: TrainConfig, teacher, train_set: Dataset) -> None:
+    """Raise ValueError unless ``teacher`` can train on ``train_set`` as
+    `train` uses it: None for any strategy but the two distillations, else
+    an `Mlp` with the data's input width and class count, or a `CMatrix` with
+    the data's class count and an alpha that keeps every target's argmax on
+    its true class."""
     if teacher is None:
         if config.strategy in ("distill", "proxy_distill"):
             raise ValueError(f"strategy {config.strategy!r} requires a teacher")
-        return _run(config, train_set, test_set, None, None)
+        return
     if not isinstance(teacher, (Mlp, CMatrix)):
         raise ValueError(f"teacher must be an Mlp or a CMatrix, got {type(teacher)}")
+    k = train_set.num_classes
     if teacher.num_classes != k:
         raise ValueError(f"teacher has {teacher.num_classes} outputs, task has {k} classes")
-    if isinstance(teacher, Mlp):
-        return _run(replace(config, strategy="distill"), train_set, test_set, teacher, None)
-    return _run(replace(config, strategy="proxy_distill"), train_set, test_set, None, teacher)
+    if isinstance(teacher, Mlp) and teacher.input_dim != train_set.num_features:
+        raise ValueError(
+            f"teacher takes {teacher.input_dim} inputs, the data has "
+            f"{train_set.num_features} features"
+        )
+    if isinstance(teacher, CMatrix) and teacher.alpha >= 0.5:
+        raise _pinning_error("a teacher logit table", "0.5", teacher.alpha,
+                             "1 - alpha > alpha")
 
 
 def train_ablation(config: TrainConfig, train_set: Dataset,
@@ -397,27 +423,15 @@ def gradient_check(num_classes: int, seed: int, hidden_sizes=(8,),
     cache = model.forward(batch)
     probs = cache.probs
 
-    def mean_reverse(c: CMatrix) -> float:
+    def mean_reverse() -> float:
         return sum(
-            reverse_cross_entropy(c, int(y), probs[i]) for i, y in enumerate(labels)
+            reverse_cross_entropy(cmatrix, int(y), probs[i]) for i, y in enumerate(labels)
         ) / batch_size
 
     analytic = table_logit_grad(cmatrix.all_row_probs(), cmatrix.alpha, labels, probs,
                                 cache.log_probs, forward=False, reverse=True) / batch_size
-
-    cmatrix_err = 0.0
-    flat = cmatrix.logits.reshape(-1)
-    aflat = analytic.reshape(-1)
-    for j in range(flat.size):
-        original = flat[j]
-        flat[j] = original + step
-        plus = mean_reverse(cmatrix)
-        flat[j] = original - step
-        minus = mean_reverse(cmatrix)
-        flat[j] = original
-        numeric = (plus - minus) / (2.0 * step)
-        cmatrix_err = max(cmatrix_err, relative_error(float(aflat[j]), numeric))
-
+    cmatrix_err = central_difference_error(cmatrix.logits.reshape(-1), analytic.reshape(-1),
+                                           mean_reverse, step)
     return {"network_max_rel_err": network_err, "cmatrix_max_rel_err": cmatrix_err}
 
 

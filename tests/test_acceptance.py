@@ -15,8 +15,7 @@ from labelforge.labelreg import (
     CMatrix,
     lspp_target,
     ls_target,
-    ols_target,
-    onehot_target,
+    ols_table,
     reverse_cross_entropy,
     target_table,
 )
@@ -148,12 +147,10 @@ def test_c05_interclass_relationship_recovery(acceptance_runs):
 def test_c06_online_smoothing_collapse():
     # when per-class mean predictions are exactly one-hot, the mixed target
     # is exactly one-hot for every mix weight
-    means = np.eye(6)
     for mix in (0.0, 0.1, 0.25, 0.3, 0.5, 0.66, 0.77, 0.9, 1.0):
-        for y in range(6):
-            target, fell_back = ols_target(means, y, mix)
-            assert not fell_back
-            assert np.array_equal(target, onehot_target(y, 6))
+        table, fallbacks = ols_table(np.eye(6), mix)
+        assert fallbacks == 0
+        assert np.array_equal(table, np.eye(6))
 
 
 def test_c07_overconfidence_reduction(acceptance_runs):

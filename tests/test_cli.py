@@ -14,6 +14,7 @@ from labelforge.cli import (
     parse_config_file,
 )
 from labelforge.dataio import Dataset, GaussianSpec, generate_gaussian, save_csv
+from labelforge.labelreg import CMatrix, export_cmatrix
 from labelforge.model import init_model, save_checkpoint
 from labelforge.train import TrainConfig
 
@@ -183,6 +184,18 @@ class TestTrainCommand:
             assert not out.exists()
         else:
             assert (out / "cmatrix.csv").exists()
+
+    @pytest.mark.parametrize("alpha,code", [("0.7", 0), ("0.75", 2)])
+    def test_ls_alpha_from_k_minus_one_over_k_exits_2(self, data_csv, tmp_path, capsys,
+                                                      alpha, code):
+        # 4 classes: ls keeps the argmax on the true class only below 3/4
+        out = tmp_path / "run"
+        assert run_train(data_csv, out, "--strategy", "ls", "--alpha", alpha) == code
+        if code == 2:
+            assert "argmax-pinning invariant" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert (out / "metrics.csv").exists()
 
     def test_ablate_alpha_from_half_up_exits_2(self, data_csv, tmp_path, capsys):
         out = tmp_path / "run"
@@ -385,6 +398,26 @@ class TestDistillCommand:
         assert code == 0
         report = json.loads((model_dir / "report.json").read_text())
         assert report["teacher_forward_calls"] > 0
+
+    @pytest.mark.parametrize("teacher,error", [
+        (init_model([2, 8, 3], seed=0), "teacher has 3 outputs, task has 4 classes"),
+        (init_model([3, 8, 4], seed=0), "teacher takes 3 inputs, the data has 2 features"),
+        (CMatrix.zeros(4, 0.9), "argmax-pinning invariant"),
+    ], ids=["class-count", "input-width", "table-alpha"])
+    def test_unusable_teacher_exits_2_without_a_run_directory(self, data_csv, tmp_path,
+                                                              capsys, teacher, error):
+        if isinstance(teacher, CMatrix):
+            flag, path = "--teacher-cmatrix", tmp_path / "cmatrix.csv"
+            export_cmatrix(teacher, path)
+        else:
+            flag, path = "--teacher-checkpoint", tmp_path / "checkpoint.json"
+            save_checkpoint(teacher, path)
+        out = tmp_path / "run"
+        code = main(["distill", "--data", str(data_csv), flag, str(path),
+                     "--epochs", "2", "--out", str(out)])
+        assert code == 2
+        assert error in capsys.readouterr().err
+        assert not out.exists()
 
     def test_requires_exactly_one_teacher(self, data_csv, tmp_path, capsys):
         assert main(["distill", "--data", str(data_csv)]) == 2

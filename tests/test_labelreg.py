@@ -11,16 +11,12 @@ from labelforge.labelreg import (
     load_cmatrix,
     lspp_target,
     ls_target,
-    network_logit_grad,
-    nontarget_indices,
     ols_accumulate,
-    ols_target,
-    onehot_target,
+    ols_table,
     reverse_cross_entropy,
     reverse_dlogits,
     table_logit_grad,
     target_table,
-    teacher_target,
 )
 from labelforge.numerics import Rng, cross_entropy, log_softmax_rows, softmax_rows
 
@@ -49,30 +45,13 @@ def c_logit_grad_forward(c, y, log_probs):
     return grad[y]
 
 
-class TestOnehot:
-    def test_basic(self):
-        assert onehot_target(2, 4).tolist() == [0, 0, 1, 0]
-
-    def test_single_class(self):
-        assert onehot_target(0, 1).tolist() == [1.0]
-
-    def test_zero_entropy(self):
-        t = onehot_target(1, 5)
-        nonzero = t[t > 0]
-        assert -(nonzero * np.log(nonzero)).sum() == 0.0
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            onehot_target(4, 4)
-
-
 class TestLsTarget:
     def test_pinned_values(self):
         t = ls_target(1, 4, 0.1)
         assert np.abs(t - [0.025, 0.925, 0.025, 0.025]).max() < 1e-12
 
     def test_alpha_zero_is_onehot(self):
-        assert np.array_equal(ls_target(2, 5, 0.0), onehot_target(2, 5))
+        assert np.array_equal(ls_target(2, 5, 0.0), np.eye(5)[2])
 
     def test_alpha_one_is_uniform(self):
         assert np.abs(ls_target(0, 4, 1.0) - 0.25).max() < 1e-15
@@ -165,36 +144,6 @@ class TestLsppTarget:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             lspp_target(CMatrix.zeros(3, 0.1), 3)
-
-
-class TestNetworkLogitGrad:
-    def test_stationary_at_match(self):
-        p = np.array([0.4, 0.3, 0.3])
-        assert np.array_equal(network_logit_grad(p, p), np.zeros(3))
-
-    def test_onehot_uniform_pattern(self):
-        g = network_logit_grad(onehot_target(3, 4), np.full(4, 0.25))
-        assert np.abs(g - [0.25, 0.25, 0.25, -0.75]).max() < 1e-15
-
-    def test_matches_finite_differences(self):
-        rng = Rng(6)
-        target = random_probs(rng, 5)
-        logits = rng.uniforms((5,), -2.0, 2.0)
-        probs = softmax_rows(logits[None])[0]
-        analytic = network_logit_grad(target, probs)
-        step = 1e-6
-        for j in range(5):
-            z = logits.copy()
-            z[j] += step
-            plus = cross_entropy(target, log_softmax_rows(z[None])[0])
-            z[j] -= 2 * step
-            minus = cross_entropy(target, log_softmax_rows(z[None])[0])
-            numeric = (plus - minus) / (2 * step)
-            assert abs(numeric - analytic[j]) < 1e-8
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            network_logit_grad(np.zeros(3), np.zeros(4))
 
 
 def fd_over_row(scalar_fn, c, y, step=1e-6):
@@ -408,49 +357,32 @@ class TestOls:
 
 class TestOlsTarget:
     def test_onehot_means_collapse_for_every_mix(self):
-        means = np.eye(4)
         for mix in (0.0, 0.25, 0.3, 0.5, 0.77, 0.9, 1.0):
-            for y in range(4):
-                target, fell_back = ols_target(means, y, mix)
-                assert not fell_back
-                assert np.array_equal(target, onehot_target(y, 4))
+            table, fallbacks = ols_table(np.eye(4), mix)
+            assert fallbacks == 0
+            assert np.array_equal(table, np.eye(4))
 
     def test_mix_zero_is_onehot(self):
-        means = np.full((4, 4), 0.25)
-        target, _ = ols_target(means, 2, 0.0)
-        assert np.array_equal(target, onehot_target(2, 4))
+        table, _ = ols_table(np.full((4, 4), 0.25), 0.0)
+        assert np.array_equal(table, np.eye(4))
 
     def test_uniform_mean_half_mix(self):
-        means = np.full((4, 4), 0.25)
-        target, _ = ols_target(means, 1, 0.5)
-        assert np.abs(target - [0.125, 0.625, 0.125, 0.125]).max() < 1e-15
+        table, _ = ols_table(np.full((4, 4), 0.25), 0.5)
+        assert np.abs(table[1] - [0.125, 0.625, 0.125, 0.125]).max() < 1e-15
 
     def test_empty_class_falls_back_flagged(self):
         means = np.zeros((3, 3))
         means[0] = [0.8, 0.1, 0.1]
-        target, fell_back = ols_target(means, 1, 0.5)
-        assert fell_back
-        assert np.array_equal(target, onehot_target(1, 3))
+        table, fallbacks = ols_table(means, 0.5)
+        assert fallbacks == 2
+        assert np.array_equal(table[1:], np.eye(3)[1:])
 
     def test_mix_out_of_range(self):
         with pytest.raises(ValueError):
-            ols_target(np.eye(3), 0, 1.5)
+            ols_table(np.eye(3), 1.5)
 
 
 class TestTeacherTargets:
-    def test_pass_through_bitwise(self):
-        probs = random_probs(Rng(15), 6)
-        assert np.array_equal(teacher_target(probs), probs)
-
-    def test_uniform_and_onehot(self):
-        assert np.array_equal(teacher_target(np.full(4, 0.25)), np.full(4, 0.25))
-        one = onehot_target(2, 4)
-        assert np.array_equal(teacher_target(one), one)
-
-    def test_invalid_distribution_rejected(self):
-        with pytest.raises(ValueError):
-            teacher_target(np.array([0.5, 0.2]))
-
     def test_proxy_equals_learnable_target(self):
         c = random_cmatrix(Rng(16), 5)
         for y in range(5):
@@ -541,10 +473,3 @@ class TestExport:
         sidecar.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=r"missing keys \['alpha'\]"):
             load_cmatrix(path)
-
-
-def test_nontarget_indices():
-    idx = nontarget_indices(4)
-    assert idx[0].tolist() == [1, 2, 3]
-    assert idx[2].tolist() == [0, 1, 3]
-    assert idx.shape == (4, 3)

@@ -9,7 +9,6 @@ from labelforge.numerics import (
     Rng,
     cross_entropy,
     derive_seed,
-    gemm,
     log_softmax_rows,
     mix64,
     row_max,
@@ -19,59 +18,6 @@ from labelforge.numerics import (
 )
 
 M64 = (1 << 64) - 1
-
-
-def naive_matmul(a, b):
-    """Triple-loop reference product."""
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-class TestGemm:
-    def test_identity(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(gemm(np.eye(2), m), m)
-
-    def test_hand_arithmetic(self):
-        out = gemm(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        assert out.shape == (1, 1)
-        assert out[0, 0] == 11.0
-
-    def test_matches_naive_oracle(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(5, 7))
-        b = rng.normal(size=(7, 3))
-        assert np.abs(gemm(a, b) - naive_matmul(a, b)).max() < 1e-12
-
-    @pytest.mark.parametrize("trial", range(10))
-    def test_random_sizes_match_naive(self, trial):
-        rng = np.random.default_rng(100 + trial)
-        m, k, n = rng.integers(1, 17, size=3)
-        a = rng.normal(size=(m, k))
-        b = rng.normal(size=(k, n))
-        assert np.abs(gemm(a, b) - naive_matmul(a, b)).max() < 1e-12
-
-    def test_transposes(self):
-        rng = np.random.default_rng(11)
-        a = rng.normal(size=(4, 6))
-        b = rng.normal(size=(4, 3))
-        assert np.allclose(gemm(a, b, transpose_a=True), a.T @ b, atol=1e-15)
-        c = rng.normal(size=(5, 6))
-        assert np.allclose(gemm(a, c, transpose_b=True), a @ c.T, atol=1e-15)
-
-    def test_shape_mismatch_is_descriptive(self):
-        with pytest.raises(ValueError, match="3x4.*2x5|shape"):
-            gemm(np.zeros((3, 4)), np.zeros((2, 5)))
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError):
-            gemm(np.zeros(3), np.zeros((3, 2)))
 
 
 class TestSoftmax:

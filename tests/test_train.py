@@ -82,6 +82,16 @@ class TestTrainConfig:
     def test_alpha_from_half_up_allowed_without_learned_table(self, strategy):
         assert TrainConfig(strategy=strategy, alpha=0.7).alpha == 0.7
 
+    @pytest.mark.parametrize("k,alpha,ok", [(2, 0.7, False), (4, 0.7, True), (4, 0.75, False)])
+    def test_ls_alpha_must_stay_below_k_minus_one_over_k(self, k, alpha, ok):
+        # ls puts 1 - alpha on the true class and alpha / (K-1) on each other
+        config = TrainConfig(strategy="ls", alpha=alpha)
+        if ok:
+            assert config.resolved(3, k).alpha == alpha
+        else:
+            with pytest.raises(ValueError, match="argmax-pinning invariant"):
+                config.resolved(3, k)
+
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="strategy"):
             TrainConfig(strategy="mystery")
@@ -277,6 +287,17 @@ class TestTrainBasics:
         bad_teacher = init_model([2, 8, 3], seed=0)
         with pytest.raises(ValueError, match="outputs"):
             distill(TrainConfig(layer_sizes=(2, 8, 4)), bad_teacher, train_set, test_set)
+
+    def test_teacher_input_width_mismatch(self, small_task):
+        train_set, test_set = small_task
+        bad_teacher = init_model([3, 8, 4], seed=0)
+        with pytest.raises(ValueError, match="teacher takes 3 inputs, the data has 2"):
+            distill(TrainConfig(layer_sizes=(2, 8, 4)), bad_teacher, train_set, test_set)
+
+    def test_teacher_table_alpha_must_pin_argmax(self, small_task):
+        train_set, test_set = small_task
+        with pytest.raises(ValueError, match="argmax-pinning invariant"):
+            distill(TrainConfig(), CMatrix.zeros(4, 0.5), train_set, test_set)
 
 
 class TestOlsStrategy:
@@ -476,7 +497,7 @@ class TestTargetsAreDistributions:
 
     def test_every_target_source(self):
         from labelforge.labelreg import (
-            OlsState, ols_accumulate, ols_target, target_table, targets_from_row_probs,
+            OlsState, ols_accumulate, ols_table, target_table, targets_from_row_probs,
         )
         from labelforge.numerics import softmax_probs_inplace
 
@@ -506,8 +527,7 @@ class TestTargetsAreDistributions:
             probs = softmax_probs_inplace(rng.uniform(-30.0, 30.0, size=(batch, k)))
             ols_accumulate(state, probs, seen)
             for mix in (0.0, 1.0, float(rng.uniform())):
-                table = np.array([ols_target(state.class_means(), y, mix)[0]
-                                  for y in range(k)])
+                table, _ = ols_table(state.class_means(), mix)
                 self.assert_distributions(table[labels], (*where, mix))
 
             # distill: a teacher network's probabilities
