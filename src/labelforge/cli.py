@@ -20,7 +20,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields
+from contextlib import contextmanager
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,6 @@ from .analysis import (
     export_matrix_csv,
 )
 from .dataio import (
-    DataFormatError,
     Dataset,
     GaussianSpec,
     generate_gaussian,
@@ -43,14 +43,15 @@ from .dataio import (
     read_idx,
     save_csv,
     split,
+    write_json,
 )
 from .labelreg import load_cmatrix
 from .model import load_checkpoint
 from .train import (
     ABLATION_LOSSES,
     TrainConfig,
+    check_fit,
     check_teacher,
-    config_to_dict,
     evaluate,
     gradient_check,
     train,
@@ -63,6 +64,16 @@ GRADCHECK_THRESHOLD = 1e-6
 
 class UsageError(Exception):
     """Bad invocation: flags, config values, or unreadable inputs."""
+
+
+@contextmanager
+def _usage_errors(prefix: str = ""):
+    """Report an input file that cannot be read, fails its format checks or
+    does not fit the data (OSError, ValueError, KeyError) as a UsageError."""
+    try:
+        yield
+    except (OSError, ValueError, KeyError) as exc:
+        raise UsageError(f"{prefix}{exc}") from None
 
 
 # Every TrainConfig field is a config key and a flag, parsed by the kind its
@@ -206,7 +217,7 @@ def _load_datasets(args) -> tuple[Dataset, Dataset, dict]:
     """Resolve train/test datasets from CSV or IDX flags; returns input paths
     for the manifest alongside the datasets."""
     inputs = {}
-    try:
+    with _usage_errors():
         if args.data:
             inputs["data"] = args.data
             full, mapping = load_csv(args.data, args.label_column)
@@ -238,8 +249,6 @@ def _load_datasets(args) -> tuple[Dataset, Dataset, dict]:
                 return full, test, inputs
             train_set, test_set = split(full, args.train_fraction, args.split_seed)
             return train_set, test_set, inputs
-    except (OSError, DataFormatError, ValueError) as exc:
-        raise UsageError(str(exc)) from None
     raise UsageError("no input data: pass --data or --idx-images/--idx-labels")
 
 
@@ -264,9 +273,7 @@ def _write_manifest(run_dir: Path, subcommand: str, config_doc: dict,
         "output_dir": str(run_dir),
         "tool_version": __version__,
     }
-    with open(run_dir / "manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(run_dir / "manifest.json", manifest)
 
 
 def _parse_means(text: str) -> np.ndarray:
@@ -316,13 +323,11 @@ def _finish_training_command(args, subcommand, strategy_override=None,
         raise UsageError(
             f"strategy {config.strategy!r} needs a teacher; use the distill subcommand"
         )
-    try:
+    with _usage_errors():
         resolved = config.resolved(train_set.num_features, train_set.num_classes)
         check_teacher(resolved, teacher, train_set)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     run_dir = _resolve_run_dir(args, subcommand, resolved.seed)
-    _write_manifest(run_dir, subcommand, config_to_dict(resolved), inputs)
+    _write_manifest(run_dir, subcommand, asdict(resolved), inputs)
     result = train(resolved, train_set, test_set, teacher)
     write_run_artifacts(run_dir, resolved, result)
     print(
@@ -343,19 +348,14 @@ def _cmd_ablate(args) -> int:
 def _cmd_distill(args) -> int:
     if bool(args.teacher_checkpoint) == bool(args.teacher_cmatrix):
         raise UsageError("pass exactly one of --teacher-checkpoint / --teacher-cmatrix")
-    teacher_inputs = {}
-    try:
-        if args.teacher_checkpoint:
-            teacher = load_checkpoint(args.teacher_checkpoint)
-            teacher_inputs["teacher_checkpoint"] = args.teacher_checkpoint
-        else:
-            teacher = load_cmatrix(args.teacher_cmatrix)
-            teacher_inputs["teacher_cmatrix"] = args.teacher_cmatrix
-    except (OSError, ValueError, KeyError) as exc:
-        raise UsageError(f"cannot load teacher: {exc}") from None
-
-    strategy = "distill" if args.teacher_checkpoint else "proxy_distill"
-    return _finish_training_command(args, "distill", strategy, teacher, teacher_inputs)
+    if args.teacher_checkpoint:
+        key, loader, strategy = "teacher_checkpoint", load_checkpoint, "distill"
+    else:
+        key, loader, strategy = "teacher_cmatrix", load_cmatrix, "proxy_distill"
+    path = getattr(args, key)
+    with _usage_errors("cannot load teacher: "):
+        teacher = loader(path)
+    return _finish_training_command(args, "distill", strategy, teacher, {key: path})
 
 
 def _cmd_gradcheck(args) -> int:
@@ -382,18 +382,18 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_analyze(args) -> int:
     train_set, test_set, inputs = _load_datasets(args)
-    try:
+    with _usage_errors("cannot load checkpoint: "):
         model = load_checkpoint(args.checkpoint)
-    except (OSError, ValueError, KeyError) as exc:
-        raise UsageError(f"cannot load checkpoint: {exc}") from None
     inputs["checkpoint"] = args.checkpoint
     cmatrix = None
     if args.cmatrix:
-        try:
+        with _usage_errors("cannot load cmatrix: "):
             cmatrix = load_cmatrix(args.cmatrix)
-        except (OSError, ValueError, KeyError) as exc:
-            raise UsageError(f"cannot load cmatrix: {exc}") from None
         inputs["cmatrix"] = args.cmatrix
+    with _usage_errors():  # an artifact of another task makes no run directory
+        check_fit(model, train_set, "checkpoint")
+        if cmatrix is not None:
+            check_fit(cmatrix, train_set, "cmatrix")
     run_dir = _resolve_run_dir(args, "analyze", 0)
     _write_manifest(run_dir, "analyze", {}, inputs)
 
@@ -411,9 +411,7 @@ def _cmd_analyze(args) -> int:
         doc[tag] = evaluate(model, dataset)
     if cmatrix is not None:
         doc["c_row_entropy"] = [float(v) for v in c_row_entropy(cmatrix)]
-    with open(run_dir / "analysis.json", "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(run_dir / "analysis.json", doc)
     print(f"analyze: wrote {run_dir}")
     return 0
 

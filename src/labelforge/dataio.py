@@ -1,4 +1,6 @@
-"""Dataset construction: synthetic Gaussian mixtures, IDX and CSV loaders.
+"""Dataset construction (synthetic Gaussian mixtures, IDX and CSV loaders)
+and the text of the run artifacts: one checked CSV table reader, one CSV
+row writer and one JSON writer (the one-line checkpoint aside).
 
 All loaders produce the same `Dataset` shape: an N x D float64 feature
 matrix, N integer labels in [0, K), and the class count K. Every class must
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import gzip
+import json
 import math
 import struct
 import warnings
@@ -169,15 +172,15 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise DataFormatError(f"{labels_path}: {exc}") from None
 
 
-def load_csv(path, label_column: str) -> tuple[Dataset, dict]:
-    """Load a rectangular numeric CSV with a header row.
+def read_table(path, label_column: str | None = None) -> tuple[list, np.ndarray]:
+    """Read a rectangular numeric CSV into its header names (stripped) and
+    an N x C float64 table; every CSV artifact is read here.
 
     Cells are ASCII decimal floats, optionally double-quoted and padded with
     spaces; blank lines are skipped and LF, CRLF and CR line ends are all
-    accepted. Labels are remapped to dense 0..K-1 in first-appearance order;
-    the returned dict maps each original label value to its dense index. A
-    wrong cell count, a non-numeric cell or a NaN/Inf cell is rejected with
-    the line it sits on.
+    accepted. A header without ``label_column`` (when given) and a file
+    without data rows are rejected, and a wrong cell count, a non-numeric
+    cell or a NaN/Inf cell with the line it sits on (the label cell last).
     """
     with open(path, newline="") as f:
         try:
@@ -185,11 +188,11 @@ def load_csv(path, label_column: str) -> tuple[Dataset, dict]:
         except StopIteration:
             raise DataFormatError(f"{path}: empty file") from None
         header = [name.strip() for name in header]
-        if label_column not in header:
+        if label_column is not None and label_column not in header:
             raise DataFormatError(
                 f"{path}: no column named {label_column!r} in header {header}"
             )
-        label_idx = header.index(label_column)
+        label_idx = None if label_column is None else header.index(label_column)
         try:
             with warnings.catch_warnings():
                 # a header-only file is reported below as "no data rows"
@@ -207,7 +210,17 @@ def load_csv(path, label_column: str) -> tuple[Dataset, dict]:
     if table.shape[1] != len(header) or not np.isfinite(table).all():
         _raise_for_bad_line(path, header, label_idx)
         raise DataFormatError(f"{path}: rows do not match the header or hold NaN/Inf")
+    return header, table
 
+
+def load_csv(path, label_column: str) -> tuple[Dataset, dict]:
+    """Load a data CSV (the grammar of `read_table`) as a Dataset.
+
+    Labels are remapped to dense 0..K-1 in first-appearance order; the
+    returned dict maps each original label value to its dense index.
+    """
+    header, table = read_table(path, label_column)
+    label_idx = header.index(label_column)
     mapping: dict = {}
     labels = np.empty(table.shape[0], dtype=np.int64)
     for i, value in enumerate(table[:, label_idx].tolist()):
@@ -228,13 +241,14 @@ def _parse_cell(cell: str) -> float:
 
 
 def _raise_for_bad_line(path, header, label_idx) -> None:
-    """Name the line that the fast parse in load_csv rejected.
+    """Name the line that the fast parse in read_table rejected.
 
     Only diagnoses: it re-reads the file row by row and raises for the first
-    line with a wrong cell count or a non-numeric cell, else for the first
-    line with a NaN/Inf cell. It returns when it finds neither.
+    line with a wrong cell count or a non-numeric cell (the label_idx cell
+    last within a row), else for the first line with a NaN/Inf cell. It
+    returns when it finds neither.
     """
-    order = [i for i in range(len(header)) if i != label_idx] + [label_idx]
+    order = sorted(range(len(header)), key=lambda i: i == label_idx)
     first_non_finite = None
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -267,6 +281,14 @@ def write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as f:
         csv.writer(f).writerow(header)
         f.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` (tuples as lists) indented by 2 with sorted keys and a
+    final newline: every JSON artifact but the one-line checkpoint."""
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:

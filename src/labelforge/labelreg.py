@@ -24,13 +24,12 @@ differences.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import write_csv
+from .dataio import read_table, write_csv, write_json
 from .numerics import softmax_rows
 
 LOG_CLAMP = 1e-12
@@ -244,14 +243,8 @@ def export_cmatrix(c: CMatrix, csv_path, metadata: dict | None = None) -> None:
     indices, exact 0.0 diagonal) plus a JSON sidecar with alpha and K."""
     k = c.num_classes
     write_csv(csv_path, [str(i) for i in range(k)], c.expanded_probs().tolist())
-    sidecar = {
-        "alpha": c.alpha,
-        "num_classes": k,
-        "metadata": metadata or {},
-    }
-    with open(_sidecar_path(csv_path), "w") as f:
-        json.dump(sidecar, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(_sidecar_path(csv_path),
+               {"alpha": c.alpha, "num_classes": k, "metadata": metadata or {}})
 
 
 def _sidecar_path(csv_path):
@@ -265,29 +258,20 @@ def load_cmatrix(csv_path) -> CMatrix:
     Logits are recovered as log of the off-diagonal probabilities (softmax
     is shift-invariant, so any representative works); zero probabilities are
     clamped to keep the logits finite. Raises ValueError when the sidecar
-    lacks a key, when the CSV is not K x K for the sidecar's K, or when a
-    cell is not a finite number.
+    lacks a key, when the CSV fails `dataio.read_table` (the data CSV's
+    grammar and checks), or when it is not K x K for the sidecar's K.
     """
     with open(_sidecar_path(csv_path)) as f:
         sidecar = json.load(f)
     missing = [key for key in ("alpha", "num_classes") if key not in sidecar]
     if missing:
         raise ValueError(f"{_sidecar_path(csv_path)}: missing keys {missing}")
-    with open(csv_path, newline="") as f:
-        rows = list(csv.reader(f))
+    _, expanded = read_table(csv_path)
     k = int(sidecar["num_classes"])
-    header = rows[0] if rows else []
-    if len(header) != k or len(rows) != k + 1:
+    if expanded.shape != (k, k):
         raise ValueError(
             f"{csv_path}: sidecar says {k} classes, but the CSV has a "
-            f"{len(header)}-column header and {max(len(rows) - 1, 0)} rows"
+            f"{expanded.shape[1]}-column header and {expanded.shape[0]} rows"
         )
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != k:
-            raise ValueError(f"{csv_path}:{line_no}: expected {k} cells, got {len(row)}")
-    expanded = np.asarray([[float(v) for v in row] for row in rows[1:]])
-    if not np.isfinite(expanded).all():
-        line_no = 2 + int(np.argmin(np.isfinite(expanded).all(axis=1)))
-        raise ValueError(f"{csv_path}:{line_no}: non-finite cell (NaN or Inf)")
     logits = np.log(np.maximum(off_diagonal(expanded), 1e-300))
     return CMatrix(logits, float(sidecar["alpha"]))

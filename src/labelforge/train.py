@@ -41,7 +41,6 @@ learned, checkpoint.json, report.json.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -51,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import c_row_entropy
-from .dataio import Dataset, write_csv
+from .dataio import Dataset, write_csv, write_json
 from .labelreg import (
     CMatrix,
     OlsState,
@@ -363,17 +362,23 @@ def check_teacher(config: TrainConfig, teacher, train_set: Dataset) -> None:
         return
     if not isinstance(teacher, (Mlp, CMatrix)):
         raise ValueError(f"teacher must be an Mlp or a CMatrix, got {type(teacher)}")
-    k = train_set.num_classes
-    if teacher.num_classes != k:
-        raise ValueError(f"teacher has {teacher.num_classes} outputs, task has {k} classes")
-    if isinstance(teacher, Mlp) and teacher.input_dim != train_set.num_features:
-        raise ValueError(
-            f"teacher takes {teacher.input_dim} inputs, the data has "
-            f"{train_set.num_features} features"
-        )
+    check_fit(teacher, train_set, "teacher")
     if isinstance(teacher, CMatrix) and teacher.alpha >= 0.5:
         raise _pinning_error("a teacher logit table", "0.5", teacher.alpha,
                              "1 - alpha > alpha")
+
+
+def check_fit(artifact: Mlp | CMatrix, dataset: Dataset, name: str) -> None:
+    """Raise ValueError, naming the artifact ``name``, unless a network or a
+    logit table has the data's class count and a network its input width."""
+    k = dataset.num_classes
+    if artifact.num_classes != k:
+        raise ValueError(f"{name} has {artifact.num_classes} outputs, task has {k} classes")
+    if isinstance(artifact, Mlp) and artifact.input_dim != dataset.num_features:
+        raise ValueError(
+            f"{name} takes {artifact.input_dim} inputs, the data has "
+            f"{dataset.num_features} features"
+        )
 
 
 def train_ablation(config: TrainConfig, train_set: Dataset,
@@ -435,13 +440,6 @@ def gradient_check(num_classes: int, seed: int, hidden_sizes=(8,),
     return {"network_max_rel_err": network_err, "cmatrix_max_rel_err": cmatrix_err}
 
 
-def config_to_dict(config: TrainConfig) -> dict:
-    doc = asdict(config)
-    if doc["layer_sizes"] is not None:
-        doc["layer_sizes"] = list(doc["layer_sizes"])
-    return doc
-
-
 def write_metrics_csv(report: TrainReport, path) -> None:
     write_csv(
         path,
@@ -465,9 +463,7 @@ def write_run_artifacts(run_dir, config: TrainConfig, result: TrainOutput,
     (when a table was learned) cmatrix.csv with its sidecar."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    with open(run_dir / "config.json", "w") as f:
-        json.dump(config_to_dict(config), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(run_dir / "config.json", asdict(config))
     write_metrics_csv(result.report, run_dir / "metrics.csv")
     save_checkpoint(result.model, run_dir / "checkpoint.json")
 
@@ -491,6 +487,4 @@ def write_run_artifacts(run_dir, config: TrainConfig, result: TrainOutput,
         ]
     if extra_report:
         report_doc.update(extra_report)
-    with open(run_dir / "report.json", "w") as f:
-        json.dump(report_doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(run_dir / "report.json", report_doc)

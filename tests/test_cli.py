@@ -508,3 +508,22 @@ class TestAnalyzeCommand:
             "--out", str(tmp_path / "a"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("sizes,table_classes,error", [
+        ([2, 8, 3], None, "checkpoint has 3 outputs, task has 4 classes"),
+        ([3, 8, 4], None, "checkpoint takes 3 inputs, the data has 2 features"),
+        ([2, 8, 4], 3, "cmatrix has 3 outputs, task has 4 classes"),
+    ], ids=["checkpoint-class-count", "checkpoint-input-width", "cmatrix-class-count"])
+    def test_artifact_of_another_task_exits_2_without_a_run_directory(
+            self, data_csv, tmp_path, capsys, sizes, table_classes, error):
+        # the data has 2 features and 4 classes
+        checkpoint = tmp_path / "checkpoint.json"
+        save_checkpoint(init_model(sizes, seed=0), checkpoint)
+        argv = ["analyze", "--data", str(data_csv), "--checkpoint", str(checkpoint)]
+        if table_classes is not None:
+            export_cmatrix(CMatrix.zeros(table_classes, 0.1), tmp_path / "cmatrix.csv")
+            argv += ["--cmatrix", str(tmp_path / "cmatrix.csv")]
+        out = tmp_path / "a"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert error in capsys.readouterr().err
+        assert not out.exists()

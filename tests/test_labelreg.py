@@ -449,6 +449,23 @@ class TestExport:
         with pytest.raises(ValueError, match=r"cm\.csv:3: non-finite cell"):
             load_cmatrix(path)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_data_csv_grammar_loads_same_logits(self, tmp_path, newline):
+        # the loader reads the data CSV's grammar: quoted, padded cells and
+        # blank lines load to the bits of the file as exported
+        path, lines = self._exported_lines(tmp_path)
+        exact = load_cmatrix(path).logits
+        rows = [",".join(f'"  {cell}\t"' for cell in line.split(",")) for line in lines]
+        path.write_bytes(newline.join([rows[0], "", *rows[1:], "", ""]).encode())
+        assert load_cmatrix(path).logits.tobytes() == exact.tobytes()
+
+    def test_underscore_cell_rejected(self, tmp_path):
+        path, lines = self._exported_lines(tmp_path)
+        lines[2] = "1_0," + lines[2].partition(",")[2]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"cm\.csv:3: non-numeric"):
+            load_cmatrix(path)
+
     def test_row_width_rejected(self, tmp_path):
         path, lines = self._exported_lines(tmp_path)
         lines[3] += ",0.5"

@@ -10,15 +10,16 @@ import csv
 import json
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from labelforge.analysis import export_matrix_csv
-from labelforge.dataio import DataFormatError, Dataset, load_csv, save_csv
+from labelforge.dataio import DataFormatError, Dataset, load_csv, save_csv, write_json
 from labelforge.labelreg import CMatrix, export_cmatrix
 from labelforge.model import Mlp, save_checkpoint
-from labelforge.train import EpochStats, TrainReport, write_metrics_csv
+from labelforge.train import EpochStats, TrainConfig, TrainReport, write_metrics_csv
 
 EDGE_VALUES = [
     0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.225073858507201e-308,
@@ -93,6 +94,13 @@ def csv_module_load(path, label_column):
             mapping[key] = len(mapping)
         labels[i] = mapping[key]
     return features, labels, mapping
+
+
+def json_module_write(path, doc) -> None:
+    """The block each JSON artifact writer held before write_json."""
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def assert_same_bytes(new_path, oracle_path):
@@ -181,6 +189,32 @@ class TestWritersMatchCsvModule:
         with open(tmp_path / "old.json", "w") as f:
             json.dump(doc, f)
             f.write("\n")
+        assert_same_bytes(tmp_path / "new.json", tmp_path / "old.json")
+
+
+EDGE = [float(v) for v in EDGE_VALUES]
+CONFIG = asdict(TrainConfig(strategy="lspp", layer_sizes=(2, 32, 4)).resolved(2, 4))
+
+
+class TestJsonWriterMatchesJsonModule:
+    @pytest.mark.parametrize("doc,oracle_doc", [
+        # the list layer_sizes the removed config_to_dict made of the tuple
+        (CONFIG, {**CONFIG, "layer_sizes": [2, 32, 4]}),
+        ({"epochs": [{"epoch": 0, "train_loss": v, "test_accuracy": 0.5} for v in EDGE],
+          "final_test_nll": 1.0 / 3.0, "wall_time_sec": 12.5, "teacher_forward_calls": 0,
+          "c_row_entropy": EDGE[::-1]}, None),
+        ({"subcommand": "train", "config": CONFIG, "output_dir": "runs/x",
+          "inputs": {"data": {"path": "d.csv", "sha256": "0f" * 32}},
+          "tool_version": "0.1.0"}, None),
+        ({"alpha": 0.1, "num_classes": 4,
+          "metadata": {"strategy": "ablation", "ablation_loss": None, "seed": 3}}, None),
+        ({"train": {"accuracy": 0.875, "mean_nll": 5e-324, "mean_max_prob": 1e16},
+          "test": {"accuracy": 1.0, "mean_nll": -0.0, "mean_max_prob": 0.1},
+          "c_row_entropy": EDGE}, None),
+    ], ids=["config", "report", "manifest", "sidecar", "analysis"])
+    def test_write_json(self, tmp_path, doc, oracle_doc):
+        write_json(tmp_path / "new.json", doc)
+        json_module_write(tmp_path / "old.json", doc if oracle_doc is None else oracle_doc)
         assert_same_bytes(tmp_path / "new.json", tmp_path / "old.json")
 
 
