@@ -17,6 +17,7 @@ import argparse
 import difflib
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -68,8 +69,8 @@ class UsageError(Exception):
 
 @contextmanager
 def _usage_errors(prefix: str = ""):
-    """Report an input file that cannot be read, fails its format checks or
-    does not fit the data (OSError, ValueError, KeyError) as a UsageError."""
+    """Report an input that cannot be read, fails its format or value checks
+    or does not fit the data (OSError, ValueError, KeyError) as a UsageError."""
     try:
         yield
     except (OSError, ValueError, KeyError) as exc:
@@ -125,13 +126,12 @@ def _unknown_key_error(key: str, line_no=None) -> UsageError:
 
 def parse_config_file(path) -> dict:
     """Parse a key=value config file (or a JSON object) into config fields."""
-    try:
+    with _usage_errors("cannot read config file: "):
         text = Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from None
     values: dict = {}
     if text.lstrip().startswith("{"):
-        doc = json.loads(text)
+        with _usage_errors(f"config file {path} is not valid JSON: "):
+            doc = json.loads(text)
         for key, raw in doc.items():
             if key not in _CONFIG_TYPES:
                 raise _unknown_key_error(key)
@@ -159,10 +159,8 @@ def load_config(path, overrides: dict) -> TrainConfig:
     for key, raw in overrides.items():
         if raw is not None:
             values[key] = _coerce(key, raw)
-    try:
+    with _usage_errors():
         return TrainConfig(**values)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _config_overrides(args) -> dict:
@@ -293,10 +291,8 @@ def _parse_means(text: str) -> np.ndarray:
 
 def _cmd_gen_data(args) -> int:
     means = _parse_means(args.means)
-    try:
+    with _usage_errors():
         spec = GaussianSpec(means, args.std, args.per_class, args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     dataset = generate_gaussian(spec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -359,7 +355,16 @@ def _cmd_distill(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    hidden = _parse_int_list(args.layers) if args.layers else (8,)
+    with _usage_errors(f"--layers {args.layers!r}: "):
+        hidden = _parse_int_list(args.layers) if args.layers else (8,)
+    for flag, value, ok, need in (
+        ("--k", args.k, args.k >= 2, "be at least 2"),
+        ("--batch", args.batch, args.batch >= 1, "be at least 1"),
+        ("--layers", args.layers, min(hidden, default=1) >= 1, "list positive sizes"),
+        ("--step", args.step, 0.0 < args.step < math.inf, "be positive and finite"),
+    ):
+        if not ok:
+            raise UsageError(f"{flag} must {need}, got {value!r}")
     outcome = gradient_check(
         num_classes=args.k,
         seed=args.seed,

@@ -16,6 +16,7 @@ import json
 import math
 import struct
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,6 +290,16 @@ def write_json(path, doc) -> None:
     with open(path, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+@contextmanager
+def json_types(path):
+    """Report a JSON value read from ``path`` that has the wrong type for its
+    use (the TypeError it raises) as a ValueError naming the file."""
+    try:
+        yield
+    except TypeError as exc:
+        raise ValueError(f"{path}: a value has the wrong type: {exc}") from None
 
 
 def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:

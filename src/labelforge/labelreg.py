@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import read_table, write_csv, write_json
+from .dataio import json_types, read_table, write_csv, write_json
 from .numerics import softmax_rows
 
 LOG_CLAMP = 1e-12
@@ -258,20 +258,23 @@ def load_cmatrix(csv_path) -> CMatrix:
     Logits are recovered as log of the off-diagonal probabilities (softmax
     is shift-invariant, so any representative works); zero probabilities are
     clamped to keep the logits finite. Raises ValueError when the sidecar
-    lacks a key, when the CSV fails `dataio.read_table` (the data CSV's
-    grammar and checks), or when it is not K x K for the sidecar's K.
+    lacks a key or holds a value of the wrong type, when the CSV fails
+    `dataio.read_table` (the data CSV's grammar and checks), or when it is
+    not K x K for the sidecar's K.
     """
-    with open(_sidecar_path(csv_path)) as f:
+    sidecar_path = _sidecar_path(csv_path)
+    with open(sidecar_path) as f:
         sidecar = json.load(f)
-    missing = [key for key in ("alpha", "num_classes") if key not in sidecar]
-    if missing:
-        raise ValueError(f"{_sidecar_path(csv_path)}: missing keys {missing}")
+    with json_types(sidecar_path):
+        missing = [key for key in ("alpha", "num_classes") if key not in sidecar]
+        if missing:
+            raise ValueError(f"{sidecar_path}: missing keys {missing}")
+        k, alpha = int(sidecar["num_classes"]), float(sidecar["alpha"])
     _, expanded = read_table(csv_path)
-    k = int(sidecar["num_classes"])
     if expanded.shape != (k, k):
         raise ValueError(
             f"{csv_path}: sidecar says {k} classes, but the CSV has a "
             f"{expanded.shape[1]}-column header and {expanded.shape[0]} rows"
         )
     logits = np.log(np.maximum(off_diagonal(expanded), 1e-300))
-    return CMatrix(logits, float(sidecar["alpha"]))
+    return CMatrix(logits, alpha)

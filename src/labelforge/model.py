@@ -5,13 +5,16 @@ gradient of their scalar loss with respect to the output logits, and get
 back gradients for every weight and bias. Label strategies therefore never
 touch network internals, and the network never sees a target vector.
 
-Parameters live in one float64 buffer, ``Mlp.params``, laid out
-``W0, b0, W1, b1, ...`` with each weight matrix row-major (fan_in x
-fan_out). ``Mlp.weights`` and ``Mlp.biases`` are tuples of per-layer views
-of it, so a layer is changed in place (``model.weights[0][...] = w``), never
-rebound. Gradients and the optimizer's velocity use the same layout, so an
-SGD step is a few whole-buffer operations: four passes over the buffer
-without weight decay (see `sgd_step`), six with it.
+An `Mlp` is its parameter buffer: one 1-D float64 array, ``Mlp.params``,
+laid out ``W0, b0, W1, b1, ...`` with each weight matrix row-major (fan_in x
+fan_out), which the constructor adopts without copying. ``Mlp.weights`` and
+``Mlp.biases`` are tuples of per-layer views of it, so a layer is changed in
+place (``model.weights[0][...] = w``), never rebound. `backward` returns
+the gradient as a new buffer in the same layout, and the optimizer's
+velocity is one too, so an SGD step is a few whole-buffer operations: four
+passes over the buffer without weight decay (see `sgd_step`), six with it.
+``Mlp(model.layer_sizes, g)`` gives the per-layer views of a gradient
+buffer ``g``.
 
 ``forward`` keeps what ``backward`` needs (the training pass); ``predict``
 returns only the probabilities and works in place (inference). Both run the
@@ -36,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataio import json_types
 from .numerics import Rng, require_finite, softmax_pair, softmax_probs_inplace
 
 
@@ -51,14 +55,16 @@ class ForwardCache:
     log_probs: np.ndarray
 
 
-def _layout(shapes) -> list:
-    """(start, stop, shape) of each shape's slice of a flat buffer, in order."""
+def _layout(layer_sizes) -> list:
+    """(start, stop, shape) of each slice of a parameter buffer, in the order
+    W0, b0, W1, b1, ...: (fan_in, fan_out) then (fan_out,) per layer."""
     layout = []
     start = 0
-    for shape in shapes:
-        stop = start + math.prod(shape)
-        layout.append((start, stop, shape))
-        start = stop
+    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
+        for shape in ((fan_in, fan_out), (fan_out,)):
+            stop = start + math.prod(shape)
+            layout.append((start, stop, shape))
+            start = stop
     return layout
 
 
@@ -67,38 +73,6 @@ def _split(flat: np.ndarray, layout) -> tuple[tuple, tuple]:
     biases): the even and the odd entries."""
     views = [flat[start:stop].reshape(shape) for start, stop, shape in layout]
     return tuple(views[0::2]), tuple(views[1::2])
-
-
-def _pack(weights, biases) -> np.ndarray:
-    """A new float64 buffer holding W0, b0, W1, b1, ... one after another."""
-    return np.concatenate(
-        [np.asarray(a, dtype=np.float64).reshape(-1) for pair in zip(weights, biases) for a in pair]
-    )
-
-
-@dataclass
-class Gradients:
-    """Per-layer gradient views of one flat buffer laid out like `Mlp.params`.
-
-    `backward` fills the buffer directly. Built from separate arrays, as
-    ``Gradients(weights, biases)``, the arrays are copied into a new buffer
-    once, so `sgd_step` always updates through ``flat``.
-    """
-
-    weights: tuple
-    biases: tuple
-    flat: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.flat is not None:
-            return
-        if len(self.weights) != len(self.biases):
-            raise ValueError(
-                f"{len(self.weights)} weight gradients but {len(self.biases)} bias gradients"
-            )
-        shapes = [np.shape(a) for pair in zip(self.weights, self.biases) for a in pair]
-        self.flat = _pack(self.weights, self.biases)
-        self.weights, self.biases = _split(self.flat, _layout(shapes))
 
 
 def _checked_sizes(layer_sizes) -> list:
@@ -119,39 +93,11 @@ def _param_count(layer_sizes) -> int:
 class Mlp:
     """Fully connected ReLU network ending in K output logits."""
 
-    def __init__(self, layer_sizes, weights, biases, seed: int = 0):
-        """Copy per-layer weights (fan_in x fan_out) and biases into one new
-        parameter buffer."""
+    def __init__(self, layer_sizes, params: np.ndarray, seed: int = 0):
+        """Adopt ``params``, not a copy, as the parameter buffer: a 1-D
+        float64 array laid out ``W0, b0, W1, b1, ...``."""
         layer_sizes = _checked_sizes(layer_sizes)
-        layers = len(layer_sizes) - 1
-        if len(weights) != layers or len(biases) != layers:
-            raise ValueError(
-                f"layer sizes {layer_sizes} need {layers} weight and bias arrays, got "
-                f"{len(weights)} and {len(biases)}"
-            )
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            expect = (layer_sizes[i], layer_sizes[i + 1])
-            if w.shape != expect or b.shape != (expect[1],):
-                raise ValueError(
-                    f"layer {i} parameter shapes {w.shape}/{b.shape} do not chain "
-                    f"with sizes {layer_sizes}"
-                )
-        self._bind(layer_sizes, _pack(weights, biases), seed)
-
-    @classmethod
-    def from_params(cls, layer_sizes, params: np.ndarray, seed: int = 0) -> "Mlp":
-        """An Mlp whose parameter buffer is ``params`` itself, not a copy: a
-        1-D float64 array laid out ``W0, b0, W1, b1, ...``."""
-        model = cls.__new__(cls)
-        model._bind(_checked_sizes(layer_sizes), params, seed)
-        return model
-
-    def _bind(self, layer_sizes: list, params: np.ndarray, seed: int) -> None:
-        # W0, b0, W1, b1, ...: (fan_in, fan_out) then (fan_out,) per layer
-        layout = _layout(
-            [shape for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:])
-             for shape in ((fan_in, fan_out), (fan_out,))]
-        )
+        layout = _layout(layer_sizes)
         if params.dtype != np.float64 or params.shape != (layout[-1][1],):
             raise ValueError(
                 f"sizes {layer_sizes} need {layout[-1][1]} float64 parameters, got "
@@ -219,11 +165,12 @@ class Mlp:
         log-probabilities; counts as a forward pass in `forward_count`."""
         return softmax_probs_inplace(self._logits(batch_features, keep=False)[1])
 
-    def backward(self, cache: ForwardCache, dlogits: np.ndarray) -> Gradients:
+    def backward(self, cache: ForwardCache, dlogits: np.ndarray) -> np.ndarray:
         """Backpropagate d(scalar loss)/d(logits) to all parameters.
 
         The ReLU derivative is taken as 0 at exactly-zero pre-activations.
-        Every gradient is written into one new buffer laid out like `params`.
+        Returns the gradient as one new 1-D float64 buffer laid out like
+        `params`.
         """
         dlogits = np.asarray(dlogits, dtype=np.float64)
         if dlogits.shape != cache.logits.shape:
@@ -240,14 +187,14 @@ class Mlp:
             if layer > 0:
                 delta = delta @ self.weights[layer].T
                 delta *= cache.pre_activations[layer - 1] > 0.0
-        return Gradients(d_weights, d_biases, flat)
+        return flat
 
 
 def init_model(layer_sizes, seed: int) -> Mlp:
     """Glorot-uniform weights (row-major draw order), zero biases."""
     sizes = _checked_sizes(layer_sizes)
     rng = Rng(seed)
-    model = Mlp.from_params(sizes, np.zeros(_param_count(sizes)), seed)
+    model = Mlp(sizes, np.zeros(_param_count(sizes)), seed)
     for w in model.weights:
         fan_in, fan_out = w.shape
         limit = math.sqrt(6.0 / (fan_in + fan_out))
@@ -274,7 +221,7 @@ class OptState:
                    velocity=np.zeros_like(model.params))
 
 
-def sgd_step(model: Mlp, grads: Gradients, opt: OptState) -> None:
+def sgd_step(model: Mlp, grads: np.ndarray, opt: OptState) -> None:
     """One in-place update of the whole parameter buffer:
     v <- mu*v + g + wd*theta; theta <- theta - lr*v.
 
@@ -287,25 +234,17 @@ def sgd_step(model: Mlp, grads: Gradients, opt: OptState) -> None:
     Training never makes a ``-0.0`` parameter: Glorot draws and zero biases
     are not ``-0.0``, and ``x - y`` is ``-0.0`` only when ``x`` is.
     """
-    if len(grads.weights) != len(model.weights):
+    if grads.shape != model.params.shape or opt.velocity.shape != model.params.shape:
         raise ValueError(
-            f"{len(grads.weights)} layer gradients for a {model.num_layers}-layer model"
-        )
-    for i, (g, w) in enumerate(zip(grads.weights, model.weights)):
-        if g.shape != w.shape:
-            raise ValueError(f"gradient shape mismatch at layer {i}")
-    # with every layer's shape matching, grads.flat matches params too
-    if opt.velocity.shape != model.params.shape:
-        raise ValueError(
-            f"velocity {opt.velocity.shape} does not match the "
-            f"{model.params.shape} parameters"
+            f"gradient {grads.shape} and velocity {opt.velocity.shape} must each "
+            f"match the {model.params.shape} parameters"
         )
     v = opt.velocity
     v *= opt.momentum
     if opt.weight_decay == 0.0:
-        v += grads.flat
+        v += grads
     else:
-        v += grads.flat + opt.weight_decay * model.params
+        v += grads + opt.weight_decay * model.params
     model.params -= opt.lr * v
 
 
@@ -313,11 +252,12 @@ def finite_diff_check(model: Mlp, batch: np.ndarray, scalar_loss_fn,
                       step: float = 1e-5) -> float:
     """Worst relative error between analytic and central-difference gradients.
 
-    `scalar_loss_fn(model, batch)` must return `(loss, Gradients)` and be
-    deterministic. Every weight and bias entry is perturbed by +-step.
+    `scalar_loss_fn(model, batch)` must return `(loss, gradient buffer)`, the
+    buffer laid out like ``model.params``, and be deterministic. Every weight
+    and bias entry is perturbed by +-step.
     """
     _, analytic = scalar_loss_fn(model, batch)
-    return central_difference_error(model.params, analytic.flat,
+    return central_difference_error(model.params, analytic,
                                     lambda: scalar_loss_fn(model, batch)[0], step)
 
 
@@ -358,34 +298,36 @@ def save_checkpoint(model: Mlp, path) -> None:
 
 def load_checkpoint(path) -> Mlp:
     """Rebuild an Mlp from a checkpoint, rejecting a document that lacks a
-    key, holds the wrong number or size of layers, or has a NaN/Inf
-    parameter (all as ValueError)."""
+    key, holds a value of the wrong type, the wrong number or size of layers,
+    or a NaN/Inf parameter (all as ValueError naming the file)."""
     with open(path) as f:
         doc = json.load(f)
-    missing = [key for key in ("layer_sizes", "weights", "biases") if key not in doc]
-    if missing:
-        raise ValueError(f"{path}: missing keys {missing}")
-    sizes = [int(s) for s in doc["layer_sizes"]]
-    layers = len(sizes) - 1
-    if len(doc["weights"]) != layers or len(doc["biases"]) != layers:
-        raise ValueError(
-            f"{path}: layer_sizes {sizes} need {layers} weight and bias lists, got "
-            f"{len(doc['weights'])} and {len(doc['biases'])}"
-        )
-    for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
-        got = (len(doc["weights"][i]), len(doc["biases"][i]))
-        if got != (fan_in * fan_out, fan_out):
+    with json_types(path):
+        missing = [key for key in ("layer_sizes", "weights", "biases") if key not in doc]
+        if missing:
+            raise ValueError(f"{path}: missing keys {missing}")
+        sizes = [int(s) for s in doc["layer_sizes"]]
+        layers = len(sizes) - 1
+        if len(doc["weights"]) != layers or len(doc["biases"]) != layers:
             raise ValueError(
-                f"{path}: layer {i} needs {fan_in * fan_out} weights and {fan_out} "
-                f"biases, got {got[0]} and {got[1]}"
+                f"{path}: layer_sizes {sizes} need {layers} weight and bias lists, got "
+                f"{len(doc['weights'])} and {len(doc['biases'])}"
             )
-    # one pass from the parsed lists into the model's buffer, without a
-    # temporary array per layer
-    values = itertools.chain.from_iterable(
-        itertools.chain(w, b) for w, b in zip(doc["weights"], doc["biases"])
-    )
-    params = np.fromiter(values, dtype=np.float64, count=_param_count(sizes))
-    model = Mlp.from_params(sizes, params, int(doc.get("seed", 0)))
+        for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+            got = (len(doc["weights"][i]), len(doc["biases"][i]))
+            if got != (fan_in * fan_out, fan_out):
+                raise ValueError(
+                    f"{path}: layer {i} needs {fan_in * fan_out} weights and {fan_out} "
+                    f"biases, got {got[0]} and {got[1]}"
+                )
+        # one pass from the parsed lists into the model's buffer, without a
+        # temporary array per layer
+        values = itertools.chain.from_iterable(
+            itertools.chain(w, b) for w, b in zip(doc["weights"], doc["biases"])
+        )
+        params = np.fromiter(values, dtype=np.float64, count=_param_count(sizes))
+        seed = int(doc.get("seed", 0))
+    model = Mlp(sizes, params, seed)
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise ValueError(f"{path}: layer {i} has a NaN or Inf parameter")
@@ -393,7 +335,8 @@ def load_checkpoint(path) -> Mlp:
 
 
 def mean_cross_entropy_loss(targets: np.ndarray):
-    """Build a `(model, batch) -> (loss, grads)` closure for fixed targets.
+    """Build a `(model, batch) -> (loss, gradient buffer)` closure for fixed
+    targets.
 
     Loss is the batch-mean cross-entropy between `targets` and the model's
     softmax output; the logit gradient is (probs - targets) / batch.

@@ -19,7 +19,8 @@ from labelforge.numerics import Rng
 def zero_model(sizes):
     weights = [np.zeros((a, b)) for a, b in zip(sizes, sizes[1:])]
     biases = [np.zeros(b) for b in sizes[1:]]
-    return Mlp(sizes, weights, biases)
+    return Mlp(sizes, np.concatenate([a.reshape(-1) for pair in zip(weights, biases)
+                                      for a in pair]))
 
 
 def random_dataset(seed, n_per_class=6, classes=3, dim=2):

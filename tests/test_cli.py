@@ -92,6 +92,20 @@ class TestConfigFile:
         with pytest.raises(UsageError):
             load_config(path, {"alpha": 1.5})
 
+    @pytest.mark.parametrize("text,error", [
+        ('{"epochs": 1,', "is not valid JSON"),
+        (None, "cannot read config file"),
+    ], ids=["malformed-json", "missing-file"])
+    def test_unreadable_file_exits_2_without_a_run_directory(self, data_csv, tmp_path,
+                                                             capsys, text, error):
+        path = tmp_path / "c.json"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "run"
+        assert run_train(data_csv, out, "--config", str(path)) == 2
+        assert error in capsys.readouterr().err
+        assert not out.exists()
+
 
 # a value other than the default for every TrainConfig field, as the text a
 # config file or a flag gives, and the parsed value
@@ -463,6 +477,19 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--k", "4", "--seed", "1", "--step", "0.05"]) == 1
         assert "FAILED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--k", "1"), ("--k", "0"), ("--batch", "0"), ("--step", "0"),
+        ("--step", "nan"), ("--step", "inf"), ("--layers", "0"), ("--layers", "a"),
+    ])
+    def test_bad_flag_exits_2_naming_it_before_any_check(self, capsys, monkeypatch,
+                                                         flag, value):
+        def no_check(**_):
+            raise AssertionError("gradient_check ran")
+
+        monkeypatch.setattr("labelforge.cli.gradient_check", no_check)
+        assert main(["gradcheck", flag, value]) == 2
+        assert f"labelforge: {flag} " in capsys.readouterr().err
+
 
 class TestAnalyzeCommand:
     def test_writes_analysis_files(self, data_csv, tmp_path):
@@ -527,3 +554,31 @@ class TestAnalyzeCommand:
         assert main(argv + ["--out", str(out)]) == 2
         assert error in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command,artifact,key,value", [
+    ("analyze", "checkpoint.json", "layer_sizes", None),
+    ("analyze", "checkpoint.json", "weights", 5),
+    ("analyze", "cmatrix.json", "num_classes", None),
+    ("analyze", "cmatrix.json", "alpha", None),
+    ("distill", "cmatrix.json", "num_classes", None),
+    ("distill", "cmatrix.json", "alpha", None),
+])
+def test_artifact_value_of_the_wrong_type_exits_2_naming_the_file(
+        data_csv, tmp_path, capsys, command, artifact, key, value):
+    checkpoint, table = tmp_path / "checkpoint.json", tmp_path / "cmatrix.csv"
+    save_checkpoint(init_model([2, 8, 4], seed=0), checkpoint)
+    export_cmatrix(CMatrix.zeros(4, 0.1), table)  # and its sidecar cmatrix.json
+    bad = tmp_path / artifact
+    doc = json.loads(bad.read_text())
+    doc[key] = value
+    bad.write_text(json.dumps(doc))
+    if command == "analyze":
+        argv = ["analyze", "--checkpoint", str(checkpoint), "--cmatrix", str(table)]
+    else:
+        argv = ["distill", "--teacher-cmatrix", str(table), "--epochs", "2"]
+    out = tmp_path / "run"
+    assert main(argv + ["--data", str(data_csv), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: a value has the wrong type" in err
+    assert not out.exists()

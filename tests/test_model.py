@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from labelforge.model import (
-    Gradients,
     Mlp,
     OptState,
     finite_diff_check,
@@ -18,10 +17,15 @@ from labelforge.model import (
 from labelforge.numerics import Rng, log_softmax_rows, softmax_rows
 
 
+def packed(weights, biases):
+    """One buffer laid out like `Mlp.params`: W0, b0, W1, b1, ..."""
+    return np.concatenate([a.reshape(-1) for pair in zip(weights, biases) for a in pair])
+
+
 def zero_model(sizes):
     weights = [np.zeros((a, b)) for a, b in zip(sizes, sizes[1:])]
     biases = [np.zeros(b) for b in sizes[1:]]
-    return Mlp(sizes, weights, biases)
+    return Mlp(sizes, packed(weights, biases))
 
 
 class TestInit:
@@ -157,34 +161,29 @@ class TestFlatParameters:
         with pytest.raises(TypeError):
             model.biases[1] = np.zeros(2)
 
-    def test_constructor_copies_its_arrays(self):
-        weights = [np.ones((2, 3))]
-        biases = [np.zeros(3)]
-        model = Mlp([2, 3], weights, biases)
-        weights[0][0, 0] = 5.0
-        assert model.weights[0][0, 0] == 1.0
-
-    def test_layer_count_must_match_sizes(self):
-        with pytest.raises(ValueError, match="need 2 weight and bias arrays, got 1 and 1"):
-            Mlp([2, 3, 4], [np.zeros((2, 3))], [np.zeros(3)])
-
-    def test_from_params_adopts_the_buffer(self):
+    def test_constructor_adopts_the_buffer(self):
         params = np.arange(21.0)
-        model = Mlp.from_params([3, 4, 1], params)
+        model = Mlp([3, 4, 1], params)
         assert model.params is params
         assert model.weights[1].tolist() == [[16.0], [17.0], [18.0], [19.0]]
         with pytest.raises(ValueError, match="need 21 float64 parameters"):
-            Mlp.from_params([3, 4, 1], np.zeros(16))
+            Mlp([3, 4, 1], np.zeros(16))
         with pytest.raises(ValueError, match="float64"):
-            Mlp.from_params([3, 4, 1], np.zeros(21, dtype=np.float32))
+            Mlp([3, 4, 1], np.zeros(21, dtype=np.float32))
+        with pytest.raises(ValueError, match=r"got float64 \(3, 7\)"):
+            Mlp([3, 4, 1], np.zeros((3, 7)))
 
     def test_gradients_fill_one_buffer(self):
         model = init_model([3, 6, 4], seed=6)
         cache = model.forward(np.random.default_rng(5).normal(size=(5, 3)))
         grads = model.backward(cache, np.ones_like(cache.logits))
-        assert grads.flat.shape == model.params.shape
-        for g in grads.weights + grads.biases:
-            assert np.shares_memory(g, grads.flat)
+        assert grads.dtype == np.float64 and grads.shape == model.params.shape
+        # laid out like the parameters: the top bias gradient is the batch
+        # sum of dlogits, the top weight gradient hidden^T @ dlogits
+        views = Mlp(model.layer_sizes, grads)
+        assert views.biases[1].tolist() == [5.0] * 4
+        top = cache.hidden_activations[0].T @ np.ones_like(cache.logits)
+        assert np.abs(views.weights[1] - top).max() < 1e-12
 
 
 class TestBackward:
@@ -192,8 +191,7 @@ class TestBackward:
         model = init_model([3, 6, 4], seed=6)
         cache = model.forward(np.random.default_rng(5).normal(size=(5, 3)))
         grads = model.backward(cache, np.zeros_like(cache.logits))
-        for g in grads.weights + grads.biases:
-            assert np.array_equal(g, np.zeros_like(g))
+        assert np.array_equal(grads, np.zeros_like(model.params))
 
     def test_linearity_in_dlogits(self):
         model = init_model([3, 6, 4], seed=7)
@@ -201,8 +199,7 @@ class TestBackward:
         d = np.random.default_rng(7).normal(size=cache.logits.shape)
         one = model.backward(cache, d)
         two = model.backward(cache, 2.0 * d)
-        for g1, g2 in zip(one.weights + one.biases, two.weights + two.biases):
-            assert np.abs(2.0 * g1 - g2).max() < 1e-12
+        assert np.abs(2.0 * one - two).max() < 1e-12
 
     def test_matches_finite_differences_of_weighted_logit_sum(self):
         model = init_model([3, 8, 4], seed=8)
@@ -225,9 +222,8 @@ class TestBackward:
 class TestSgdStep:
     def make(self):
         model = init_model([2, 3], seed=9)
-        grads = Gradients(
-            [np.full_like(model.weights[0], 0.5)], [np.full_like(model.biases[0], -0.25)]
-        )
+        grads = packed([np.full_like(model.weights[0], 0.5)],
+                       [np.full_like(model.biases[0], -0.25)])
         return model, grads
 
     def test_zero_lr_is_identity(self):
@@ -246,7 +242,7 @@ class TestSgdStep:
     def test_two_momentum_steps_match_hand_unrolled(self):
         model, grads = self.make()
         theta0 = model.weights[0].copy()
-        g = grads.weights[0].copy()
+        g = Mlp(model.layer_sizes, grads).weights[0].copy()
         opt = OptState.for_model(model, lr=0.1, momentum=0.9)
         sgd_step(model, grads, opt)
         sgd_step(model, grads, opt)
@@ -270,7 +266,7 @@ class TestSgdStep:
         for _ in range(50):
             gw = [rng.normal(size=w.shape) for w in ref_w]
             gb = [rng.normal(size=b.shape) for b in ref_b]
-            sgd_step(model, Gradients(gw, gb), opt)
+            sgd_step(model, packed(gw, gb), opt)
             for theta, vel, grad in zip(ref_w + ref_b, vel_w + vel_b, gw + gb):
                 vel *= mu
                 vel += grad + wd * theta
@@ -300,7 +296,7 @@ class TestSgdStep:
                 flat = g.reshape(-1)
                 flat[rng.random(flat.size) < 0.3] = -0.0
                 flat[rng.random(flat.size) < 0.1] = 0.0
-            sgd_step(model, Gradients(gw, gb), opt)
+            sgd_step(model, packed(gw, gb), opt)
             for theta, vel, grad in zip(ref_w + ref_b, vel_w + vel_b, gw + gb):
                 vel *= mu
                 vel += grad + 0.0 * theta
@@ -308,7 +304,7 @@ class TestSgdStep:
         for got, want in zip(model.weights + model.biases, ref_w + ref_b):
             assert got.tobytes() == want.tobytes()
         # the velocities agree in value; they may differ in the sign of a zero
-        assert np.array_equal(opt.velocity, Gradients(vel_w, vel_b).flat)
+        assert np.array_equal(opt.velocity, packed(vel_w, vel_b))
 
     def test_zero_decay_step_with_dead_relu_gradients(self):
         # a hidden unit that no input activates, with positive outgoing
@@ -327,32 +323,27 @@ class TestSgdStep:
             # the reference steps with the model's gradients
             cache = model.forward(x)
             grads = model.backward(cache, -cache.probs)
-            assert grads.biases[0][2] == 0.0
+            views = Mlp(model.layer_sizes, grads)
+            assert views.biases[0][2] == 0.0
             sgd_step(model, grads, opt)
-            for theta, v, grad in zip(ref, vel, grads.weights + grads.biases):
+            for theta, v, grad in zip(ref, vel, views.weights + views.biases):
                 v *= 0.9
                 v += grad + 0.0 * theta
                 theta -= 0.1 * v
         for got, want in zip(model.weights + model.biases, ref):
             assert got.tobytes() == want.tobytes()
 
-    def test_separate_arrays_step_like_backward(self):
-        model = init_model([3, 6, 4], seed=17)
-        cache = model.forward(np.random.default_rng(18).normal(size=(7, 3)))
-        grads = model.backward(cache, cache.probs - 0.25)
-        packed = Gradients([w.copy() for w in grads.weights], [b.copy() for b in grads.biases])
-        twin = Mlp(model.layer_sizes, model.weights, model.biases, model.seed)
-        sgd_step(model, grads, OptState.for_model(model, lr=0.1, momentum=0.9,
-                                                  weight_decay=0.01))
-        sgd_step(twin, packed, OptState.for_model(twin, lr=0.1, momentum=0.9,
-                                                  weight_decay=0.01))
-        assert model.params.tobytes() == twin.params.tobytes()
-
-    def test_shape_mismatch_names_the_layer(self):
-        model = init_model([2, 3, 4], seed=9)
-        grads = Gradients([np.zeros((2, 3)), np.zeros((4, 3))], [np.zeros(3), np.zeros(4)])
-        with pytest.raises(ValueError, match="gradient shape mismatch at layer 1"):
-            sgd_step(model, grads, OptState.for_model(model, lr=0.1))
+    def test_shape_mismatch_names_both_shapes(self):
+        model = init_model([2, 3, 4], seed=9)  # 6 + 3 + 12 + 4 parameters
+        before = model.params.copy()
+        opt = OptState.for_model(model, lr=0.1)
+        with pytest.raises(ValueError, match=r"gradient \(24,\) and velocity \(25,\) "
+                                             r"must each match the \(25,\) parameters"):
+            sgd_step(model, np.ones(24), opt)
+        opt.velocity = np.zeros(24)
+        with pytest.raises(ValueError, match=r"gradient \(25,\) and velocity \(24,\)"):
+            sgd_step(model, np.ones(25), opt)
+        assert np.array_equal(model.params, before)
 
     def test_weight_decay_enters_velocity(self):
         model, grads = self.make()
@@ -389,12 +380,7 @@ class TestFiniteDiffCheck:
         batch = np.zeros((1, 2))
 
         def loss_fn(m, _):
-            total = sum(float((w ** 4).sum()) for w in m.weights)
-            grads = Gradients(
-                [4.0 * w ** 3 for w in m.weights],
-                [4.0 * b ** 3 for b in m.biases],
-            )
-            return total, grads
+            return float((m.params ** 4).sum()), 4.0 * m.params ** 3
 
         coarse = finite_diff_check(model, batch, loss_fn, step=1e-3)
         fine = finite_diff_check(model, batch, loss_fn, step=1e-5)

@@ -178,7 +178,8 @@ class TestWritersMatchCsvModule:
         values = edge_and_random(6 * 5 + 5 + 5 * 4 + 4, seed=5)
         weights = [values[:30].reshape(6, 5), values[35:55].reshape(5, 4)]
         biases = [values[30:35], values[55:]]
-        model = Mlp(sizes, weights, biases, seed=9)
+        model = Mlp(sizes, np.concatenate([weights[0].reshape(-1), biases[0],
+                                           weights[1].reshape(-1), biases[1]]), seed=9)
         save_checkpoint(model, tmp_path / "new.json")
         doc = {
             "layer_sizes": sizes,

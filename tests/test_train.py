@@ -50,7 +50,8 @@ def equality_cases(small_task):
 def zero_model(sizes):
     weights = [np.zeros((a, b)) for a, b in zip(sizes, sizes[1:])]
     biases = [np.zeros(b) for b in sizes[1:]]
-    return Mlp(sizes, weights, biases)
+    return Mlp(sizes, np.concatenate([a.reshape(-1) for pair in zip(weights, biases)
+                                      for a in pair]))
 
 
 def metrics_bytes(tmp_path, result, name):
@@ -459,7 +460,7 @@ class TestDivergence:
                 return probs
 
         base = init_model([2, 8, 4], seed=5)
-        teacher = NanTeacher(base.layer_sizes, base.weights, base.biases)
+        teacher = NanTeacher(base.layer_sizes, base.params.copy())
         config = TrainConfig(epochs=3, layer_sizes=(2, 8, 4))
         with pytest.raises(ValueError, match=r"loss is nan at epoch 1, batch 2$"):
             distill(config, teacher, train_set, test_set)
