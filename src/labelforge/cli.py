@@ -38,6 +38,7 @@ from .analysis import (
 from .dataio import (
     Dataset,
     GaussianSpec,
+    exact_int,
     generate_gaussian,
     load_csv,
     load_idx,
@@ -98,18 +99,23 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
-def _coerce(key: str, raw, line_no=None) -> object:
+def _coerce(key: str, raw, line_no=None, typed: bool = False) -> object:
+    """Config key ``key``'s value from text (a key=value line or a flag) or,
+    when ``typed``, JSON; a typed integer must pass `exact_int`."""
     kind = _CONFIG_TYPES[key]
     where = f" (line {line_no})" if line_no is not None else ""
     try:
+        if typed or not isinstance(raw, str):
+            if kind == "int_list":
+                if not isinstance(raw, (list, tuple)):
+                    raise TypeError
+                return tuple(exact_int(v, key) for v in raw)
+            if kind is int:
+                return exact_int(raw, key)
         if kind == "int_list":
-            if isinstance(raw, (list, tuple)):
-                return tuple(int(v) for v in raw)
             return _parse_int_list(str(raw))
         if kind is bool:
-            if isinstance(raw, bool):
-                return raw
-            return _parse_bool(str(raw))
+            return _parse_bool(str(raw))  # str(True) is "True"
         return kind(raw)
     except (TypeError, ValueError):
         raise UsageError(
@@ -136,7 +142,7 @@ def parse_config_file(path) -> dict:
             if key not in _CONFIG_TYPES:
                 raise _unknown_key_error(key)
             if raw is not None:
-                values[key] = _coerce(key, raw)
+                values[key] = _coerce(key, raw, typed=True)
         return values
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()

@@ -14,6 +14,7 @@ import csv
 import gzip
 import json
 import math
+import operator
 import struct
 import warnings
 from contextlib import contextmanager
@@ -68,9 +69,6 @@ class Dataset:
     @property
     def num_features(self) -> int:
         return self.features.shape[1]
-
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.num_classes)
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         return Dataset(self.features[indices], self.labels[indices], self.num_classes)
@@ -300,6 +298,18 @@ def json_types(path):
         yield
     except TypeError as exc:
         raise ValueError(f"{path}: a value has the wrong type: {exc}") from None
+
+
+def exact_int(value, name: str) -> int:
+    """``value`` as an int if it is an int, a NumPy integer or an integral float;
+    else (a bool, a str, 8.7, inf, ...) a ValueError naming ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            if isinstance(value, float) and value.is_integer():
+                return int(value)
+    raise ValueError(f"{name}: {value!r} is not an integer")
 
 
 def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:

@@ -1,5 +1,6 @@
 """Training-label strategies: one-hot, smoothing, learnable smoothing, online
-smoothing, and teacher-derived targets, with the gradients that train them.
+smoothing, and teacher-derived targets, with the losses and gradients that
+train them.
 
 The learnable variant keeps, for every class y, a row of K-1 logits whose
 softmax says how the smoothing mass alpha is shared among the non-target
@@ -15,11 +16,11 @@ argmax of every target stays at y for alpha < 0.5.
 Training uses a symmetric pair of cross-entropies with disjoint gradient
 routes: the forward direction H(target, prediction) updates only the
 network, and the reverse direction H(prediction, target) updates only the
-logit table. The table's gradients from both directions and the reverse
-direction's network gradient (both un-gated ones serve the loss ablations)
-live here in closed form, batched: the only implementation training runs.
-`gradient_check` and the test suite verify them against central finite
-differences.
+logit table. Each loss and gradient lives here once, batched: the terms
+`cross_entropy` and `reverse_cross_entropy`, the network's logit gradient
+`network_dlogits` (`reverse_dlogits` serves the un-gated loss ablations) and
+the table's `table_logit_grad`. Training and `gradient_check` call these
+same functions; the tests check them against per-sample oracles.
 """
 
 from __future__ import annotations
@@ -83,9 +84,6 @@ class CMatrix:
     def num_classes(self) -> int:
         return self.logits.shape[0]
 
-    def row_probs(self, y: int) -> np.ndarray:
-        return softmax_rows(self.logits[y : y + 1])[0]
-
     def all_row_probs(self) -> np.ndarray:
         return softmax_rows(self.logits)
 
@@ -95,33 +93,8 @@ class CMatrix:
         return around_diagonal(self.all_row_probs(), 0.0)
 
 
-def ls_target(y: int, num_classes: int, alpha: float) -> np.ndarray:
-    """Classic smoothing: (1-alpha) on the one-hot plus alpha spread
-    uniformly over all K classes (the target class included). alpha may be
-    1.0 here (fully uniform target); training configs are stricter."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if not 0 <= y < num_classes:
-        raise ValueError(f"label {y} out of range for {num_classes} classes")
-    target = np.full(num_classes, alpha / num_classes, dtype=np.float64)
-    target[y] = 1.0 - alpha + alpha / num_classes
-    return target
-
-
-def lspp_target(c: CMatrix, y: int) -> np.ndarray:
-    """Learnable smoothing target: exactly (1-alpha) at y, alpha shared over
-    the other classes by the row-y softmax."""
-    k = c.num_classes
-    if not 0 <= y < k:
-        raise ValueError(f"label {y} out of range for {k} classes")
-    target = np.zeros(k, dtype=np.float64)
-    target[np.arange(k) != y] = c.alpha * c.row_probs(y)
-    target[y] = 1.0 - c.alpha
-    return target
-
-
 def target_table(c: CMatrix) -> np.ndarray:
-    """All K class targets at once; row y equals lspp_target(c, y)."""
+    """All K class targets at once: row y is the target of class y."""
     return targets_from_row_probs(c.all_row_probs(), c.alpha)
 
 
@@ -131,11 +104,27 @@ def targets_from_row_probs(row_probs: np.ndarray, alpha: float) -> np.ndarray:
     return around_diagonal(alpha * row_probs, 1.0 - alpha)
 
 
-def reverse_cross_entropy(c: CMatrix, y: int, probs: np.ndarray) -> float:
-    """Scalar H(prediction, target) = -sum_i probs_i * log(target_i), with
-    target entries clamped below at LOG_CLAMP before the log."""
-    target = np.maximum(lspp_target(c, y), LOG_CLAMP)
-    return float(-np.dot(probs, np.log(target)))
+def cross_entropy(targets: np.ndarray, log_probs: np.ndarray) -> float:
+    """The forward term H(target, prediction) = -sum targets * log_probs,
+    summed over a batch."""
+    return float(-(targets * log_probs).sum())
+
+
+def reverse_cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
+    """The reverse term H(prediction, target) = -sum probs * log(targets),
+    summed over a batch; targets are clamped at LOG_CLAMP as in `reverse_dlogits`."""
+    return float(-(probs * np.log(np.maximum(targets, LOG_CLAMP))).sum())
+
+
+def network_dlogits(probs: np.ndarray, targets: np.ndarray, b: int,
+                    reverse: bool) -> np.ndarray:
+    """Network logit gradient of the batch-mean loss for frozen targets:
+    (probs - targets) / b, plus `reverse_dlogits` / b when ``reverse``
+    (``sce_original``). Dividing their sum once would round differently."""
+    dlogits = (probs - targets) / b
+    if reverse:
+        dlogits += reverse_dlogits(probs, targets) / b
+    return dlogits
 
 
 def reverse_dlogits(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Multilayer perceptron with explicit backprop and an SGD-momentum optimizer.
 
-The network is deliberately loss-agnostic: callers hand `backward` the
-gradient of their scalar loss with respect to the output logits, and get
-back gradients for every weight and bias. Label strategies therefore never
-touch network internals, and the network never sees a target vector.
+The network computes no loss: callers hand `backward` the gradient of their
+scalar loss with respect to the output logits (`labelreg` holds the losses
+and that gradient), and get back gradients for every weight and bias. Label
+strategies never touch network internals, and the network never sees a
+target vector.
 
 An `Mlp` is its parameter buffer: one 1-D float64 array, ``Mlp.params``,
 laid out ``W0, b0, W1, b1, ...`` with each weight matrix row-major (fan_in x
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import json_types
+from .dataio import exact_int, json_types
 from .numerics import Rng, require_finite, softmax_pair, softmax_probs_inplace
 
 
@@ -75,12 +76,12 @@ def _split(flat: np.ndarray, layout) -> tuple[tuple, tuple]:
     return tuple(views[0::2]), tuple(views[1::2])
 
 
-def _checked_sizes(layer_sizes) -> list:
-    sizes = [int(s) for s in layer_sizes]
+def _checked_sizes(layer_sizes, name: str = "layer sizes") -> list:
+    sizes = [exact_int(s, name) for s in layer_sizes]
     if len(sizes) < 2:
-        raise ValueError("need at least input and output sizes")
+        raise ValueError(f"{name}: need at least input and output sizes")
     if any(s <= 0 for s in sizes):
-        raise ValueError(f"layer sizes must be positive, got {sizes}")
+        raise ValueError(f"{name} must be positive, got {sizes}")
     return sizes
 
 
@@ -248,19 +249,6 @@ def sgd_step(model: Mlp, grads: np.ndarray, opt: OptState) -> None:
     model.params -= opt.lr * v
 
 
-def finite_diff_check(model: Mlp, batch: np.ndarray, scalar_loss_fn,
-                      step: float = 1e-5) -> float:
-    """Worst relative error between analytic and central-difference gradients.
-
-    `scalar_loss_fn(model, batch)` must return `(loss, gradient buffer)`, the
-    buffer laid out like ``model.params``, and be deterministic. Every weight
-    and bias entry is perturbed by +-step.
-    """
-    _, analytic = scalar_loss_fn(model, batch)
-    return central_difference_error(model.params, analytic,
-                                    lambda: scalar_loss_fn(model, batch)[0], step)
-
-
 def central_difference_error(flat: np.ndarray, analytic: np.ndarray, loss,
                              step: float) -> float:
     """Worst relative error |a - n| / max(1e-8, |a| + |n|) between
@@ -298,15 +286,16 @@ def save_checkpoint(model: Mlp, path) -> None:
 
 def load_checkpoint(path) -> Mlp:
     """Rebuild an Mlp from a checkpoint, rejecting a document that lacks a
-    key, holds a value of the wrong type, the wrong number or size of layers,
-    or a NaN/Inf parameter (all as ValueError naming the file)."""
+    key, holds a value of the wrong type, a size or seed that fails
+    `exact_int`, the wrong number or size of layers, or a NaN/Inf parameter
+    (all as ValueError naming the file)."""
     with open(path) as f:
         doc = json.load(f)
     with json_types(path):
         missing = [key for key in ("layer_sizes", "weights", "biases") if key not in doc]
         if missing:
             raise ValueError(f"{path}: missing keys {missing}")
-        sizes = [int(s) for s in doc["layer_sizes"]]
+        sizes = _checked_sizes(doc["layer_sizes"], f"{path}: layer_sizes")
         layers = len(sizes) - 1
         if len(doc["weights"]) != layers or len(doc["biases"]) != layers:
             raise ValueError(
@@ -326,29 +315,9 @@ def load_checkpoint(path) -> Mlp:
             itertools.chain(w, b) for w, b in zip(doc["weights"], doc["biases"])
         )
         params = np.fromiter(values, dtype=np.float64, count=_param_count(sizes))
-        seed = int(doc.get("seed", 0))
+        seed = exact_int(doc.get("seed", 0), f"{path}: seed")
     model = Mlp(sizes, params, seed)
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise ValueError(f"{path}: layer {i} has a NaN or Inf parameter")
     return model
-
-
-def mean_cross_entropy_loss(targets: np.ndarray):
-    """Build a `(model, batch) -> (loss, gradient buffer)` closure for fixed
-    targets.
-
-    Loss is the batch-mean cross-entropy between `targets` and the model's
-    softmax output; the logit gradient is (probs - targets) / batch.
-    """
-
-    targets = np.asarray(targets, dtype=np.float64)
-
-    def loss_fn(model: Mlp, batch: np.ndarray):
-        cache = model.forward(batch)
-        n = batch.shape[0]
-        loss = float(-(targets * cache.log_probs).sum() / n)
-        grads = model.backward(cache, (cache.probs - targets) / n)
-        return loss, grads
-
-    return loss_fn

@@ -212,12 +212,11 @@ class Rng:
         return (lo + (hi - lo) * self._next_floats(size)).reshape(shape)
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n)."""
+        """Fisher-Yates permutation of range(n), for n up to 2**32 (`_below`)."""
         if n > 1 << 32:
-            draws = [self.next_below(i + 1) for i in range(n - 1, 0, -1)]
-        else:
-            bounds = np.arange(n, 1, -1, dtype=np.uint64)
-            draws = _below(self._next_block(bounds.size), bounds).tolist()
+            raise ValueError(f"cannot permute {n} > 2**32 elements")
+        bounds = np.arange(n, 1, -1, dtype=np.uint64)
+        draws = _below(self._next_block(bounds.size), bounds).tolist()
         perm = list(range(n))
         for i, j in zip(range(n - 1, 0, -1), draws):
             perm[i], perm[j] = perm[j], perm[i]
@@ -296,18 +295,3 @@ def log_softmax_rows(m) -> np.ndarray:
     m = as_matrix(m)
     require_finite(m, "log_softmax input")
     return softmax_pair(m)[1]
-
-
-def cross_entropy(target, log_probs) -> float:
-    """Cross-entropy -sum(target * log_probs) for one length-K sample."""
-    target = np.asarray(target, dtype=np.float64)
-    log_probs = np.asarray(log_probs, dtype=np.float64)
-    if target.shape != log_probs.shape or target.ndim != 1:
-        raise ValueError(
-            f"cross_entropy length mismatch: target {target.shape} vs "
-            f"log_probs {log_probs.shape}"
-        )
-    total = float(target.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"target is not a distribution (sums to {total!r})")
-    return float(-np.dot(target, log_probs))

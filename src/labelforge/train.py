@@ -50,15 +50,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import c_row_entropy
-from .dataio import Dataset, write_csv, write_json
+from .dataio import Dataset, exact_int, write_csv, write_json
 from .labelreg import (
     CMatrix,
     OlsState,
+    cross_entropy,
     export_cmatrix,
+    network_dlogits,
     ols_accumulate,
     ols_table,
     reverse_cross_entropy,
-    reverse_dlogits,
     table_logit_grad,
     target_table,
     targets_from_row_probs,
@@ -67,9 +68,7 @@ from .model import (
     Mlp,
     OptState,
     central_difference_error,
-    finite_diff_check,
     init_model,
-    mean_cross_entropy_loss,
     save_checkpoint,
     sgd_step,
 )
@@ -114,6 +113,11 @@ class TrainConfig:
     ablation_loss: str = "sce_ours"
 
     def __post_init__(self):
+        for key in ("epochs", "batch_size", "seed"):
+            object.__setattr__(self, key, exact_int(getattr(self, key), key))
+        if self.layer_sizes is not None:
+            object.__setattr__(self, "layer_sizes",
+                               tuple(exact_int(s, "layer_sizes") for s in self.layer_sizes))
         if self.strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}"
@@ -144,8 +148,6 @@ class TrainConfig:
                 f"unknown ablation_loss {self.ablation_loss!r}; "
                 f"choose from {ABLATION_LOSSES}"
             )
-        if self.layer_sizes is not None:
-            object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
 
     def resolved(self, input_dim: int, num_classes: int) -> "TrainConfig":
         """Materialize every default against a concrete dataset."""
@@ -205,8 +207,6 @@ def evaluate(model: Mlp, dataset: Dataset) -> dict:
             f"model has {model.num_classes} outputs but dataset has "
             f"{dataset.num_classes} classes"
         )
-    if len(dataset) == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
     probs = model.predict(dataset.features)
     predictions = np.argmax(probs, axis=1)
     accuracy = float(np.mean(predictions == dataset.labels))
@@ -268,16 +268,14 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
 
             # the one finiteness check of the step: a NaN or Inf in the
             # table, the targets or the log-probabilities reaches the loss
-            step_loss = float(-(targets * log_probs).sum())
+            step_loss = cross_entropy(targets, log_probs)
             if not math.isfinite(step_loss):
                 raise ValueError(
                     f"training diverged: loss is {step_loss} at epoch {epoch}, batch {batch}"
                 )
             loss_sum += step_loss
 
-            dlogits = (probs - targets) / b
-            if net_rev:
-                dlogits += reverse_dlogits(probs, targets) / b
+            dlogits = network_dlogits(probs, targets, b, net_rev)
             sgd_step(model, model.backward(cache, dlogits), opt)
             if cmatrix is not None:
                 cgrad = table_logit_grad(table_probs, cmatrix.alpha, yb, probs, log_probs,
@@ -396,14 +394,14 @@ def distill(student_config: TrainConfig, teacher, train_set: Dataset,
 def gradient_check(num_classes: int, seed: int, hidden_sizes=(8,),
                    batch_size: int = 8, step: float = 1e-5,
                    input_dim: int = 3) -> dict:
-    """Verify both gradient pathways on one random instance.
+    """Verify both gradient pathways on one random instance with the
+    functions training calls, against central finite differences.
 
-    Network side: analytic gradients of the batch-mean forward cross-entropy
-    (targets built from a random logit table, then held fixed) against
-    central finite differences over every weight and bias. Table side: the
-    closed-form reverse-direction gradient against central finite
-    differences over every table logit, with the predictions held fixed.
-    Returns the worst relative error for each side.
+    Network side: `network_dlogits` through `Mlp.backward` against the
+    batch-mean `cross_entropy` over every weight and bias (targets from a
+    random logit table, held fixed). Table side: `table_logit_grad` against
+    the batch-mean `reverse_cross_entropy` over every table logit, with the
+    predictions held fixed. Returns the worst relative error for each side.
     """
     rng = Rng(derive_seed(seed, 9000))
     sizes = [input_dim, *[int(h) for h in hidden_sizes], num_classes]
@@ -423,20 +421,18 @@ def gradient_check(num_classes: int, seed: int, hidden_sizes=(8,),
     cmatrix = CMatrix(rng.uniforms((num_classes, num_classes - 1), -2.0, 2.0), 0.1)
 
     targets = target_table(cmatrix)[labels]
-    network_err = finite_diff_check(model, batch, mean_cross_entropy_loss(targets), step)
-
     cache = model.forward(batch)
     probs = cache.probs
-
-    def mean_reverse() -> float:
-        return sum(
-            reverse_cross_entropy(cmatrix, int(y), probs[i]) for i, y in enumerate(labels)
-        ) / batch_size
+    dlogits = network_dlogits(probs, targets, batch_size, reverse=False)
+    network_err = central_difference_error(
+        model.params, model.backward(cache, dlogits),
+        lambda: cross_entropy(targets, model.forward(batch).log_probs) / batch_size, step)
 
     analytic = table_logit_grad(cmatrix.all_row_probs(), cmatrix.alpha, labels, probs,
                                 cache.log_probs, forward=False, reverse=True) / batch_size
-    cmatrix_err = central_difference_error(cmatrix.logits.reshape(-1), analytic.reshape(-1),
-                                           mean_reverse, step)
+    cmatrix_err = central_difference_error(
+        cmatrix.logits.reshape(-1), analytic.reshape(-1),
+        lambda: reverse_cross_entropy(probs, target_table(cmatrix)[labels]) / batch_size, step)
     return {"network_max_rel_err": network_err, "cmatrix_max_rel_err": cmatrix_err}
 
 

@@ -107,6 +107,39 @@ class TestConfigFile:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("doc,key", [
+    ({"layer_sizes": [2, 8.7, 4]}, "layer_sizes"),
+    ({"layer_sizes": [2, True, 4]}, "layer_sizes"),
+    ({"layer_sizes": ["2", 8, 4]}, "layer_sizes"),
+    ({"epochs": 1.9}, "epochs"),
+    ({"epochs": "1"}, "epochs"),
+    ({"seed": True}, "seed"),
+    ({"batch_size": float("inf")}, "batch_size"),
+], ids=["fractional-size", "boolean-size", "string-size", "fractional-epochs",
+        "string-epochs", "boolean-seed", "infinite-batch-size"])
+def test_json_config_non_integer_exits_2_without_a_run_directory(data_csv, tmp_path, capsys,
+                                                               doc, key):
+    # int() would truncate 8.7 to 8, read true as 1 and "1" as 1, and
+    # overflow on Infinity (which Python's json reads)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"epochs": 1, **doc}))
+    out = tmp_path / "run"
+    assert run_train(data_csv, out, "--config", str(path)) == 2
+    assert f"config key {key!r}: cannot parse" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_json_config_integral_floats_train_as_ints(data_csv, tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"layer_sizes": [2.0, 8, 4], "epochs": 1.0, "seed": 2.0}))
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data_csv), "--config", str(path),
+                 "--out", str(out)]) == 0
+    config = json.loads((out / "config.json").read_text())
+    assert (config["layer_sizes"], config["epochs"], config["seed"]) == ([2, 8, 4], 1, 2)
+    assert "2.0" not in (out / "config.json").read_text()
+
+
 # a value other than the default for every TrainConfig field, as the text a
 # config file or a flag gives, and the parsed value
 FIELD_EXAMPLES = {
@@ -581,4 +614,25 @@ def test_artifact_value_of_the_wrong_type_exits_2_naming_the_file(
     assert main(argv + ["--data", str(data_csv), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"{bad}: a value has the wrong type" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value,error", [
+    ("layer_sizes", [2.9, 8, 4], "layer_sizes: 2.9 is not an integer"),
+    ("layer_sizes", ["2", 8, 4], "layer_sizes: '2' is not an integer"),
+    ("layer_sizes", [2, 0, 4], "layer_sizes must be positive, got [2, 0, 4]"),
+    ("seed", True, "seed: True is not an integer"),
+], ids=["fractional-size", "string-size", "zero-size", "boolean-seed"])
+def test_checkpoint_non_integer_or_zero_size_exits_2_naming_the_file(
+        data_csv, tmp_path, capsys, key, value, error):
+    # the weights are those of a [2, 8, 4] net, which int() would have loaded
+    checkpoint = tmp_path / "checkpoint.json"
+    save_checkpoint(init_model([2, 8, 4], seed=0), checkpoint)
+    doc = json.loads(checkpoint.read_text())
+    doc[key] = value
+    checkpoint.write_text(json.dumps(doc))
+    out = tmp_path / "a"
+    assert main(["analyze", "--data", str(data_csv), "--checkpoint", str(checkpoint),
+                 "--out", str(out)]) == 2
+    assert f"{checkpoint}: {error}" in capsys.readouterr().err
     assert not out.exists()

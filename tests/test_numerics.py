@@ -7,7 +7,6 @@ import labelforge.numerics as numerics
 from labelforge.numerics import (
     BLOCK,
     Rng,
-    cross_entropy,
     derive_seed,
     log_softmax_rows,
     mix64,
@@ -16,6 +15,8 @@ from labelforge.numerics import (
     softmax_probs_inplace,
     softmax_rows,
 )
+
+from oracles import cross_entropy
 
 M64 = (1 << 64) - 1
 
@@ -357,6 +358,17 @@ class TestBlockDraws:
         assert perm.dtype == np.int64
         assert perm.tolist() == ref.permutation(n)
         assert_same_generator(rng, ref)
+
+    def test_permutation_beyond_two_pow_32_rejected_before_any_draw(self, monkeypatch):
+        # with NumPy and the block draw out of reach, an array or a draw made
+        # before the check fails the test instead of allocating 2**32 entries
+        rng = Rng(4)
+        state = rng._state
+        monkeypatch.setattr(numerics, "np", None)
+        monkeypatch.setattr(Rng, "_next_block", None)
+        with pytest.raises(ValueError, match=r"cannot permute 4294967297 > 2\*\*32"):
+            rng.permutation(2**32 + 1)
+        assert rng._state == state
 
     def test_shaped_draws_keep_row_major_order(self):
         rng = Rng(3)

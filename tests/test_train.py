@@ -23,6 +23,8 @@ from labelforge.train import (
 )
 from labelforge.analysis import c_row_entropy
 
+from oracles import lspp_target, row_probs, sample_reverse_cross_entropy
+
 PAIRED_MEANS = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 10.0], [11.0, 10.0]])
 
 
@@ -129,6 +131,25 @@ class TestTrainConfig:
         assert cfg.layer_sizes == (2, 32, 4)
         assert cfg.c_lr == cfg.lr
         assert cfg.alpha == 0.1
+
+    def test_integers_accept_numpy_ints_and_integral_floats(self):
+        cfg = TrainConfig(epochs=2.0, batch_size=np.int64(16), seed=np.int32(3),
+                          layer_sizes=np.array([2, 8, 4]))
+        assert (cfg.epochs, cfg.batch_size, cfg.seed, cfg.layer_sizes) == (2, 16, 3, (2, 8, 4))
+        assert all(type(v) is int for v in (cfg.epochs, cfg.batch_size, cfg.seed,
+                                            *cfg.layer_sizes))
+
+    @pytest.mark.parametrize("key,value", [
+        ("layer_sizes", (2, 8.7, 4)),
+        ("layer_sizes", (2, True, 4)),
+        ("epochs", 1.9),
+        ("epochs", "3"),
+        ("seed", True),
+        ("batch_size", float("inf")),
+    ])
+    def test_non_integers_rejected_naming_the_key(self, key, value):
+        with pytest.raises(ValueError, match=f"{key}: .* is not an integer"):
+            TrainConfig(**{key: value})
 
     def test_resolved_rejects_mismatched_sizes(self):
         with pytest.raises(ValueError, match="layer_sizes"):
@@ -542,19 +563,19 @@ class TestBatchGradientConsistency:
 
     @staticmethod
     def reverse_row_grad(c, y, probs):
-        p = c.row_probs(y)
+        p = row_probs(c, y)
         off_target = np.delete(probs, y)
         return -(off_target - p * off_target.sum())
 
     @staticmethod
     def forward_row_grad(c, y, log_probs):
-        p = c.row_probs(y)
+        p = row_probs(c, y)
         off_target = np.delete(log_probs, y)
         return -c.alpha * p * (off_target - np.dot(p, off_target))
 
     @staticmethod
     def reverse_network_grad(c, y, probs):
-        from labelforge.labelreg import LOG_CLAMP, lspp_target
+        from labelforge.labelreg import LOG_CLAMP
 
         log_t = np.log(np.maximum(lspp_target(c, y), LOG_CLAMP))
         return -probs * (log_t - np.dot(probs, log_t))
@@ -606,6 +627,45 @@ class TestLearnedTableShape:
                                 layer_sizes=(2, 16, 3)), train_set, test_set)
         expanded = out.cmatrix.expanded_probs()
         assert np.abs(expanded - expanded.T).max() > 1e-3
+
+
+class TestSharedLosses:
+    """Training and gradient_check run the same loss functions of labelreg."""
+
+    def test_training_and_gradcheck_call_the_shared_functions(self, small_task,
+                                                              monkeypatch):
+        import labelforge.labelreg as lf_labelreg
+        import labelforge.train as lf_train
+
+        calls = []
+        for name in ("cross_entropy", "network_dlogits", "reverse_cross_entropy"):
+            shared = getattr(lf_labelreg, name)
+            assert getattr(lf_train, name) is shared
+
+            def spy(*args, _name=name, _shared=shared, **kwargs):
+                calls.append(_name)
+                return _shared(*args, **kwargs)
+
+            monkeypatch.setattr(lf_train, name, spy)
+        train(TrainConfig(strategy="lspp", epochs=1, layer_sizes=(2, 8, 4)), *small_task)
+        steps = 160 // 32
+        assert calls == ["cross_entropy", "network_dlogits"] * steps
+        calls.clear()
+        gradient_check(num_classes=4, seed=0)
+        assert set(calls) == {"cross_entropy", "network_dlogits", "reverse_cross_entropy"}
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_batched_reverse_cross_entropy_sums_the_per_sample_oracle(self, k):
+        from labelforge.labelreg import reverse_cross_entropy, target_table
+        from labelforge.numerics import Rng, softmax_rows
+
+        rng = Rng(57 + k)
+        c = CMatrix(rng.uniforms((k, k - 1), -2.0, 2.0), 0.1)
+        probs = softmax_rows(rng.uniforms((12, k), -2.0, 2.0))
+        labels = np.array([0, 0, 1, 1, 1, *(rng.next_below(k) for _ in range(7))])
+        batched = reverse_cross_entropy(probs, target_table(c)[labels])
+        looped = sum(sample_reverse_cross_entropy(c, int(y), p) for y, p in zip(labels, probs))
+        assert abs(batched - looped) < 1e-12
 
 
 class TestGradientCheckHarness:
