@@ -101,11 +101,14 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 def _coerce(key: str, raw, line_no=None, typed: bool = False) -> object:
     """Config key ``key``'s value from text (a key=value line or a flag) or,
-    when ``typed``, JSON; a typed integer must pass `exact_int`."""
+    when ``typed``, JSON; a typed integer must pass `exact_int`, and a typed
+    boolean fits only a boolean key."""
     kind = _CONFIG_TYPES[key]
     where = f" (line {line_no})" if line_no is not None else ""
     try:
         if typed or not isinstance(raw, str):
+            if isinstance(raw, bool) and kind is not bool:
+                raise TypeError  # float(True) would read it as 1.0
             if kind == "int_list":
                 if not isinstance(raw, (list, tuple)):
                     raise TypeError

@@ -25,13 +25,14 @@ same functions; the tests check them against per-sample oracles.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import json_types, read_table, write_csv, write_json
-from .numerics import softmax_rows
+from .dataio import exact_int, json_types, read_table, write_csv, write_json
+from .numerics import row_sum, softmax_rows
 
 LOG_CLAMP = 1e-12
 
@@ -41,11 +42,8 @@ def around_diagonal(off: np.ndarray, diagonal: float) -> np.ndarray:
     columns other than y, in increasing order, and ``diagonal`` at column y."""
     k = off.shape[0]
     out = np.empty((k, k), dtype=np.float64)
-    flat = out.reshape(-1)
-    # in row-major order the K*(K-1) off-diagonal cells come in runs of K
-    # between consecutive diagonal cells, in the order ``off`` lists them
-    flat[1:].reshape(k - 1, k + 1)[:, :k] = off.reshape(k - 1, k)
-    flat[:: k + 1] = diagonal
+    _off_cells(out)[...] = off.reshape(k - 1, k)
+    out.reshape(-1)[:: k + 1] = diagonal
     return out
 
 
@@ -53,7 +51,22 @@ def off_diagonal(full: np.ndarray) -> np.ndarray:
     """Inverse of around_diagonal: the K x (K-1) off-diagonal cells of a
     K x K matrix, row y listing the columns other than y in increasing order."""
     k = full.shape[0]
-    return full.reshape(-1)[1:].reshape(k - 1, k + 1)[:, :k].reshape(k, k - 1)
+    return _off_cells(full).reshape(k, k - 1)
+
+
+def _off_cells(full: np.ndarray) -> np.ndarray:
+    """A (K-1) x K view of the off-diagonal cells of a C-ordered K x K
+    matrix, which come in runs of K between its diagonal cells."""
+    k = full.shape[0]
+    return full.reshape(-1)[1:].reshape(k - 1, k + 1)[:, :k]
+
+
+@functools.cache
+def _off_slots(k: int) -> np.ndarray:
+    """Read-only K x (K-1) table: row y lists the classes other than y."""
+    slots = off_diagonal(np.tile(np.arange(k), (k, 1)))
+    slots.flags.writeable = False
+    return slots
 
 
 @dataclass
@@ -98,16 +111,22 @@ def target_table(c: CMatrix) -> np.ndarray:
     return targets_from_row_probs(c.all_row_probs(), c.alpha)
 
 
-def targets_from_row_probs(row_probs: np.ndarray, alpha: float) -> np.ndarray:
+def targets_from_row_probs(row_probs: np.ndarray, alpha: float,
+                           out: np.ndarray | None = None) -> np.ndarray:
     """The K x K target table from a logit table's K x (K-1) row softmax:
-    1 - alpha on the diagonal, alpha times row y's softmax around it."""
-    return around_diagonal(alpha * row_probs, 1.0 - alpha)
+    1 - alpha on the diagonal, alpha times row y's softmax around it; into
+    ``out``, a table it returned for the same alpha, only the latter."""
+    if out is None:
+        return around_diagonal(alpha * row_probs, 1.0 - alpha)
+    cells = _off_cells(out)
+    np.multiply(row_probs.reshape(cells.shape), alpha, out=cells)
+    return out
 
 
 def cross_entropy(targets: np.ndarray, log_probs: np.ndarray) -> float:
     """The forward term H(target, prediction) = -sum targets * log_probs,
     summed over a batch."""
-    return float(-(targets * log_probs).sum())
+    return float(-np.add.reduce(targets * log_probs, axis=None))
 
 
 def reverse_cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
@@ -135,13 +154,14 @@ def reverse_dlogits(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     d/dz_j = -probs_j * (log t_j - sum_i probs_i log t_i) per row.
     """
     log_t = np.log(np.maximum(targets, LOG_CLAMP))
-    inner = (probs * log_t).sum(axis=1, keepdims=True)
+    inner = row_sum(probs * log_t)
     return -probs * (log_t - inner)
 
 
 def table_logit_grad(row_probs: np.ndarray, alpha: float, labels: np.ndarray,
                      probs: np.ndarray, log_probs: np.ndarray, *,
-                     forward: bool, reverse: bool) -> np.ndarray:
+                     forward: bool, reverse: bool,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Gradient w.r.t. the K x (K-1) logit table of the selected loss terms,
     summed (not averaged) over a batch; each sample feeds only the row of its
     label. ``row_probs`` is the table's row softmax, ``probs``/``log_probs``
@@ -156,19 +176,22 @@ def table_logit_grad(row_probs: np.ndarray, alpha: float, labels: np.ndarray,
     the network already scores highest, collapsing the row's entropy.
 
     Samples are added in batch order, so repeated labels sum as a loop over
-    the batch would sum them.
+    the batch would sum them, into a new buffer or over ``out``.
     """
+    grad = np.empty_like(row_probs) if out is None else out
+    grad.fill(0.0)
     k = row_probs.shape[0]
-    off = labels[:, None] != np.arange(k)  # the non-target slots, in class order
-    p = row_probs[labels]
-    grad = np.zeros_like(row_probs)
+    # flat indices of each sample's non-target cells, in class order
+    cells = _off_slots(k).take(labels, axis=0)
+    cells += np.arange(0, len(labels) * k, k)[:, None]
+    p = row_probs.take(labels, axis=0)
     if reverse:
-        off_target = probs[off].reshape(p.shape)
-        mass = off_target.sum(axis=1, keepdims=True)
+        off_target = probs.take(cells)
+        mass = row_sum(off_target)
         np.add.at(grad, labels, -(off_target - p * mass))
     if forward:
-        off_logp = log_probs[off].reshape(p.shape)
-        inner = (p * off_logp).sum(axis=1, keepdims=True)
+        off_logp = log_probs.take(cells)
+        inner = row_sum(p * off_logp)
         np.add.at(grad, labels, -alpha * p * (off_logp - inner))
     return grad
 
@@ -247,7 +270,8 @@ def load_cmatrix(csv_path) -> CMatrix:
     Logits are recovered as log of the off-diagonal probabilities (softmax
     is shift-invariant, so any representative works); zero probabilities are
     clamped to keep the logits finite. Raises ValueError when the sidecar
-    lacks a key or holds a value of the wrong type, when the CSV fails
+    lacks a key, holds a value of the wrong type (a boolean alpha among
+    them) or a class count that fails `dataio.exact_int`, when the CSV fails
     `dataio.read_table` (the data CSV's grammar and checks), or when it is
     not K x K for the sidecar's K.
     """
@@ -258,7 +282,10 @@ def load_cmatrix(csv_path) -> CMatrix:
         missing = [key for key in ("alpha", "num_classes") if key not in sidecar]
         if missing:
             raise ValueError(f"{sidecar_path}: missing keys {missing}")
-        k, alpha = int(sidecar["num_classes"]), float(sidecar["alpha"])
+        alpha, k = sidecar["alpha"], sidecar["num_classes"]
+        if isinstance(alpha, bool) or not isinstance(k, (int, float)):
+            raise TypeError(f"alpha {alpha!r} and num_classes {k!r} must be numbers")
+        k, alpha = exact_int(k, f"{sidecar_path}: num_classes"), float(alpha)
     _, expanded = read_table(csv_path)
     if expanded.shape != (k, k):
         raise ValueError(

@@ -10,12 +10,13 @@ An `Mlp` is its parameter buffer: one 1-D float64 array, ``Mlp.params``,
 laid out ``W0, b0, W1, b1, ...`` with each weight matrix row-major (fan_in x
 fan_out), which the constructor adopts without copying. ``Mlp.weights`` and
 ``Mlp.biases`` are tuples of per-layer views of it, so a layer is changed in
-place (``model.weights[0][...] = w``), never rebound. `backward` returns
-the gradient as a new buffer in the same layout, and the optimizer's
-velocity is one too, so an SGD step is a few whole-buffer operations: four
-passes over the buffer without weight decay (see `sgd_step`), six with it.
-``Mlp(model.layer_sizes, g)`` gives the per-layer views of a gradient
-buffer ``g``.
+place (``model.weights[0][...] = w``), never rebound. ``Mlp(model.layer_sizes,
+g)`` gives the per-layer views of a gradient buffer ``g`` in the same
+layout. `backward` writes the gradient into such an `Mlp` when given one (a
+training run allocates it once) and into a new buffer otherwise. The
+optimizer's velocity is one buffer too, so an SGD step is a few
+whole-buffer operations: four passes over the buffer without weight decay
+(see `sgd_step`), six with it.
 
 ``forward`` keeps what ``backward`` needs (the training pass); ``predict``
 returns only the probabilities and works in place (inference). Both run the
@@ -166,29 +167,31 @@ class Mlp:
         log-probabilities; counts as a forward pass in `forward_count`."""
         return softmax_probs_inplace(self._logits(batch_features, keep=False)[1])
 
-    def backward(self, cache: ForwardCache, dlogits: np.ndarray) -> np.ndarray:
+    def backward(self, cache: ForwardCache, dlogits: np.ndarray,
+                 out: "Mlp | None" = None) -> np.ndarray:
         """Backpropagate d(scalar loss)/d(logits) to all parameters.
 
         The ReLU derivative is taken as 0 at exactly-zero pre-activations.
-        Returns the gradient as one new 1-D float64 buffer laid out like
-        `params`.
+        Returns the gradient as one 1-D float64 buffer laid out like
+        `params`: a new one, or that of ``out``, an `Mlp` of the same sizes
+        whose per-layer views receive it.
         """
         dlogits = np.asarray(dlogits, dtype=np.float64)
         if dlogits.shape != cache.logits.shape:
             raise ValueError(
                 f"dlogits shape {dlogits.shape} does not match logits {cache.logits.shape}"
             )
-        flat = np.empty_like(self.params)
-        d_weights, d_biases = _split(flat, self._layout)
+        if out is None:
+            out = Mlp(self.layer_sizes, np.empty_like(self.params))
         delta = dlogits
         for layer in range(self.num_layers - 1, -1, -1):
             below = cache.inputs if layer == 0 else cache.hidden_activations[layer - 1]
-            np.matmul(below.T, delta, out=d_weights[layer])
-            delta.sum(axis=0, out=d_biases[layer])
+            np.matmul(below.T, delta, out=out.weights[layer])
+            np.add.reduce(delta, axis=0, out=out.biases[layer])
             if layer > 0:
                 delta = delta @ self.weights[layer].T
                 delta *= cache.pre_activations[layer - 1] > 0.0
-        return flat
+        return out.params
 
 
 def init_model(layer_sizes, seed: int) -> Mlp:

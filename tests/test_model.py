@@ -213,6 +213,17 @@ class TestBackward:
 
         assert finite_diff_check(model, batch, loss_fn, step=1e-5) < 1e-6
 
+    def test_into_a_reused_buffer_matches_a_fresh_one(self):
+        model = init_model([3, 8, 5, 4], seed=9)
+        out = Mlp(model.layer_sizes, np.full_like(model.params, np.nan))
+        rng = np.random.default_rng(8)
+        for rows in (7, 1, 7):  # the buffer's old contents must not leak in
+            cache = model.forward(rng.normal(size=(rows, 3)))
+            d = rng.normal(size=cache.logits.shape)
+            fresh = model.backward(cache, d)
+            assert model.backward(cache, d, out) is out.params
+            assert out.params.tobytes() == fresh.tobytes()
+
     def test_shape_mismatch(self):
         model = init_model([3, 4], seed=0)
         cache = model.forward(np.zeros((2, 3)))

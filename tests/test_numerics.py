@@ -11,6 +11,7 @@ from labelforge.numerics import (
     log_softmax_rows,
     mix64,
     row_max,
+    row_sum,
     softmax_pair,
     softmax_probs_inplace,
     softmax_rows,
@@ -122,6 +123,22 @@ class TestRowMax:
         m = np.array([[-0.0, -1.0, -3.0], [-2.0, 0.0, -3.0]])
         assert row_max(m).tobytes() == np.array([-0.0, 0.0]).tobytes()
         assert row_max(np.empty((0, 4))).shape == (0,)
+
+
+class TestRowSum:
+    def test_bit_identical_to_numpy_sum(self):
+        # below 8 columns row_sum adds a Fortran-ordered copy column by
+        # column, which matches NumPy's own left-to-right order for narrow
+        # rows only; this pins that on the NumPy under test
+        rng = np.random.default_rng(13)
+        for k in range(1, 17):
+            for rows in (1, 32, 2000):
+                m = rng.standard_normal((rows, k)) * 10.0 ** rng.integers(-8, 9, (rows, k))
+                got = row_sum(m)
+                assert got.shape == (rows, 1)
+                assert got.tobytes() == m.sum(axis=1, keepdims=True).tobytes(), (k, rows)
+            strided = np.repeat(m, 2, axis=1)[:, ::2]
+            assert row_sum(strided).tobytes() == strided.sum(axis=1, keepdims=True).tobytes()
 
 
 class TestSoftmaxPair:
