@@ -51,6 +51,7 @@ from .labelreg import load_cmatrix
 from .model import load_checkpoint
 from .train import (
     ABLATION_LOSSES,
+    TEACHERS,
     TrainConfig,
     check_fit,
     check_teacher,
@@ -99,10 +100,15 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
+# The JSON values a float, bool or str key takes: a number, a boolean, a
+# string (a JSON boolean is also a Python int, so `_coerce` rules it out first)
+_JSON_TYPES = {float: (int, float), bool: bool, str: str}
+
+
 def _coerce(key: str, raw, line_no=None, typed: bool = False) -> object:
     """Config key ``key``'s value from text (a key=value line or a flag) or,
-    when ``typed``, JSON; a typed integer must pass `exact_int`, and a typed
-    boolean fits only a boolean key."""
+    when ``typed``, JSON: a typed value must have its key's JSON type, and a
+    typed integer must pass `exact_int`."""
     kind = _CONFIG_TYPES[key]
     where = f" (line {line_no})" if line_no is not None else ""
     try:
@@ -115,10 +121,13 @@ def _coerce(key: str, raw, line_no=None, typed: bool = False) -> object:
                 return tuple(exact_int(v, key) for v in raw)
             if kind is int:
                 return exact_int(raw, key)
+            if not isinstance(raw, _JSON_TYPES[kind]):
+                raise TypeError  # float("0.5") and bool("yes") would read text
+            return kind(raw)
         if kind == "int_list":
-            return _parse_int_list(str(raw))
+            return _parse_int_list(raw)
         if kind is bool:
-            return _parse_bool(str(raw))  # str(True) is "True"
+            return _parse_bool(raw)
         return kind(raw)
     except (TypeError, ValueError):
         raise UsageError(
@@ -324,7 +333,7 @@ def _finish_training_command(args, subcommand, strategy_override=None,
     if strategy_override:
         overrides["strategy"] = strategy_override
     config = load_config(args.config, overrides)
-    if subcommand == "train" and config.strategy in ("distill", "proxy_distill"):
+    if subcommand == "train" and config.strategy in TEACHERS:
         raise UsageError(
             f"strategy {config.strategy!r} needs a teacher; use the distill subcommand"
         )

@@ -270,10 +270,10 @@ def load_cmatrix(csv_path) -> CMatrix:
     Logits are recovered as log of the off-diagonal probabilities (softmax
     is shift-invariant, so any representative works); zero probabilities are
     clamped to keep the logits finite. Raises ValueError when the sidecar
-    lacks a key, holds a value of the wrong type (a boolean alpha among
-    them) or a class count that fails `dataio.exact_int`, when the CSV fails
-    `dataio.read_table` (the data CSV's grammar and checks), or when it is
-    not K x K for the sidecar's K.
+    lacks a key, holds a value of the wrong type (a boolean or text alpha
+    among them) or a class count that fails `dataio.exact_int`, when the CSV
+    fails `dataio.read_table` (the data CSV's grammar and checks), or when it
+    is not K x K for the sidecar's K.
     """
     sidecar_path = _sidecar_path(csv_path)
     with open(sidecar_path) as f:
@@ -283,7 +283,8 @@ def load_cmatrix(csv_path) -> CMatrix:
         if missing:
             raise ValueError(f"{sidecar_path}: missing keys {missing}")
         alpha, k = sidecar["alpha"], sidecar["num_classes"]
-        if isinstance(alpha, bool) or not isinstance(k, (int, float)):
+        numbers = all(isinstance(v, (int, float)) for v in (alpha, k))
+        if isinstance(alpha, bool) or not numbers:
             raise TypeError(f"alpha {alpha!r} and num_classes {k!r} must be numbers")
         k, alpha = exact_int(k, f"{sidecar_path}: num_classes"), float(alpha)
     _, expanded = read_table(csv_path)

@@ -14,18 +14,20 @@ Strategies:
 * ``ls``            fixed smoothing over the non-target classes only
                     (a frozen uniform logit table; the exact no-learning
                     limit of ``lspp``).
-* ``lspp``          learnable smoothing; network trained by the forward
-                    cross-entropy, table by the reverse one.
+* ``lspp``          learnable smoothing: a logit table over the non-target
+                    classes, trained under the ``ablation_loss`` routing.
 * ``ols``           targets from the previous epoch's mean predictions
                     mixed with one-hot; epoch 0 uses one-hot.
 * ``distill``       per-sample targets from a teacher network's forward
                     passes.
 * ``proxy_distill`` per-class targets from a teacher's frozen logit table;
                     never runs a teacher forward pass.
-* ``ablation``      like ``lspp`` but with configurable gradient routing:
-                    ``ce`` feeds both parameter sets from the forward term,
-                    ``sce_original`` feeds both from the sum of both terms,
-                    ``sce_ours`` is the split rule (identical to ``lspp``).
+* ``ablation``      ``lspp`` under the name the ``ablate`` command records.
+
+``ablation_loss`` routes a learned table's loss terms (the forward term
+always trains the network): ``sce_ours`` is the split rule, the reverse term
+alone training the table; ``ce`` feeds both parameter sets from the forward
+term, ``sce_original`` from the sum of both terms.
 
 A run stops with ``ValueError("training diverged: ...")`` when a step's
 loss is NaN or Inf, or when an epoch's mean training loss exceeds
@@ -80,13 +82,20 @@ LEARNED_TABLE = ("lspp", "ablation")  # the strategies that learn a logit table
 DIVERGED_LOSS_FACTOR = 1000.0  # epoch mean loss bound, in units of ln K
 
 # Which loss direction feeds which parameter set beyond the forward term,
-# which always trains the network, per ablation variant:
+# which always trains the network, per ablation_loss:
 # (network gets reverse, table gets forward, table gets reverse)
 _ROUTING = {
     "ce": (False, True, False),
     "sce_original": (True, True, True),
     "sce_ours": (False, False, True),
 }
+
+# The strategies that read each strategy-specific key; any other keeps its default
+_READERS = {"alpha": ("ls", *LEARNED_TABLE), "ablation_loss": LEARNED_TABLE,
+            "ols_mix": ("ols",), "ols_correct_only": ("ols",)}
+
+# The teacher kind each distillation strategy trains from; no other takes one
+TEACHERS = {"distill": Mlp, "proxy_distill": CMatrix}
 
 
 def _pinning_error(subject: str, bound: str, alpha: float, needs: str) -> ValueError:
@@ -150,7 +159,13 @@ class TrainConfig:
             )
 
     def resolved(self, input_dim: int, num_classes: int) -> "TrainConfig":
-        """Materialize every default against a concrete dataset."""
+        """Materialize every default against a concrete dataset. Raises
+        ValueError for a key the strategy does not read set off its default."""
+        for key, readers in _READERS.items():
+            value = getattr(self, key)  # a dataclass keeps each default as a class attribute
+            if self.strategy not in readers and value != getattr(TrainConfig, key):
+                raise ValueError(f"strategy {self.strategy!r} does not read {key}, got "
+                                 f"{key}={value!r}; only {', '.join(readers)} do")
         sizes = self.layer_sizes or (input_dim, 32, num_classes)
         if sizes[0] != input_dim or sizes[-1] != num_classes:
             raise ValueError(
@@ -219,7 +234,7 @@ def evaluate(model: Mlp, dataset: Dataset) -> dict:
 
 
 def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
-         teacher_model: Mlp | None, teacher_c: CMatrix | None) -> TrainOutput:
+         teacher: Mlp | CMatrix | None) -> TrainOutput:
     started = time.perf_counter()
     k = train_set.num_classes
     config = config.resolved(train_set.num_features, k)
@@ -227,13 +242,12 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
     model = init_model(config.layer_sizes, config.seed)
     opt = OptState.for_model(model, config.lr, config.momentum, config.weight_decay)
     grads = Mlp(model.layer_sizes, np.empty_like(model.params))  # backward's buffer
-    net_rev, c_fwd, c_rev = _ROUTING[
-        config.ablation_loss if strategy == "ablation" else "sce_ours"
-    ]
+    net_rev, c_fwd, c_rev = _ROUTING[config.ablation_loss]
+    teacher_model = teacher if strategy == "distill" else None
 
     # the target source: every strategy but distill reads table[labels];
-    # lspp and ablation rebuild the table from the learned logits every
-    # step, ols from the previous epoch's mean predictions every epoch
+    # a learned table is rebuilt from its logits every step, ols from the
+    # previous epoch's mean predictions every epoch
     cmatrix: CMatrix | None = None
     table = np.eye(k, dtype=np.float64)  # onehot, and ols in epoch 0
     if strategy in LEARNED_TABLE:
@@ -245,7 +259,7 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
     elif strategy == "ls":
         table = target_table(CMatrix.zeros(k, config.alpha))
     elif strategy == "proxy_distill":
-        table = target_table(teacher_c)
+        table = target_table(teacher)
 
     teacher_calls_before = teacher_model.forward_count if teacher_model else 0
     features, labels = train_set.features, train_set.labels
@@ -340,37 +354,32 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
 
 def train(config: TrainConfig, train_set: Dataset, test_set: Dataset,
           teacher=None) -> TrainOutput:
-    """Train one model under the configured strategy.
-
-    A teacher selects the distillation strategy whatever ``config.strategy``
-    says: an `Mlp` trains ``distill`` (per-sample targets from its forward
-    passes), a `CMatrix` trains ``proxy_distill`` (per-class targets from its
-    frozen logit table). Both strategies require one.
-    """
+    """Train one model under ``config.strategy`` and nothing else: ``distill``
+    needs a teacher `Mlp`, ``proxy_distill`` a teacher `CMatrix` and any other
+    strategy none (`check_teacher`). `distill` picks the strategy by teacher."""
     if test_set.num_classes != train_set.num_classes:
         raise ValueError("train and test sets disagree on the class count")
     check_teacher(config, teacher, train_set)
-    if isinstance(teacher, Mlp):
-        return _run(replace(config, strategy="distill"), train_set, test_set, teacher, None)
-    if isinstance(teacher, CMatrix):
-        return _run(replace(config, strategy="proxy_distill"), train_set, test_set, None, teacher)
-    return _run(config, train_set, test_set, None, None)
+    return _run(config, train_set, test_set, teacher)
 
 
 def check_teacher(config: TrainConfig, teacher, train_set: Dataset) -> None:
-    """Raise ValueError unless ``teacher`` can train on ``train_set`` as
-    `train` uses it: None for any strategy but the two distillations, else
-    an `Mlp` with the data's input width and class count, or a `CMatrix` with
-    the data's class count and an alpha that keeps every target's argmax on
-    its true class."""
-    if teacher is None:
-        if config.strategy in ("distill", "proxy_distill"):
-            raise ValueError(f"strategy {config.strategy!r} requires a teacher")
+    """Raise ValueError, naming the strategy, unless ``teacher`` is the kind
+    `TEACHERS` gives ``config.strategy`` (None for the others) and fits
+    ``train_set``: an `Mlp` its input width and class count, a `CMatrix` its
+    class count, with an alpha that keeps every target's argmax on its class."""
+    kind = TEACHERS.get(config.strategy)
+    if kind is None:
+        if teacher is not None:
+            raise ValueError(f"strategy {config.strategy!r} takes no teacher, "
+                             f"got a {type(teacher).__name__}")
         return
-    if not isinstance(teacher, (Mlp, CMatrix)):
-        raise ValueError(f"teacher must be an Mlp or a CMatrix, got {type(teacher)}")
+    if not isinstance(teacher, kind):
+        got = "none" if teacher is None else f"a {type(teacher).__name__}"
+        raise ValueError(f"strategy {config.strategy!r} requires a teacher "
+                         f"{kind.__name__}, got {got}")
     check_fit(teacher, train_set, "teacher")
-    if isinstance(teacher, CMatrix) and teacher.alpha >= 0.5:
+    if kind is CMatrix and teacher.alpha >= 0.5:
         raise _pinning_error("a teacher logit table", "0.5", teacher.alpha,
                              "1 - alpha > alpha")
 
@@ -390,14 +399,20 @@ def check_fit(artifact: Mlp | CMatrix, dataset: Dataset, name: str) -> None:
 
 def train_ablation(config: TrainConfig, train_set: Dataset,
                    test_set: Dataset) -> TrainOutput:
-    """Train with one of the loss-routing variants (config.ablation_loss)."""
+    """Train a learned table under config.ablation_loss, recorded as the
+    ``ablation`` strategy."""
     return train(replace(config, strategy="ablation"), train_set, test_set)
 
 
 def distill(student_config: TrainConfig, teacher, train_set: Dataset,
             test_set: Dataset) -> TrainOutput:
-    """Distill a student from a teacher network or a frozen logit table."""
-    return train(student_config, train_set, test_set, teacher)
+    """Distill a student from a teacher network (``distill``) or a frozen
+    logit table (``proxy_distill``): the teacher's kind picks the strategy,
+    whatever ``student_config`` names."""
+    strategy = next((s for s, kind in TEACHERS.items() if isinstance(teacher, kind)), None)
+    if strategy is None:
+        raise ValueError(f"teacher must be an Mlp or a CMatrix, got {type(teacher)}")
+    return train(replace(student_config, strategy=strategy), train_set, test_set, teacher)
 
 
 def gradient_check(num_classes: int, seed: int, hidden_sizes=(8,),
@@ -480,9 +495,7 @@ def write_run_artifacts(run_dir, config: TrainConfig, result: TrainOutput,
             run_dir / "cmatrix.csv",
             metadata={
                 "strategy": config.strategy,
-                "ablation_loss": config.ablation_loss
-                if config.strategy == "ablation"
-                else None,
+                "ablation_loss": config.ablation_loss,
                 "seed": config.seed,
                 "epochs": config.epochs,
             },

@@ -184,7 +184,7 @@ def test_c08_proxy_teacher_distillation(acceptance_runs, paired_task):
     assert out.report.teacher_forward_calls > 0
 
 
-def _gen_and_train(tmp_path, name, *flags):
+def _gen_and_train(tmp_path, name, *flags, command="train"):
     data = tmp_path / "data.csv"
     if not data.exists():
         assert main([
@@ -192,7 +192,7 @@ def _gen_and_train(tmp_path, name, *flags):
         ]) == 0
     out = tmp_path / name
     argv = [
-        "train", "--data", str(data), "--epochs", "20", "--seed", "5",
+        command, "--data", str(data), "--epochs", "20", "--seed", "5",
         "--out", str(out), *flags,
     ]
     assert main(argv) == 0
@@ -207,6 +207,15 @@ def test_c09_collapse_equivalences(tmp_path):
     ls = _gen_and_train(tmp_path, "ls", "--strategy", "ls")
     frozen = _gen_and_train(tmp_path, "frozen", "--strategy", "lspp", "--c-lr", "0.0")
     assert (ls / "metrics.csv").read_bytes() == (frozen / "metrics.csv").read_bytes()
+
+    # ablate is lspp under another name: the same table and routing
+    for loss in ("ce", "sce_original"):
+        lspp = _gen_and_train(tmp_path, f"lspp-{loss}", "--strategy", "lspp",
+                              "--ablation-loss", loss)
+        ablate = _gen_and_train(tmp_path, f"ablate-{loss}", "--ablation-loss", loss,
+                                command="ablate")
+        for name in ("cmatrix.csv", "metrics.csv"):
+            assert (lspp / name).read_bytes() == (ablate / name).read_bytes(), (loss, name)
 
 
 def test_c10_cli_determinism(tmp_path):

@@ -117,14 +117,19 @@ class TestConfigFile:
     ({"batch_size": float("inf")}, "batch_size"),
     ({"lr": True}, "lr"),
     ({"alpha": False}, "alpha"),
+    ({"lr": "0.5"}, "lr"),
+    ({"ols_correct_only": "yes"}, "ols_correct_only"),
+    ({"ols_correct_only": 1}, "ols_correct_only"),
+    ({"strategy": 5}, "strategy"),
 ], ids=["fractional-size", "boolean-size", "string-size", "fractional-epochs",
         "string-epochs", "boolean-seed", "infinite-batch-size", "boolean-lr",
-        "boolean-alpha"])
+        "boolean-alpha", "string-lr", "string-bool", "integer-bool", "integer-strategy"])
 def test_json_config_non_integer_exits_2_without_a_run_directory(data_csv, tmp_path, capsys,
                                                                doc, key):
     # int() would truncate 8.7 to 8, read true as 1 and "1" as 1, and
     # overflow on Infinity (which Python's json reads); float() would read
-    # true as 1.0, training at lr 1.0
+    # true as 1.0, training at lr 1.0, and "0.5" as 0.5; bool() would read
+    # "yes" and 1 as true, and str() 5 as "5"
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"epochs": 1, **doc}))
     out = tmp_path / "run"
@@ -247,6 +252,15 @@ class TestTrainCommand:
             assert not out.exists()
         else:
             assert (out / "metrics.csv").exists()
+
+    def test_lspp_trains_and_records_its_routing(self, data_csv, tmp_path):
+        out = tmp_path / "run"
+        assert run_train(data_csv, out, "--strategy", "lspp", "--ablation-loss", "ce") == 0
+        config = json.loads((out / "config.json").read_text())
+        meta = json.loads((out / "cmatrix.json").read_text())["metadata"]
+        assert config["ablation_loss"] == meta["ablation_loss"] == "ce"
+        assert run_train(data_csv, tmp_path / "ours", "--strategy", "lspp") == 0
+        assert (out / "cmatrix.csv").read_bytes() != (tmp_path / "ours/cmatrix.csv").read_bytes()
 
     def test_ablate_alpha_from_half_up_exits_2(self, data_csv, tmp_path, capsys):
         out = tmp_path / "run"
@@ -467,6 +481,29 @@ class TestDistillCommand:
         code = main(["distill", "--data", str(data_csv), flag, str(path),
                      "--epochs", "2", "--out", str(out)])
         assert code == 2
+        assert error in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flags,error", [
+        ("distill", ["--teacher-cmatrix", None, "--alpha", "0.3"],
+         "strategy 'proxy_distill' does not read alpha, got alpha=0.3"),
+        ("distill", ["--teacher-checkpoint", None, "--ols-mix", "0.2"],
+         "strategy 'distill' does not read ols_mix, got ols_mix=0.2"),
+        ("train", ["--strategy", "onehot", "--ablation-loss", "ce"],
+         "strategy 'onehot' does not read ablation_loss, got ablation_loss='ce'"),
+        ("train", ["--strategy", "ls", "--ols-correct-only"],
+         "strategy 'ls' does not read ols_correct_only, got ols_correct_only=True"),
+    ], ids=["proxy-alpha", "distill-ols-mix", "onehot-ablation-loss", "ls-ols-correct-only"])
+    def test_key_the_strategy_does_not_read_exits_2_without_a_run_directory(
+            self, data_csv, tmp_path, capsys, command, flags, error):
+        # a proxy student's targets carry the teacher's alpha, never its own
+        teachers = {"--teacher-cmatrix": tmp_path / "cmatrix.csv",
+                    "--teacher-checkpoint": tmp_path / "checkpoint.json"}
+        export_cmatrix(CMatrix.zeros(4, 0.1), teachers["--teacher-cmatrix"])
+        save_checkpoint(init_model([2, 8, 4], seed=0), teachers["--teacher-checkpoint"])
+        argv = [str(teachers[flags[0]]) if flag is None else flag for flag in flags]
+        out = tmp_path / "run"
+        assert main([command, "--data", str(data_csv), *argv, "--out", str(out)]) == 2
         assert error in capsys.readouterr().err
         assert not out.exists()
 

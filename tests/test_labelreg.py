@@ -493,7 +493,9 @@ class TestExport:
         ("num_classes", True, r"cm\.json: num_classes: True is not an integer"),
         ("alpha", True,
          r"cm\.json: a value has the wrong type: alpha True and num_classes 3 must be numbers"),
-    ], ids=["fractional-class-count", "boolean-class-count", "boolean-alpha"])
+        ("alpha", "0.1",
+         r"cm\.json: a value has the wrong type: alpha '0\.1' and num_classes 3 must be numbers"),
+    ], ids=["fractional-class-count", "boolean-class-count", "boolean-alpha", "string-alpha"])
     def test_sidecar_value_of_the_wrong_kind_rejected(self, tmp_path, key, value, error):
         # int() would load 4.5 classes as 4, and float() a true alpha as 1.0
         path, _ = self._exported_lines(tmp_path)

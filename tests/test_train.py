@@ -99,6 +99,34 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="strategy"):
             TrainConfig(strategy="mystery")
 
+    @pytest.mark.parametrize("strategy,key,value", [
+        ("onehot", "alpha", 0.2),
+        ("ols", "alpha", 0.0),
+        ("proxy_distill", "alpha", 0.3),
+        ("onehot", "ablation_loss", "ce"),
+        ("ls", "ablation_loss", "sce_original"),
+        ("lspp", "ols_mix", 0.25),
+        ("ablation", "ols_correct_only", True),
+    ])
+    def test_key_the_strategy_does_not_read_rejected(self, strategy, key, value):
+        config = TrainConfig(strategy=strategy, **{key: value})  # built without complaint
+        with pytest.raises(ValueError, match=f"strategy {strategy!r} does not read {key}"):
+            config.resolved(2, 4)
+
+    @pytest.mark.parametrize("strategy,key,value", [
+        ("ls", "alpha", 0.2),
+        ("lspp", "alpha", 0.2),
+        ("ablation", "alpha", 0.2),
+        ("lspp", "ablation_loss", "ce"),
+        ("ablation", "ablation_loss", "sce_original"),
+        ("ols", "ols_mix", 0.25),
+        ("ols", "ols_correct_only", True),
+        ("distill", "c_lr", 0.02),  # config.json records c_lr = lr for every strategy
+    ])
+    def test_key_the_strategy_reads_accepted(self, strategy, key, value):
+        assert getattr(TrainConfig(strategy=strategy, **{key: value}).resolved(2, 4),
+                       key) == value
+
     def test_unknown_ablation_loss(self):
         with pytest.raises(ValueError, match="ablation_loss"):
             TrainConfig(ablation_loss="fancy")
@@ -261,9 +289,9 @@ class TestTrainBasics:
 
     def test_ls_alpha_zero_equals_onehot_bitwise(self, small_task, tmp_path):
         for train_set, test_set, k, _, batch_size in equality_cases(small_task):
-            base = dict(alpha=0.0, epochs=8, seed=7, batch_size=batch_size,
-                        layer_sizes=(2, 8, k))
-            a = train(TrainConfig(strategy="ls", **base), train_set, test_set)
+            # onehot reads no alpha, so only the ls run is given one
+            base = dict(epochs=8, seed=7, batch_size=batch_size, layer_sizes=(2, 8, k))
+            a = train(TrainConfig(strategy="ls", alpha=0.0, **base), train_set, test_set)
             b = train(TrainConfig(strategy="onehot", **base), train_set, test_set)
             assert metrics_bytes(tmp_path, a, "a.csv") == metrics_bytes(tmp_path, b, "b.csv"), k
             for wa, wb in zip(a.model.weights, b.model.weights):
@@ -303,6 +331,38 @@ class TestTrainBasics:
             train(TrainConfig(strategy="distill"), train_set, test_set)
         with pytest.raises(ValueError, match="teacher"):
             train(TrainConfig(strategy="proxy_distill"), train_set, test_set)
+
+    @pytest.mark.parametrize("strategy,teacher,error", [
+        ("distill", None, "strategy 'distill' requires a teacher Mlp, got none"),
+        ("proxy_distill", init_model([2, 8, 4], seed=0),
+         "strategy 'proxy_distill' requires a teacher CMatrix, got a Mlp"),
+        ("distill", CMatrix.zeros(4, 0.1),
+         "strategy 'distill' requires a teacher Mlp, got a CMatrix"),
+        ("lspp", init_model([2, 8, 4], seed=0), "strategy 'lspp' takes no teacher, got a Mlp"),
+        ("lspp", CMatrix.zeros(4, 0.1), "strategy 'lspp' takes no teacher, got a CMatrix"),
+        ("onehot", CMatrix.zeros(4, 0.1),
+         "strategy 'onehot' takes no teacher, got a CMatrix"),
+    ])
+    def test_teacher_that_does_not_match_the_strategy_rejected(self, small_task, strategy,
+                                                               teacher, error):
+        # train runs config.strategy and nothing else; a teacher never picks it
+        train_set, test_set = small_task
+        config = TrainConfig(strategy=strategy, epochs=1, layer_sizes=(2, 8, 4))
+        with pytest.raises(ValueError, match=error):
+            train(config, train_set, test_set, teacher)
+
+    @pytest.mark.parametrize("teacher,strategy", [
+        (init_model([2, 8, 4], seed=0), "distill"),
+        (CMatrix.zeros(4, 0.1), "proxy_distill"),
+    ])
+    def test_distill_picks_the_strategy_from_the_teacher(self, small_task, teacher, strategy):
+        train_set, test_set = small_task
+        base = dict(epochs=2, seed=3, layer_sizes=(2, 8, 4))
+        picked = distill(TrainConfig(strategy="lspp", **base), teacher, train_set, test_set)
+        named = train(TrainConfig(strategy=strategy, **base), train_set, test_set, teacher)
+        assert picked.cmatrix is None
+        for wa, wb in zip(picked.model.weights, named.model.weights):
+            assert np.array_equal(wa, wb)
 
     def test_teacher_class_count_mismatch(self, small_task):
         train_set, test_set = small_task
@@ -692,6 +752,8 @@ class TestRunArtifacts:
         config = json.loads((run_dir / "config.json").read_text())
         assert config["alpha"] == 0.1
         assert config["c_lr"] == config["lr"]
+        meta = json.loads((run_dir / "cmatrix.json").read_text())["metadata"]
+        assert (meta["strategy"], meta["ablation_loss"]) == ("lspp", "sce_ours")
         header = (run_dir / "metrics.csv").read_text().splitlines()[0]
         assert header == "epoch,train_acc,test_acc,train_loss,mean_max_prob"
 
