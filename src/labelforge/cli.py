@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import difflib
-import hashlib
 import json
 import math
 import os
@@ -39,6 +38,7 @@ from .dataio import (
     Dataset,
     GaussianSpec,
     exact_int,
+    file_sha256,
     generate_gaussian,
     load_csv,
     load_idx,
@@ -47,7 +47,7 @@ from .dataio import (
     split,
     write_json,
 )
-from .labelreg import load_cmatrix
+from .labelreg import CMatrix, load_cmatrix
 from .model import load_checkpoint
 from .train import (
     ABLATION_LOSSES,
@@ -171,9 +171,10 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def load_config(path, overrides: dict) -> TrainConfig:
-    """Defaults, overlaid by the file (if any), overlaid by explicit flags."""
-    values = parse_config_file(path) if path else {}
+def load_config(path, overrides: dict, base: dict | None = None) -> TrainConfig:
+    """Defaults, overlaid by ``base`` (typed values), by the file (if any)
+    and by explicit flags."""
+    values = {**(base or {}), **(parse_config_file(path) if path else {})}
     for key, raw in overrides.items():
         if raw is not None:
             values[key] = _coerce(key, raw)
@@ -187,14 +188,6 @@ def _config_overrides(args) -> dict:
         for key in _CONFIG_TYPES
         if getattr(args, key, None) is not None
     }
-
-
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _require_classes(dataset: Dataset, source) -> Dataset:
@@ -285,7 +278,8 @@ def _write_manifest(run_dir: Path, subcommand: str, config_doc: dict,
     manifest = {
         "subcommand": subcommand,
         "config": config_doc,
-        "inputs": {name: {"path": str(p), "sha256": _sha256(p)} for name, p in inputs.items()},
+        "inputs": {name: {"path": str(p), "sha256": file_sha256(p)}
+                   for name, p in inputs.items()},
         "output_dir": str(run_dir),
         "tool_version": __version__,
     }
@@ -332,7 +326,10 @@ def _finish_training_command(args, subcommand, strategy_override=None,
     overrides = _config_overrides(args)
     if strategy_override:
         overrides["strategy"] = strategy_override
-    config = load_config(args.config, overrides)
+    # a teacher table's alpha is the student's unless the file or a flag sets
+    # one, which check_teacher then holds to the table's
+    base = {"alpha": teacher.alpha} if isinstance(teacher, CMatrix) else {}
+    config = load_config(args.config, overrides, base)
     if subcommand == "train" and config.strategy in TEACHERS:
         raise UsageError(
             f"strategy {config.strategy!r} needs a teacher; use the distill subcommand"

@@ -1,6 +1,7 @@
 """Dataset construction (synthetic Gaussian mixtures, IDX and CSV loaders)
 and the text of the run artifacts: one checked CSV table reader, one CSV
-row writer and one JSON writer (the one-line checkpoint aside).
+row writer and one JSON writer (the one-line checkpoint aside), all written
+through one atomic file writer, and one file hash.
 
 All loaders produce the same `Dataset` shape: an N x D float64 feature
 matrix, N integer labels in [0, K), and the class count K. Every class must
@@ -12,12 +13,16 @@ from __future__ import annotations
 
 import csv
 import gzip
+import hashlib
 import json
 import math
 import operator
+import os
+import secrets
 import struct
 import warnings
-from contextlib import contextmanager
+import zipfile
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +31,12 @@ from .numerics import Rng
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+
+# load_csv keeps a data CSV's parsed table beside it, in the CSV's name plus
+# PARSED_SUFFIX, keyed by PARSED_VERSION and the sha256 of the CSV's bytes.
+# Raise the version whenever read_table's grammar or its table changes.
+PARSED_SUFFIX = ".parsed.npz"
+PARSED_VERSION = 1
 
 
 class DataFormatError(ValueError):
@@ -182,15 +193,7 @@ def read_table(path, label_column: str | None = None) -> tuple[list, np.ndarray]
     cell or a NaN/Inf cell with the line it sits on (the label cell last).
     """
     with open(path, newline="") as f:
-        try:
-            header = next(csv.reader(f))
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        header = [name.strip() for name in header]
-        if label_column is not None and label_column not in header:
-            raise DataFormatError(
-                f"{path}: no column named {label_column!r} in header {header}"
-            )
+        header = _read_header(f, path, label_column)
         label_idx = None if label_column is None else header.index(label_column)
         try:
             with warnings.catch_warnings():
@@ -212,13 +215,30 @@ def read_table(path, label_column: str | None = None) -> tuple[list, np.ndarray]
     return header, table
 
 
+def _read_header(f, path, label_column: str | None) -> list:
+    """The stripped header names on the first line of ``f``, which must
+    hold ``label_column`` when one is given."""
+    try:
+        header = next(csv.reader(f))
+    except StopIteration:
+        raise DataFormatError(f"{path}: empty file") from None
+    header = [name.strip() for name in header]
+    if label_column is not None and label_column not in header:
+        raise DataFormatError(
+            f"{path}: no column named {label_column!r} in header {header}"
+        )
+    return header
+
+
 def load_csv(path, label_column: str) -> tuple[Dataset, dict]:
     """Load a data CSV (the grammar of `read_table`) as a Dataset.
 
     Labels are remapped to dense 0..K-1 in first-appearance order; the
     returned dict maps each original label value to its dense index.
+    The table comes from the file's sidecar (`_parsed_table`) when it holds
+    the parse of these bytes.
     """
-    header, table = read_table(path, label_column)
+    header, table = _parsed_table(path, label_column)
     label_idx = header.index(label_column)
     mapping: dict = {}
     labels = np.empty(table.shape[0], dtype=np.int64)
@@ -229,6 +249,70 @@ def load_csv(path, label_column: str) -> tuple[Dataset, dict]:
         labels[i] = mapping[key]
     features = np.delete(table, label_idx, axis=1)
     return Dataset(features, labels, len(mapping)), mapping
+
+
+def _parsed_table(path, label_column: str) -> tuple[list, np.ndarray]:
+    """`read_table(path, label_column)`, reading the table from the sidecar
+    ``path`` + PARSED_SUFFIX when that holds the parse of these bytes.
+
+    A hit still reads the header from the CSV and checks ``label_column``
+    in it; a sidecar that cannot be read, is keyed to other bytes or holds
+    anything but a finite 2-D float64 table with a row and one column per
+    header name is a miss. A miss parses the CSV and, if the file did not
+    change meanwhile, writes the sidecar anew. A sidecar that cannot be read
+    or written only costs the parse, and a parse error is never stored.
+    """
+    sidecar = os.fspath(path) + PARSED_SUFFIX
+    try:
+        before = _identity(path)
+        key = f"{PARSED_VERSION}:{file_sha256(path)}"
+    except OSError:
+        return read_table(path, label_column)  # which reports the error
+    table = _read_parsed(sidecar, key)
+    if table is not None:
+        with open(path, newline="") as f:
+            header = _read_header(f, path, label_column)
+        if (table.ndim == 2 and table.dtype == np.float64 and table.shape[0] >= 1
+                and table.shape[1] == len(header) and np.isfinite(table).all()):
+            return header, table
+    header, table = read_table(path, label_column)
+    with suppress(OSError):
+        if _identity(path) == before:
+            with atomic_write(sidecar, "wb") as f:
+                np.savez(f, key=np.array(key), table=table)
+    return header, table
+
+
+def _identity(path) -> tuple:
+    """What changes when a file is rewritten or replaced."""
+    st = os.stat(path)
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _read_parsed(sidecar: str, key: str) -> np.ndarray | None:
+    """The table a sidecar stores under ``key``; None when it is missing,
+    unreadable, not an archive of arrays or stored under another key."""
+    try:
+        # the handle is ours: np.load leaks the one it opens on a bad archive
+        with open(sidecar, "rb") as f:
+            parsed = np.load(f, allow_pickle=False)
+            if not isinstance(parsed, np.lib.npyio.NpzFile):
+                return None
+            with parsed:
+                if parsed["key"].item() != key:
+                    return None
+                return parsed["table"]
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+
+
+def file_sha256(path) -> str:
+    """The hex sha256 of a file's bytes, read in chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _parse_cell(cell: str) -> float:
@@ -277,7 +361,7 @@ def write_csv(path, header, rows) -> None:
     exactly, and every line ends in "\\r\\n" as csv.writer's do: the bytes
     equal those of csv.writer given repr(float(v)) cells.
     """
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         csv.writer(f).writerow(header)
         f.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
@@ -285,9 +369,27 @@ def write_csv(path, header, rows) -> None:
 def write_json(path, doc) -> None:
     """Write ``doc`` (tuples as lists) indented by 2 with sorted keys and a
     final newline: every JSON artifact but the one-line checkpoint."""
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w", **open_args):
+    """Open a new hidden file beside ``path`` (`open` with ``mode`` and
+    ``open_args``) and, when the block ends without an error, rename it onto
+    ``path``: a reader finds the old file or the whole new one. After an
+    error the new file is removed and ``path`` is as it was."""
+    head, name = os.path.split(os.fspath(path))
+    temp = os.path.join(head, f".{name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(temp, mode.replace("w", "x"), **open_args) as f:
+            yield f
+        os.replace(temp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(temp)
+        raise
 
 
 @contextmanager

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import exact_int, json_types
+from .dataio import atomic_write, exact_int, json_types
 from .numerics import Rng, require_finite, softmax_pair, softmax_probs_inplace
 
 
@@ -283,7 +283,7 @@ def save_checkpoint(model: Mlp, path) -> None:
     }
     # json.dumps runs the C encoder; json.dump to a file takes the pure-Python
     # one. Both write the same bytes.
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         f.write(json.dumps(doc) + "\n")
 
 

@@ -90,8 +90,9 @@ _ROUTING = {
     "sce_ours": (False, False, True),
 }
 
-# The strategies that read each strategy-specific key; any other keeps its default
-_READERS = {"alpha": ("ls", *LEARNED_TABLE), "ablation_loss": LEARNED_TABLE,
+# The strategies that read each strategy-specific key; any other keeps its
+# default. proxy_distill's alpha is its teacher table's (`check_teacher`).
+_READERS = {"alpha": ("ls", *LEARNED_TABLE, "proxy_distill"), "ablation_loss": LEARNED_TABLE,
             "ols_mix": ("ols",), "ols_correct_only": ("ols",)}
 
 # The teacher kind each distillation strategy trains from; no other takes one
@@ -227,7 +228,9 @@ def evaluate(model: Mlp, dataset: Dataset) -> dict:
     probs = model.predict(dataset.features)
     hits = np.argmax(probs, axis=1) == dataset.labels
     accuracy = float(np.add.reduce(hits, dtype=np.float64) / n)
-    p_true = np.maximum(probs[np.arange(n), dataset.labels], 1e-12)
+    # one flat take on the C-ordered rows: row i's label sits at i * K + label
+    row_starts = np.arange(0, probs.size, probs.shape[1])
+    p_true = np.maximum(probs.take(row_starts + dataset.labels), 1e-12)
     mean_nll = float(np.add.reduce(-np.log(p_true)) / n) + 0.0
     mean_max_prob = float(np.add.reduce(row_max(probs)) / n)
     return {"accuracy": accuracy, "mean_nll": mean_nll, "mean_max_prob": mean_max_prob}
@@ -367,7 +370,8 @@ def check_teacher(config: TrainConfig, teacher, train_set: Dataset) -> None:
     """Raise ValueError, naming the strategy, unless ``teacher`` is the kind
     `TEACHERS` gives ``config.strategy`` (None for the others) and fits
     ``train_set``: an `Mlp` its input width and class count, a `CMatrix` its
-    class count, with an alpha that keeps every target's argmax on its class."""
+    class count, with an alpha that keeps every target's argmax on its class
+    and equals ``config.alpha``, the alpha its targets carry."""
     kind = TEACHERS.get(config.strategy)
     if kind is None:
         if teacher is not None:
@@ -382,6 +386,9 @@ def check_teacher(config: TrainConfig, teacher, train_set: Dataset) -> None:
     if kind is CMatrix and teacher.alpha >= 0.5:
         raise _pinning_error("a teacher logit table", "0.5", teacher.alpha,
                              "1 - alpha > alpha")
+    if kind is CMatrix and teacher.alpha != config.alpha:
+        raise ValueError(f"strategy {config.strategy!r} trains at its teacher table's "
+                         f"alpha {teacher.alpha!r}, got alpha={config.alpha!r}")
 
 
 def check_fit(artifact: Mlp | CMatrix, dataset: Dataset, name: str) -> None:
@@ -408,11 +415,13 @@ def distill(student_config: TrainConfig, teacher, train_set: Dataset,
             test_set: Dataset) -> TrainOutput:
     """Distill a student from a teacher network (``distill``) or a frozen
     logit table (``proxy_distill``): the teacher's kind picks the strategy,
-    whatever ``student_config`` names."""
+    and a table its alpha, whatever ``student_config`` names."""
     strategy = next((s for s, kind in TEACHERS.items() if isinstance(teacher, kind)), None)
     if strategy is None:
         raise ValueError(f"teacher must be an Mlp or a CMatrix, got {type(teacher)}")
-    return train(replace(student_config, strategy=strategy), train_set, test_set, teacher)
+    alpha = teacher.alpha if strategy == "proxy_distill" else student_config.alpha
+    config = replace(student_config, strategy=strategy, alpha=alpha)
+    return train(config, train_set, test_set, teacher)
 
 
 def gradient_check(num_classes: int, seed: int, hidden_sizes=(8,),

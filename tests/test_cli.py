@@ -13,7 +13,16 @@ from labelforge.cli import (
     main,
     parse_config_file,
 )
-from labelforge.dataio import Dataset, GaussianSpec, generate_gaussian, save_csv
+from labelforge import dataio
+from labelforge.dataio import (
+    PARSED_SUFFIX,
+    DataFormatError,
+    Dataset,
+    GaussianSpec,
+    generate_gaussian,
+    read_table,
+    save_csv,
+)
 from labelforge.labelreg import CMatrix, export_cmatrix
 from labelforge.model import init_model, save_checkpoint
 from labelforge.train import TrainConfig
@@ -190,6 +199,39 @@ class TestGenData:
         code = main(["gen-data", "--out", str(tmp_path / "x.csv"), "--means", "oops"])
         assert code == 2
         assert "means" in capsys.readouterr().err
+
+
+class TestParsedSidecar:
+    """A data CSV's parsed table is kept beside it, so that only a command's
+    first load of those bytes parses the text."""
+
+    def no_parse(self, *_):
+        raise AssertionError("parsed the CSV text")
+
+    def test_second_run_reads_the_sidecar_and_writes_the_same_bytes(self, tmp_path,
+                                                                     monkeypatch):
+        data = tmp_path / "data.csv"
+        sidecar = tmp_path / ("data.csv" + PARSED_SUFFIX)
+        assert main(["gen-data", "--per-class", "20", "--out", str(data)]) == 0
+        assert not sidecar.exists()  # gen-data does not pre-fill it
+        argv = ["train", "--data", str(data), "--epochs", "2"]
+        assert main([*argv, "--out", str(tmp_path / "r1")]) == 0
+        assert sidecar.is_file()
+        monkeypatch.setattr(dataio, "read_table", self.no_parse)
+        assert main([*argv, "--out", str(tmp_path / "r2")]) == 0
+        for name in ("metrics.csv", "checkpoint.json"):
+            assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+
+    def test_wrong_label_column_on_a_hit_exits_2_with_the_parse_message(
+            self, data_csv, tmp_path, monkeypatch, capsys):
+        with pytest.raises(DataFormatError) as parse_error:
+            read_table(data_csv, "target")
+        assert run_train(data_csv, tmp_path / "r1") == 0
+        monkeypatch.setattr(dataio, "read_table", self.no_parse)
+        out = tmp_path / "r2"
+        assert run_train(data_csv, out, "--label-column", "target") == 2
+        assert capsys.readouterr().err == f"labelforge: {parse_error.value}\n"
+        assert not out.exists()
 
 
 class TestTrainCommand:
@@ -485,18 +527,15 @@ class TestDistillCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("command,flags,error", [
-        ("distill", ["--teacher-cmatrix", None, "--alpha", "0.3"],
-         "strategy 'proxy_distill' does not read alpha, got alpha=0.3"),
         ("distill", ["--teacher-checkpoint", None, "--ols-mix", "0.2"],
          "strategy 'distill' does not read ols_mix, got ols_mix=0.2"),
         ("train", ["--strategy", "onehot", "--ablation-loss", "ce"],
          "strategy 'onehot' does not read ablation_loss, got ablation_loss='ce'"),
         ("train", ["--strategy", "ls", "--ols-correct-only"],
          "strategy 'ls' does not read ols_correct_only, got ols_correct_only=True"),
-    ], ids=["proxy-alpha", "distill-ols-mix", "onehot-ablation-loss", "ls-ols-correct-only"])
+    ], ids=["distill-ols-mix", "onehot-ablation-loss", "ls-ols-correct-only"])
     def test_key_the_strategy_does_not_read_exits_2_without_a_run_directory(
             self, data_csv, tmp_path, capsys, command, flags, error):
-        # a proxy student's targets carry the teacher's alpha, never its own
         teachers = {"--teacher-cmatrix": tmp_path / "cmatrix.csv",
                     "--teacher-checkpoint": tmp_path / "checkpoint.json"}
         export_cmatrix(CMatrix.zeros(4, 0.1), teachers["--teacher-cmatrix"])
@@ -506,6 +545,31 @@ class TestDistillCommand:
         assert main([command, "--data", str(data_csv), *argv, "--out", str(out)]) == 2
         assert error in capsys.readouterr().err
         assert not out.exists()
+
+    def test_proxy_student_records_its_teacher_alpha(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        assert main(["gen-data", "--per-class", "30", "--out", str(data)]) == 0
+        teacher = tmp_path / "teacher"
+        assert main(["train", "--data", str(data), "--strategy", "lspp", "--alpha", "0.3",
+                     "--epochs", "2", "--out", str(teacher)]) == 0
+        argv = ["distill", "--data", str(data), "--teacher-cmatrix",
+                str(teacher / "cmatrix.csv"), "--epochs", "2"]
+        for name, extra in (("implied", []), ("explicit", ["--alpha", "0.3"])):
+            assert main([*argv, *extra, "--out", str(tmp_path / name)]) == 0
+            config = json.loads((tmp_path / name / "config.json").read_text())
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            assert config["alpha"] == manifest["config"]["alpha"] == 0.3
+        assert ((tmp_path / "implied/metrics.csv").read_bytes()
+                == (tmp_path / "explicit/metrics.csv").read_bytes())
+        # an alpha set against the table's, by a flag or the config file
+        config_file = tmp_path / "student.cfg"
+        config_file.write_text("alpha=0.1\n")
+        for extra in (["--alpha", "0.1"], ["--config", str(config_file)]):
+            out = tmp_path / "disagrees"
+            assert main([*argv, *extra, "--out", str(out)]) == 2
+            assert ("strategy 'proxy_distill' trains at its teacher table's alpha 0.3, "
+                    "got alpha=0.1") in capsys.readouterr().err
+            assert not out.exists()
 
     def test_requires_exactly_one_teacher(self, data_csv, tmp_path, capsys):
         assert main(["distill", "--data", str(data_csv)]) == 2

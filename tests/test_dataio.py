@@ -1,20 +1,27 @@
 import gzip
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from labelforge import dataio
 from labelforge.dataio import (
+    PARSED_SUFFIX,
     DataFormatError,
     Dataset,
     GaussianSpec,
     generate_gaussian,
     load_csv,
     load_idx,
+    read_table,
     save_csv,
     split,
     stratified_split_indices,
+    write_csv,
+    write_json,
 )
+from labelforge.labelreg import CMatrix, export_cmatrix, load_cmatrix
 
 PAIRED_MEANS = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 10.0], [11.0, 10.0]])
 
@@ -213,6 +220,149 @@ class TestLoadCsv:
         path.write_text("f0,f1\n1,2\n")
         with pytest.raises(DataFormatError, match="no column"):
             load_csv(path, "label")
+
+
+def sidecar_of(path):
+    return path.with_name(path.name + PARSED_SUFFIX)
+
+
+def no_parse(*_):
+    raise AssertionError("parsed the CSV text")
+
+
+def assert_same_load(got, want):
+    """Two load_csv results hold the same bits and the same label mapping."""
+    (data, mapping), (want_data, want_mapping) = got, want
+    assert data.features.shape == want_data.features.shape
+    assert data.features.tobytes() == want_data.features.tobytes()
+    assert data.labels.tobytes() == want_data.labels.tobytes()
+    assert data.num_classes == want_data.num_classes
+    assert [(k, type(k), v) for k, v in mapping.items()] == [
+        (k, type(k), v) for k, v in want_mapping.items()
+    ]
+
+
+class TestParsedSidecar:
+    """load_csv keeps a data CSV's parsed table beside it, and a later load
+    of the same bytes reads it instead of the text: a speed-up that never
+    changes what a load returns or raises."""
+
+    def write(self, tmp_path, name="d.csv", seed=1):
+        path = tmp_path / name
+        save_csv(generate_gaussian(GaussianSpec(PAIRED_MEANS, 0.5, 10, seed=seed)), path)
+        return path
+
+    @pytest.mark.parametrize("text", [
+        None,  # save_csv's repr floats
+        'f0,f1,label\r\n1,2,7\r\n"3", 4 ,2.5\r\n\r\n5,6e-3,7\r\n',
+    ], ids=["save-csv", "quoted-float-labels"])
+    def test_hit_returns_what_the_parse_does(self, tmp_path, monkeypatch, text):
+        path = self.write(tmp_path)
+        if text is not None:
+            path.write_bytes(text.encode())
+        parsed = load_csv(path, "label")
+        assert sidecar_of(path).is_file()
+        monkeypatch.setattr(dataio, "read_table", no_parse)
+        assert_same_load(load_csv(path, "label"), parsed)
+
+    def test_same_size_edit_is_a_miss(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        path.write_text("f0,label\n1,0\n2,1\n")
+        load_csv(path, "label")
+        path.write_text("f0,label\n1,0\n3,1\n")  # one byte, same size
+        data, _ = load_csv(path, "label")
+        assert data.features[:, 0].tolist() == [1.0, 3.0]
+        monkeypatch.setattr(dataio, "read_table", no_parse)  # and was stored
+        assert load_csv(path, "label")[0].features[:, 0].tolist() == [1.0, 3.0]
+
+    @pytest.mark.parametrize("damage", ["truncated", "nan", "shape", "dtype", "other-file",
+                                        "plain-npy"])
+    def test_bad_sidecar_is_parsed_again_and_rewritten(self, tmp_path, monkeypatch, damage):
+        path = self.write(tmp_path)
+        parsed = load_csv(path, "label")
+        sidecar = sidecar_of(path)
+        with open(sidecar, "rb") as f, np.load(f) as stored:
+            key, table = stored["key"], stored["table"]
+        if damage == "truncated":
+            sidecar.write_bytes(sidecar.read_bytes()[: sidecar.stat().st_size // 2])
+        elif damage == "other-file":  # same shape, other bytes
+            other = self.write(tmp_path, "other.csv", seed=2)
+            load_csv(other, "label")
+            os.replace(sidecar_of(other), sidecar)
+        elif damage == "plain-npy":
+            with open(sidecar, "wb") as f:
+                np.save(f, table)
+        else:
+            with_nan = table.copy()
+            with_nan[0, 0] = np.nan
+            bad = {"nan": with_nan, "shape": table[:, 1:], "dtype": table.astype(np.float32)}
+            with open(sidecar, "wb") as f:
+                np.savez(f, key=key, table=bad[damage])
+        assert_same_load(load_csv(path, "label"), parsed)
+        monkeypatch.setattr(dataio, "read_table", no_parse)
+        assert_same_load(load_csv(path, "label"), parsed)
+
+    def test_wrong_label_column_on_a_hit_raises_the_parse_error(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path)
+        with pytest.raises(DataFormatError) as parse_error:
+            read_table(path, "target")
+        load_csv(path, "label")
+        monkeypatch.setattr(dataio, "read_table", no_parse)
+        with pytest.raises(DataFormatError) as hit_error:
+            load_csv(path, "target")
+        assert str(hit_error.value) == str(parse_error.value)
+
+    def test_parse_error_is_not_stored(self, tmp_path):
+        path = tmp_path / "nf.csv"
+        path.write_text("f0,label\n1,0\n2,nan\n")
+        for _ in range(2):
+            with pytest.raises(DataFormatError, match=r"nf\.csv:3: non-finite"):
+                load_csv(path, "label")
+        assert os.listdir(tmp_path) == ["nf.csv"]
+
+    def test_read_only_directory_loads_and_leaves_no_sidecar(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path)
+        parsed = load_csv(path, "label")
+        sidecar_of(path).unlink()
+        tmp_path.chmod(0o555)
+        try:
+            if os.access(tmp_path, os.W_OK):
+                # a superuser writes through the mode bits; refuse as the
+                # directory would anyone else
+                def refuse(target, *_, **__):
+                    raise PermissionError(13, "Permission denied", str(target))
+                monkeypatch.setattr(dataio, "atomic_write", refuse)
+            assert_same_load(load_csv(path, "label"), parsed)
+        finally:
+            tmp_path.chmod(0o755)
+        assert os.listdir(tmp_path) == ["d.csv"]
+
+    def test_cmatrix_load_writes_no_sidecar(self, tmp_path):
+        export_cmatrix(CMatrix.zeros(3, 0.1), tmp_path / "cmatrix.csv")
+        load_cmatrix(tmp_path / "cmatrix.csv")
+        assert sorted(os.listdir(tmp_path)) == ["cmatrix.csv", "cmatrix.json"]
+
+
+def rows_that_fail():
+    yield [2.0]
+    raise RuntimeError("the writer failed mid-write")
+
+
+@pytest.mark.parametrize("write,write_badly,error", [
+    (lambda path: write_csv(path, ["a"], [[1.0]]),
+     lambda path: write_csv(path, ["a"], rows_that_fail()), RuntimeError),
+    (lambda path: write_json(path, {"a": 1.0}),
+     lambda path: write_json(path, {"a": 2.0, "b": object()}), TypeError),
+], ids=["write_csv", "write_json"])
+def test_failed_write_keeps_the_old_file_and_leaves_no_temp(tmp_path, write, write_badly,
+                                                            error):
+    path = tmp_path / "artifact"
+    write(path)
+    before = path.read_bytes()
+    with pytest.raises(error):
+        write_badly(path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["artifact"]
 
 
 class TestSplit:

@@ -102,7 +102,6 @@ class TestTrainConfig:
     @pytest.mark.parametrize("strategy,key,value", [
         ("onehot", "alpha", 0.2),
         ("ols", "alpha", 0.0),
-        ("proxy_distill", "alpha", 0.3),
         ("onehot", "ablation_loss", "ce"),
         ("ls", "ablation_loss", "sce_original"),
         ("lspp", "ols_mix", 0.25),
@@ -117,6 +116,7 @@ class TestTrainConfig:
         ("ls", "alpha", 0.2),
         ("lspp", "alpha", 0.2),
         ("ablation", "alpha", 0.2),
+        ("proxy_distill", "alpha", 0.3),  # check_teacher holds it to the table's
         ("lspp", "ablation_loss", "ce"),
         ("ablation", "ablation_loss", "sce_original"),
         ("ols", "ols_mix", 0.25),
@@ -380,6 +380,18 @@ class TestTrainBasics:
         train_set, test_set = small_task
         with pytest.raises(ValueError, match="argmax-pinning invariant"):
             distill(TrainConfig(), CMatrix.zeros(4, 0.5), train_set, test_set)
+
+    def test_proxy_student_trains_and_records_the_table_alpha(self, small_task):
+        train_set, test_set = small_task
+        teacher = CMatrix.zeros(4, 0.3)
+        base = dict(epochs=2, seed=3, layer_sizes=(2, 8, 4))
+        with pytest.raises(ValueError, match="strategy 'proxy_distill' trains at its "
+                                             "teacher table's alpha 0.3, got alpha=0.1"):
+            train(TrainConfig(strategy="proxy_distill", **base), train_set, test_set, teacher)
+        picked = distill(TrainConfig(**base), teacher, train_set, test_set)
+        named = train(TrainConfig(strategy="proxy_distill", alpha=0.3, **base),
+                      train_set, test_set, teacher)
+        assert np.array_equal(picked.model.params, named.model.params)
 
 
 class TestOlsStrategy:
