@@ -37,6 +37,7 @@ from .analysis import (
 from .dataio import (
     Dataset,
     GaussianSpec,
+    data_header,
     exact_int,
     file_sha256,
     generate_gaussian,
@@ -223,30 +224,31 @@ def _remap_labels(features, labels, test_mapping: dict, mapping: dict,
 
 
 def _load_datasets(args) -> tuple[Dataset, Dataset, dict]:
-    """Resolve train/test datasets from CSV or IDX flags; returns input paths
-    for the manifest alongside the datasets."""
+    """Resolve train/test datasets from CSV or IDX flags; returns the inputs
+    for the manifest alongside the datasets, each a name mapped to its path
+    and, for a CSV, the sha256 of the bytes loaded (None: not hashed yet)."""
     inputs = {}
     with _usage_errors():
         if args.data:
-            inputs["data"] = args.data
-            full, mapping = load_csv(args.data, args.label_column)
+            full, mapping, sha256 = load_csv(args.data, args.label_column)
+            inputs["data"] = (args.data, sha256)
             _require_classes(full, args.data)
             if args.test_data:
-                inputs["test_data"] = args.test_data
-                test, test_mapping = load_csv(args.test_data, args.label_column)
+                test, test_mapping, sha256 = load_csv(args.test_data, args.label_column)
+                inputs["test_data"] = (args.test_data, sha256)
                 test = _remap_labels(test.features, test.labels, test_mapping, mapping,
                                      args.test_data, args.data)
                 return full, test, inputs
             train_set, test_set = split(full, args.train_fraction, args.split_seed)
             return train_set, test_set, inputs
         if args.idx_images and args.idx_labels:
-            inputs["idx_images"] = args.idx_images
-            inputs["idx_labels"] = args.idx_labels
+            inputs["idx_images"] = (args.idx_images, None)
+            inputs["idx_labels"] = (args.idx_labels, None)
             full = _require_classes(load_idx(args.idx_images, args.idx_labels),
                                     args.idx_labels)
             if args.test_idx_images and args.test_idx_labels:
-                inputs["test_idx_images"] = args.test_idx_images
-                inputs["test_idx_labels"] = args.test_idx_labels
+                inputs["test_idx_images"] = (args.test_idx_images, None)
+                inputs["test_idx_labels"] = (args.test_idx_labels, None)
                 features, labels = read_idx(args.test_idx_images, args.test_idx_labels)
                 # IDX labels are class indices already; the test file may
                 # lack or add any of them, which _remap_labels names
@@ -275,11 +277,13 @@ def _resolve_run_dir(args, subcommand: str, seed: int) -> Path:
 
 def _write_manifest(run_dir: Path, subcommand: str, config_doc: dict,
                     inputs: dict) -> None:
+    """Record the run's config and its inputs (name -> (path, sha256 or
+    None)), hashing each input that was not hashed as it was loaded."""
     manifest = {
         "subcommand": subcommand,
         "config": config_doc,
-        "inputs": {name: {"path": str(p), "sha256": file_sha256(p)}
-                   for name, p in inputs.items()},
+        "inputs": {name: {"path": str(p), "sha256": sha256 or file_sha256(p)}
+                   for name, (p, sha256) in inputs.items()},
         "output_dir": str(run_dir),
         "tool_version": __version__,
     }
@@ -305,6 +309,7 @@ def _cmd_gen_data(args) -> int:
     means = _parse_means(args.means)
     with _usage_errors():
         spec = GaussianSpec(means, args.std, args.per_class, args.seed)
+        data_header(means.shape[1], args.label_column)  # before any work or write
     dataset = generate_gaussian(spec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -320,7 +325,7 @@ def _finish_training_command(args, subcommand, strategy_override=None,
                              teacher=None, teacher_inputs=None):
     train_set, test_set, inputs = _load_datasets(args)
     if args.config:
-        inputs["config"] = args.config
+        inputs["config"] = (args.config, None)
     if teacher_inputs:
         inputs.update(teacher_inputs)
     overrides = _config_overrides(args)
@@ -366,7 +371,8 @@ def _cmd_distill(args) -> int:
     path = getattr(args, key)
     with _usage_errors("cannot load teacher: "):
         teacher = loader(path)
-    return _finish_training_command(args, "distill", strategy, teacher, {key: path})
+    return _finish_training_command(args, "distill", strategy, teacher,
+                                    {key: (path, None)})
 
 
 def _cmd_gradcheck(args) -> int:
@@ -404,12 +410,12 @@ def _cmd_analyze(args) -> int:
     train_set, test_set, inputs = _load_datasets(args)
     with _usage_errors("cannot load checkpoint: "):
         model = load_checkpoint(args.checkpoint)
-    inputs["checkpoint"] = args.checkpoint
+    inputs["checkpoint"] = (args.checkpoint, None)
     cmatrix = None
     if args.cmatrix:
         with _usage_errors("cannot load cmatrix: "):
             cmatrix = load_cmatrix(args.cmatrix)
-        inputs["cmatrix"] = args.cmatrix
+        inputs["cmatrix"] = (args.cmatrix, None)
     with _usage_errors():  # an artifact of another task makes no run directory
         check_fit(model, train_set, "checkpoint")
         if cmatrix is not None:
@@ -529,6 +535,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"labelforge: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # Ctrl-C: the shell's code for SIGINT, no traceback
+        print("labelforge: interrupted", file=sys.stderr)
+        return 130
     except Exception as exc:  # runtime failure after a valid invocation
         print(f"labelforge: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

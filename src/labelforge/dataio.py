@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import gzip
 import hashlib
+import io
 import json
 import math
 import operator
@@ -32,8 +33,9 @@ from .numerics import Rng
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
-# load_csv keeps a data CSV's parsed table beside it, in the CSV's name plus
-# PARSED_SUFFIX, keyed by PARSED_VERSION and the sha256 of the CSV's bytes.
+# save_csv and load_csv keep a data CSV's parsed table beside it, in the
+# CSV's name plus PARSED_SUFFIX, keyed by PARSED_VERSION and the sha256 of
+# the CSV's bytes.
 # Raise the version whenever read_table's grammar or its table changes.
 PARSED_SUFFIX = ".parsed.npz"
 PARSED_VERSION = 1
@@ -223,22 +225,23 @@ def _read_header(f, path, label_column: str | None) -> list:
     except StopIteration:
         raise DataFormatError(f"{path}: empty file") from None
     header = [name.strip() for name in header]
-    if label_column is not None and label_column not in header:
+    if label_column is not None and header.count(label_column) != 1:
+        problem = "no column" if label_column not in header else "more than one column"
         raise DataFormatError(
-            f"{path}: no column named {label_column!r} in header {header}"
+            f"{path}: {problem} named {label_column!r} in header {header}"
         )
     return header
 
 
-def load_csv(path, label_column: str) -> tuple[Dataset, dict]:
+def load_csv(path, label_column: str) -> tuple[Dataset, dict, str]:
     """Load a data CSV (the grammar of `read_table`) as a Dataset.
 
     Labels are remapped to dense 0..K-1 in first-appearance order; the
-    returned dict maps each original label value to its dense index.
-    The table comes from the file's sidecar (`_parsed_table`) when it holds
-    the parse of these bytes.
+    returned dict maps each original label value to its dense index, and the
+    str is the hex sha256 of the bytes loaded. The table comes from the
+    file's sidecar (`_parsed_table`) when it holds the parse of these bytes.
     """
-    header, table = _parsed_table(path, label_column)
+    header, table, sha256 = _parsed_table(path, label_column)
     label_idx = header.index(label_column)
     mapping: dict = {}
     labels = np.empty(table.shape[0], dtype=np.int64)
@@ -248,39 +251,49 @@ def load_csv(path, label_column: str) -> tuple[Dataset, dict]:
             mapping[key] = len(mapping)
         labels[i] = mapping[key]
     features = np.delete(table, label_idx, axis=1)
-    return Dataset(features, labels, len(mapping)), mapping
+    return Dataset(features, labels, len(mapping)), mapping, sha256
 
 
-def _parsed_table(path, label_column: str) -> tuple[list, np.ndarray]:
-    """`read_table(path, label_column)`, reading the table from the sidecar
-    ``path`` + PARSED_SUFFIX when that holds the parse of these bytes.
+def _parsed_table(path, label_column: str) -> tuple[list, np.ndarray, str]:
+    """`read_table(path, label_column)` and the hex sha256 of the file,
+    reading the table from the sidecar ``path`` + PARSED_SUFFIX when that
+    holds the parse of these bytes.
 
     A hit still reads the header from the CSV and checks ``label_column``
     in it; a sidecar that cannot be read, is keyed to other bytes or holds
     anything but a finite 2-D float64 table with a row and one column per
     header name is a miss. A miss parses the CSV and, if the file did not
-    change meanwhile, writes the sidecar anew. A sidecar that cannot be read
-    or written only costs the parse, and a parse error is never stored.
+    change meanwhile, stores the sidecar anew (`_store_parsed`). A parse
+    error is never stored.
     """
-    sidecar = os.fspath(path) + PARSED_SUFFIX
-    try:
-        before = _identity(path)
-        key = f"{PARSED_VERSION}:{file_sha256(path)}"
-    except OSError:
-        return read_table(path, label_column)  # which reports the error
-    table = _read_parsed(sidecar, key)
+    before = _identity(path)
+    sha256 = file_sha256(path)
+    table = _read_parsed(os.fspath(path) + PARSED_SUFFIX, _parsed_key(sha256))
     if table is not None:
         with open(path, newline="") as f:
             header = _read_header(f, path, label_column)
         if (table.ndim == 2 and table.dtype == np.float64 and table.shape[0] >= 1
                 and table.shape[1] == len(header) and np.isfinite(table).all()):
-            return header, table
+            return header, table, sha256
     header, table = read_table(path, label_column)
     with suppress(OSError):
         if _identity(path) == before:
-            with atomic_write(sidecar, "wb") as f:
-                np.savez(f, key=np.array(key), table=table)
-    return header, table
+            _store_parsed(path, sha256, table)
+    return header, table, sha256
+
+
+def _parsed_key(sha256: str) -> str:
+    """The key a sidecar stores the parse of bytes with this hash under."""
+    return f"{PARSED_VERSION}:{sha256}"
+
+
+def _store_parsed(path, sha256: str, table: np.ndarray) -> None:
+    """Store ``table`` as the parse of the data CSV at ``path`` whose bytes
+    hash to ``sha256``, atomically; an OSError leaves the sidecar as it was
+    and only costs a later load its parse."""
+    with suppress(OSError):
+        with atomic_write(os.fspath(path) + PARSED_SUFFIX, "wb") as f:
+            np.savez(f, key=np.array(_parsed_key(sha256)), table=table)
 
 
 def _identity(path) -> tuple:
@@ -353,17 +366,34 @@ def _raise_for_bad_line(path, header, label_idx) -> None:
         raise DataFormatError(f"{path}:{first_non_finite}: non-finite cell (NaN or Inf)")
 
 
-def write_csv(path, header, rows) -> None:
-    """Write a header row and rows of Python ints and floats as CSV.
+class _Sha256Buffer(io.BufferedWriter):
+    """A buffered binary writer that hashes every byte written through it."""
+
+    def __init__(self, raw):
+        super().__init__(raw)
+        self.sha256 = hashlib.sha256()
+
+    def write(self, data):
+        self.sha256.update(data)
+        return super().write(data)
+
+
+def write_csv(path, header, rows) -> str:
+    """Write a header row and rows of Python ints and floats as CSV, and
+    return the hex sha256 of the bytes written.
 
     The header goes through csv.writer, which quotes names where needed.
     Each number is written as its repr, which round-trips every float64
     exactly, and every line ends in "\\r\\n" as csv.writer's do: the bytes
     equal those of csv.writer given repr(float(v)) cells.
     """
-    with atomic_write(path, newline="") as f:
-        csv.writer(f).writerow(header)
-        f.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+    with atomic_write(path, "wb", buffering=0) as raw:
+        buffer = _Sha256Buffer(raw)
+        # the text layer open() would build, over a buffer that hashes
+        with io.TextIOWrapper(buffer, newline="") as f:
+            csv.writer(f).writerow(header)
+            f.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+    return buffer.sha256.hexdigest()
 
 
 def write_json(path, doc) -> None:
@@ -414,13 +444,34 @@ def exact_int(value, name: str) -> int:
     raise ValueError(f"{name}: {value!r} is not an integer")
 
 
+def data_header(num_features: int, label_column: str) -> list:
+    """The header save_csv writes: f0..f<num_features - 1>, then
+    ``label_column``, which must read back as the one column of that name.
+    A name equal to a feature name, or padded with spaces that a load strips,
+    would not, and is rejected."""
+    header = [f"f{i}" for i in range(num_features)]
+    if label_column in header or label_column != label_column.strip():
+        raise ValueError(
+            f"label column {label_column!r} would not read back: it must differ "
+            f"from the feature names f0..f{num_features - 1} and have no leading "
+            f"or trailing spaces"
+        )
+    return [*header, label_column]
+
+
 def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:
-    """Write a dataset in the format load_csv reads (floats via repr)."""
-    header = [f"f{i}" for i in range(dataset.num_features)] + [label_column]
+    """Write a dataset in the format load_csv reads (floats via repr) under
+    `data_header`, and store its table as the file's parsed-table sidecar:
+    repr round-trips every float64, so the parse of the bytes written is
+    that table. A table with NaN or Inf gets no sidecar."""
+    header = data_header(dataset.num_features, label_column)
     rows = (
         x.tolist() + [y] for x, y in zip(dataset.features, dataset.labels.tolist())
     )
-    write_csv(path, header, rows)
+    sha256 = write_csv(path, header, rows)
+    table = np.column_stack((dataset.features, dataset.labels.astype(np.float64)))
+    if np.isfinite(table).all():
+        _store_parsed(path, sha256, table)
 
 
 def stratified_split_indices(

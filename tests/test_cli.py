@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 from dataclasses import fields
@@ -13,19 +14,21 @@ from labelforge.cli import (
     main,
     parse_config_file,
 )
-from labelforge import dataio
+from labelforge import cli, dataio
+from labelforge import train as train_module
 from labelforge.dataio import (
     PARSED_SUFFIX,
     DataFormatError,
     Dataset,
     GaussianSpec,
+    file_sha256,
     generate_gaussian,
     read_table,
     save_csv,
 )
 from labelforge.labelreg import CMatrix, export_cmatrix
 from labelforge.model import init_model, save_checkpoint
-from labelforge.train import TrainConfig
+from labelforge.train import TrainConfig, evaluate
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +203,16 @@ class TestGenData:
         assert code == 2
         assert "means" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["f0", "f1", " label,x", "label "])
+    def test_label_column_that_would_not_read_back_exits_2_before_writing(
+            self, tmp_path, capsys, name):
+        out = tmp_path / "sub" / "x.csv"
+        code = main(["gen-data", "--per-class", "5", "--label-column", name,
+                     "--out", str(out)])
+        assert code == 2
+        assert "would not read back" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestParsedSidecar:
     """A data CSV's parsed table is kept beside it, so that only a command's
@@ -213,7 +226,7 @@ class TestParsedSidecar:
         data = tmp_path / "data.csv"
         sidecar = tmp_path / ("data.csv" + PARSED_SUFFIX)
         assert main(["gen-data", "--per-class", "20", "--out", str(data)]) == 0
-        assert not sidecar.exists()  # gen-data does not pre-fill it
+        assert sidecar.is_file()  # gen-data pre-fills it
         argv = ["train", "--data", str(data), "--epochs", "2"]
         assert main([*argv, "--out", str(tmp_path / "r1")]) == 0
         assert sidecar.is_file()
@@ -221,6 +234,20 @@ class TestParsedSidecar:
         assert main([*argv, "--out", str(tmp_path / "r2")]) == 0
         for name in ("metrics.csv", "checkpoint.json"):
             assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+
+    def test_train_on_the_gen_data_sidecar_matches_a_train_that_parses(self, tmp_path,
+                                                                      monkeypatch):
+        data = tmp_path / "data.csv"
+        assert main(["gen-data", "--per-class", "20", "--out", str(data)]) == 0
+        argv = ["train", "--data", str(data), "--epochs", "2", "--strategy", "lspp"]
+        with monkeypatch.context() as patch:
+            patch.setattr(dataio, "read_table", self.no_parse)
+            assert main([*argv, "--out", str(tmp_path / "prefilled")]) == 0
+        (tmp_path / ("data.csv" + PARSED_SUFFIX)).unlink()
+        assert main([*argv, "--out", str(tmp_path / "parsed")]) == 0
+        for name in ("metrics.csv", "checkpoint.json"):
+            assert ((tmp_path / "prefilled" / name).read_bytes()
+                    == (tmp_path / "parsed" / name).read_bytes())
 
     def test_wrong_label_column_on_a_hit_exits_2_with_the_parse_message(
             self, data_csv, tmp_path, monkeypatch, capsys):
@@ -232,6 +259,61 @@ class TestParsedSidecar:
         assert run_train(data_csv, out, "--label-column", "target") == 2
         assert capsys.readouterr().err == f"labelforge: {parse_error.value}\n"
         assert not out.exists()
+
+
+class TestInputHashes:
+    """A command hashes each data CSV once, as it loads it, and its manifest
+    records the sha256 of the bytes loaded."""
+
+    @pytest.fixture
+    def teacher(self, data_csv, tmp_path_factory):
+        run_dir = tmp_path_factory.mktemp("teacher") / "run"
+        assert run_train(data_csv, run_dir, "--strategy", "lspp", "--epochs", "2") == 0
+        return run_dir
+
+    @pytest.mark.parametrize("command", ["train", "distill", "analyze"])
+    def test_each_data_file_is_hashed_once(self, data_csv, teacher, tmp_path, monkeypatch,
+                                           command):
+        test_csv = tmp_path / "test.csv"
+        test_csv.write_bytes(data_csv.read_bytes())  # other path, same bytes
+        hashed = []
+
+        def counting_sha256(path):
+            hashed.append(str(path))
+            return file_sha256(path)
+        monkeypatch.setattr(dataio, "file_sha256", counting_sha256)
+        monkeypatch.setattr(cli, "file_sha256", counting_sha256)
+        out = tmp_path / "out"
+        flags = {
+            "train": ["--epochs", "1"],
+            "distill": ["--epochs", "1", "--teacher-checkpoint",
+                        str(teacher / "checkpoint.json")],
+            "analyze": ["--checkpoint", str(teacher / "checkpoint.json")],
+        }[command]
+        assert main([command, "--data", str(data_csv), "--test-data", str(test_csv),
+                     *flags, "--out", str(out)]) == 0
+        assert hashed.count(str(data_csv)) == 1
+        assert hashed.count(str(test_csv)) == 1
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        for name, path in (("data", data_csv), ("test_data", test_csv)):
+            assert inputs[name] == {
+                "path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
+def test_ctrl_c_exits_130_with_one_line(data_csv, tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def interrupted_evaluate(model, dataset):
+        calls.append(dataset)
+        if len(calls) == 5:  # the first of epoch 3's two evaluations
+            raise KeyboardInterrupt
+        return evaluate(model, dataset)
+    monkeypatch.setattr(train_module, "evaluate", interrupted_evaluate)
+    out = tmp_path / "run"
+    assert run_train(data_csv, out) == 130
+    assert capsys.readouterr().err == "labelforge: interrupted\n"
+    assert len(calls) == 5
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
 class TestTrainCommand:

@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import os
 import struct
 
@@ -8,6 +9,7 @@ import pytest
 from labelforge import dataio
 from labelforge.dataio import (
     PARSED_SUFFIX,
+    PARSED_VERSION,
     DataFormatError,
     Dataset,
     GaussianSpec,
@@ -165,7 +167,7 @@ class TestLoadCsv:
     def test_label_remap_first_appearance(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f0,f1,label\n1,2,5\n3,4,5\n5,6,9\n")
-        data, mapping = load_csv(path, "label")
+        data, mapping, _ = load_csv(path, "label")
         assert data.num_classes == 2
         assert data.labels.tolist() == [0, 0, 1]
         assert mapping == {5: 0, 9: 1}
@@ -186,7 +188,7 @@ class TestLoadCsv:
         data = generate_gaussian(GaussianSpec(PAIRED_MEANS, 0.5, 10, seed=1))
         path = tmp_path / "rt.csv"
         save_csv(data, path)
-        loaded, _ = load_csv(path, "label")
+        loaded, _, _ = load_csv(path, "label")
         assert np.abs(loaded.features - data.features).max() < 1e-9
         assert np.array_equal(loaded.labels, data.labels)
 
@@ -221,6 +223,18 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match="no column"):
             load_csv(path, "label")
 
+    @pytest.mark.parametrize("hit", [False, True], ids=["miss", "hit"])
+    def test_label_column_named_twice_is_rejected(self, tmp_path, monkeypatch, hit):
+        path = tmp_path / "twice.csv"
+        path.write_bytes(b"f0,f1,f0\r\n1.0,2.0,0\r\n3.0,4.0,1\r\n")
+        if hit:  # a sidecar that holds this file's table
+            dataio._store_parsed(path, hashlib.sha256(path.read_bytes()).hexdigest(),
+                                 np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 1.0]]))
+            assert sidecar_of(path).is_file()
+            monkeypatch.setattr(dataio, "read_table", no_parse)
+        with pytest.raises(DataFormatError, match="more than one column named 'f0'"):
+            load_csv(path, "f0")
+
 
 def sidecar_of(path):
     return path.with_name(path.name + PARSED_SUFFIX)
@@ -231,8 +245,10 @@ def no_parse(*_):
 
 
 def assert_same_load(got, want):
-    """Two load_csv results hold the same bits and the same label mapping."""
-    (data, mapping), (want_data, want_mapping) = got, want
+    """Two load_csv results hold the same bits, the same label mapping and
+    the same file hash."""
+    (data, mapping, sha256), (want_data, want_mapping, want_sha256) = got, want
+    assert sha256 == want_sha256
     assert data.features.shape == want_data.features.shape
     assert data.features.tobytes() == want_data.features.tobytes()
     assert data.labels.tobytes() == want_data.labels.tobytes()
@@ -258,6 +274,7 @@ class TestParsedSidecar:
     ], ids=["save-csv", "quoted-float-labels"])
     def test_hit_returns_what_the_parse_does(self, tmp_path, monkeypatch, text):
         path = self.write(tmp_path)
+        sidecar_of(path).unlink()  # save_csv's, so that the first load parses
         if text is not None:
             path.write_bytes(text.encode())
         parsed = load_csv(path, "label")
@@ -270,7 +287,7 @@ class TestParsedSidecar:
         path.write_text("f0,label\n1,0\n2,1\n")
         load_csv(path, "label")
         path.write_text("f0,label\n1,0\n3,1\n")  # one byte, same size
-        data, _ = load_csv(path, "label")
+        data, _, _ = load_csv(path, "label")
         assert data.features[:, 0].tolist() == [1.0, 3.0]
         monkeypatch.setattr(dataio, "read_table", no_parse)  # and was stored
         assert load_csv(path, "label")[0].features[:, 0].tolist() == [1.0, 3.0]
@@ -341,6 +358,60 @@ class TestParsedSidecar:
         export_cmatrix(CMatrix.zeros(3, 0.1), tmp_path / "cmatrix.csv")
         load_cmatrix(tmp_path / "cmatrix.csv")
         assert sorted(os.listdir(tmp_path)) == ["cmatrix.csv", "cmatrix.json"]
+
+
+SPECIAL_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e-7]
+
+
+def special_dataset():
+    """Signed zero, the least subnormal, the largest float and values whose
+    repr switches notation, each in both columns and both signs."""
+    values = np.array(SPECIAL_VALUES + [-v for v in SPECIAL_VALUES])
+    features = np.column_stack((values, values[::-1]))
+    return Dataset(features, np.arange(values.size) % 3, 3)
+
+
+def gaussian_dataset(seed):
+    means = 50.0 * np.random.default_rng(seed).standard_normal((4, 12))
+    return generate_gaussian(GaussianSpec(means, 3.0, 25, seed=seed))
+
+
+class TestSaveCsvSidecar:
+    """save_csv stores the table it wrote as the new file's sidecar: the
+    parse of the bytes written, keyed by their sha256."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: gaussian_dataset(0), lambda: gaussian_dataset(1),
+        lambda: gaussian_dataset(2), special_dataset,
+    ], ids=["gaussian-0", "gaussian-1", "gaussian-2", "special-values"])
+    def test_stored_table_is_the_parse_of_the_bytes_written(self, tmp_path, make):
+        path = tmp_path / "d.csv"
+        save_csv(make(), path)
+        with open(sidecar_of(path), "rb") as f, np.load(f) as stored:
+            key, table = stored["key"].item(), stored["table"]
+        _, parsed = read_table(path, "label")
+        assert key == f"{PARSED_VERSION}:{hashlib.sha256(path.read_bytes()).hexdigest()}"
+        assert table.dtype == parsed.dtype and table.shape == parsed.shape
+        assert table.tobytes() == parsed.tobytes()
+
+    @pytest.mark.parametrize("cell", [np.nan, np.inf])
+    def test_non_finite_dataset_gets_no_sidecar_and_loads_with_the_parse_error(
+            self, tmp_path, cell):
+        features = np.array([[1.0, 2.0], [3.0, cell], [5.0, 6.0]])
+        path = tmp_path / "nf.csv"
+        save_csv(Dataset(features, [0, 1, 1], 2), path)
+        assert os.listdir(tmp_path) == ["nf.csv"]
+        with pytest.raises(DataFormatError) as parse_error:
+            read_table(path, "label")
+        with pytest.raises(DataFormatError, match=r"nf\.csv:3: non-finite") as load_error:
+            load_csv(path, "label")
+        assert str(load_error.value) == str(parse_error.value)
+
+    @pytest.mark.parametrize("name", ["f0", "f1", " label", "label,x ", "label\t"])
+    def test_label_column_that_would_not_read_back_writes_nothing(self, tmp_path, name):
+        with pytest.raises(ValueError, match="would not read back"):
+            save_csv(special_dataset(), tmp_path / "d.csv", name)
+        assert os.listdir(tmp_path) == []
 
 
 def rows_that_fail():

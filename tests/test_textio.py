@@ -108,7 +108,7 @@ def assert_same_bytes(new_path, oracle_path):
 
 
 def assert_loads_like_oracle(path, label_column="label"):
-    dataset, mapping = load_csv(path, label_column)
+    dataset, mapping, _ = load_csv(path, label_column)
     features, labels, oracle_mapping = csv_module_load(path, label_column)
     assert dataset.features.flags.c_contiguous
     assert dataset.features.shape == features.shape
