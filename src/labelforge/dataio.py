@@ -386,6 +386,12 @@ def write_csv(path, header, rows) -> str:
     Each number is written as its repr, which round-trips every float64
     exactly, and every line ends in "\\r\\n" as csv.writer's do: the bytes
     equal those of csv.writer given repr(float(v)) cells.
+
+    Only save_csv uses the hash, as the key of the parsed table it stores;
+    hashing while writing ties that key to the bytes written, with no read
+    back. The other writers' files are small (K-column matrices, one
+    metrics row per epoch), so they share the one path for the cost of
+    hashing those bytes.
     """
     with atomic_write(path, "wb", buffering=0) as raw:
         buffer = _Sha256Buffer(raw)

@@ -188,6 +188,7 @@ class TestLoadCsv:
         data = generate_gaussian(GaussianSpec(PAIRED_MEANS, 0.5, 10, seed=1))
         path = tmp_path / "rt.csv"
         save_csv(data, path)
+        sidecar_of(path).unlink()  # save_csv's, so that the load parses
         loaded, _, _ = load_csv(path, "label")
         assert np.abs(loaded.features - data.features).max() < 1e-9
         assert np.array_equal(loaded.labels, data.labels)

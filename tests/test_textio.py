@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 from labelforge.analysis import export_matrix_csv
-from labelforge.dataio import DataFormatError, Dataset, load_csv, save_csv, write_json
+from labelforge.dataio import (
+    PARSED_SUFFIX, DataFormatError, Dataset, load_csv, save_csv, write_json,
+)
 from labelforge.labelreg import CMatrix, export_cmatrix
 from labelforge.model import Mlp, save_checkpoint
 from labelforge.train import EpochStats, TrainConfig, TrainReport, write_metrics_csv
@@ -107,6 +109,12 @@ def assert_same_bytes(new_path, oracle_path):
     assert new_path.read_bytes() == oracle_path.read_bytes()
 
 
+def drop_sidecar(path):
+    """Remove the parsed table save_csv stored beside ``path``, so that the
+    next load parses the file's text."""
+    path.with_name(path.name + PARSED_SUFFIX).unlink()
+
+
 def assert_loads_like_oracle(path, label_column="label"):
     dataset, mapping, _ = load_csv(path, label_column)
     features, labels, oracle_mapping = csv_module_load(path, label_column)
@@ -134,6 +142,7 @@ class TestWritersMatchCsvModule:
             ([repr(float(v)) for v in x] + [int(y)] for x, y in zip(features, labels)),
         )
         assert_same_bytes(tmp_path / "new.csv", tmp_path / "old.csv")
+        drop_sidecar(tmp_path / "new.csv")
         assert_loads_like_oracle(tmp_path / "new.csv", name)
 
     def test_export_matrix_csv(self, tmp_path):
@@ -268,8 +277,10 @@ class TestLoaderMatchesCsvModule:
         values = edge_and_random(500 * 30, seed=8).reshape(500, 30)
         data = Dataset(values, np.arange(500) % 10, 10)
         save_csv(data, tmp_path / "d.csv")
-        loaded = assert_loads_like_oracle(tmp_path / "d.csv")
-        assert loaded.features.tobytes() == values.tobytes()
+        hit = assert_loads_like_oracle(tmp_path / "d.csv")
+        drop_sidecar(tmp_path / "d.csv")
+        parsed = assert_loads_like_oracle(tmp_path / "d.csv")
+        assert hit.features.tobytes() == parsed.features.tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("text", ["f0,label\n", "f0,label\r\n\r\n\n"])
     def test_header_only_is_no_data_rows_without_warning(self, tmp_path, text):
