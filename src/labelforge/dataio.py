@@ -100,8 +100,10 @@ class GaussianSpec:
         means = np.asarray(self.means, dtype=np.float64)
         if means.ndim != 2 or means.shape[0] < 2:
             raise ValueError("means must be a KxD array with K >= 2")
-        if not self.std > 0:
-            raise ValueError(f"std must be positive, got {self.std}")
+        if not np.isfinite(means).all():
+            raise ValueError("means must be finite")
+        if not 0.0 < self.std < math.inf:
+            raise ValueError(f"std must be positive and finite, got {self.std}")
         if self.per_class < 1:
             raise ValueError("per_class must be at least 1")
         object.__setattr__(self, "means", means)

@@ -21,6 +21,11 @@ logit table. Each loss and gradient lives here once, batched: the terms
 `network_dlogits` (`reverse_dlogits` serves the un-gated loss ablations) and
 the table's `table_logit_grad`. Training and `gradient_check` call these
 same functions; the tests check them against per-sample oracles.
+
+What depends on the labels alone is built outside the step that reads it:
+`label_indices` gives the gather and scatter indices of `table_logit_grad`,
+which a training run builds once per epoch, and `TableTargets` holds a
+learned table's target buffers, allocated once per run.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import exact_int, json_types, read_table, write_csv, write_json
-from .numerics import row_sum, softmax_rows
+from .numerics import row_sum, softmax_probs_into, softmax_rows
 
 LOG_CLAMP = 1e-12
 
@@ -111,16 +116,33 @@ def target_table(c: CMatrix) -> np.ndarray:
     return targets_from_row_probs(c.all_row_probs(), c.alpha)
 
 
-def targets_from_row_probs(row_probs: np.ndarray, alpha: float,
-                           out: np.ndarray | None = None) -> np.ndarray:
+def targets_from_row_probs(row_probs: np.ndarray, alpha: float) -> np.ndarray:
     """The K x K target table from a logit table's K x (K-1) row softmax:
-    1 - alpha on the diagonal, alpha times row y's softmax around it; into
-    ``out``, a table it returned for the same alpha, only the latter."""
-    if out is None:
-        return around_diagonal(alpha * row_probs, 1.0 - alpha)
-    cells = _off_cells(out)
-    np.multiply(row_probs.reshape(cells.shape), alpha, out=cells)
-    return out
+    1 - alpha on the diagonal, alpha times row y's softmax around it."""
+    return around_diagonal(alpha * row_probs, 1.0 - alpha)
+
+
+class TableTargets:
+    """The targets of a table that learns while it trains, kept in buffers a
+    run allocates once: ``row_probs`` holds the row softmax of the table's
+    logits and ``table`` the K x K targets, whose 1 - alpha diagonal is
+    written here once. `update` rewrites the rest from the logits."""
+
+    def __init__(self, c: CMatrix):
+        self.cmatrix = c
+        self.row_probs = np.zeros_like(c.logits)
+        self.table = targets_from_row_probs(self.row_probs, c.alpha)
+        # the table's off-diagonal cells, and row_probs laid out as they are
+        self._cells = _off_cells(self.table)
+        self._row_cells = self.row_probs.reshape(self._cells.shape)
+
+    def update(self) -> np.ndarray:
+        """Softmax the logits into ``row_probs``, write alpha times it around
+        the diagonal of ``table`` and return the table: `target_table` of
+        the logits as they stand, bit for bit."""
+        softmax_probs_into(self.cmatrix.logits, self.row_probs)
+        np.multiply(self._row_cells, self.cmatrix.alpha, out=self._cells)
+        return self.table
 
 
 def cross_entropy(targets: np.ndarray, log_probs: np.ndarray) -> float:
@@ -158,14 +180,33 @@ def reverse_dlogits(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return -probs * (log_t - inner)
 
 
-def table_logit_grad(row_probs: np.ndarray, alpha: float, labels: np.ndarray,
-                     probs: np.ndarray, log_probs: np.ndarray, *,
-                     forward: bool, reverse: bool,
-                     out: np.ndarray | None = None) -> np.ndarray:
+def label_indices(labels: np.ndarray, k: int,
+                  batch_size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The index arrays `table_logit_grad` reads for samples of ``labels``,
+    taken in batches of ``batch_size`` (one batch when None). Row i of
+    ``cells`` holds the flat indices of sample i's K-1 non-target classes,
+    in increasing order, into its batch's B x K predictions; row i of
+    ``slots`` the flat indices y*(K-1)+j of the K x (K-1) table row it
+    feeds. A training run builds both once per epoch and slices them per
+    batch."""
+    labels = np.asarray(labels)
+    rows = np.arange(len(labels))
+    if batch_size is not None:
+        rows %= batch_size
+    cells = _off_slots(k).take(labels, axis=0)
+    cells += (rows * k)[:, None]
+    slots = labels[:, None] * (k - 1) + np.arange(k - 1)
+    return cells, slots
+
+
+def table_logit_grad(row_probs: np.ndarray, alpha: float, cells: np.ndarray,
+                     slots: np.ndarray, probs: np.ndarray, log_probs: np.ndarray, *,
+                     forward: bool, reverse: bool) -> np.ndarray:
     """Gradient w.r.t. the K x (K-1) logit table of the selected loss terms,
     summed (not averaged) over a batch; each sample feeds only the row of its
     label. ``row_probs`` is the table's row softmax, ``probs``/``log_probs``
-    the batch's predictions. With p = row_probs[y] over the non-target slots:
+    the batch's predictions, ``cells`` and ``slots`` the batch's
+    `label_indices`. With p = row_probs[y] over the non-target slots:
 
     reverse term H(prediction, target): g_j = -(probs_j - p_j * S), where S
     is the predicted mass off the target class; alpha cancels, since it only
@@ -175,25 +216,27 @@ def table_logit_grad(row_probs: np.ndarray, alpha: float, labels: np.ndarray,
     sum_i p_i * log_probs_i). Descent on it concentrates the row on the class
     the network already scores highest, collapsing the row's entropy.
 
-    Samples are added in batch order, so repeated labels sum as a loop over
-    the batch would sum them, into a new buffer or over ``out``.
+    One `np.bincount` adds the reverse rows, then the forward rows, each in
+    batch order, to a table of zeros, as `np.add.at` into a zeroed table adds
+    them, so repeated labels sum as a loop over the batch would sum them. A
+    zero term's sign is lost in 0.0 + -0.0, so the reverse rows are formed as
+    p * S - probs_j, one negation fewer.
     """
-    grad = np.empty_like(row_probs) if out is None else out
-    grad.fill(0.0)
-    k = row_probs.shape[0]
-    # flat indices of each sample's non-target cells, in class order
-    cells = _off_slots(k).take(labels, axis=0)
-    cells += np.arange(0, len(labels) * k, k)[:, None]
-    p = row_probs.take(labels, axis=0)
+    p = row_probs.take(slots)
+    terms = []
     if reverse:
         off_target = probs.take(cells)
-        mass = row_sum(off_target)
-        np.add.at(grad, labels, -(off_target - p * mass))
+        terms.append(p * row_sum(off_target) - off_target)
     if forward:
         off_logp = log_probs.take(cells)
         inner = row_sum(p * off_logp)
-        np.add.at(grad, labels, -alpha * p * (off_logp - inner))
-    return grad
+        terms.append(-alpha * p * (off_logp - inner))
+    if len(terms) == 1:
+        weights, index = terms[0], slots
+    else:
+        weights, index = np.concatenate(terms), np.concatenate((slots, slots))
+    grad = np.bincount(index.ravel(), weights.ravel(), minlength=row_probs.size)
+    return grad.reshape(row_probs.shape)
 
 
 @dataclass
@@ -221,7 +264,8 @@ class OlsState:
 def ols_accumulate(state: OlsState, probs: np.ndarray, y) -> OlsState:
     """Add one prediction (probs of shape (K,), int y) or a batch of them
     (B x K probs, B labels). A batch is added in row order, as B single
-    calls would add it, so repeated labels sum in the same order."""
+    calls would add it, so repeated labels sum in the same order; a training
+    run adds an epoch's predictions, stored in step order, with one call."""
     np.add.at(state.sums, y, np.asarray(probs, dtype=np.float64))
     np.add.at(state.counts, y, 1)
     return state

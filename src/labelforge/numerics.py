@@ -4,11 +4,11 @@ Matrices are plain 2-D float64 numpy arrays (row-major). The operations
 that take values from outside the training loop (``softmax_rows``,
 ``log_softmax_rows``) validate shapes and reject non-finite inputs, so that
 bad values surface where they are created instead of three modules later.
-``row_max``, ``row_sum``, ``softmax_pair`` and ``softmax_probs_inplace``
-trust their input: the training loop calls them where one check covers many
-operations. Training checks the network's logits once per forward pass
-(``Mlp.forward`` and ``Mlp.predict``) and the loss once per step
-(``train``); a NaN or Inf anywhere else on a step's path, in the logit
+``row_max``, ``row_sum``, ``softmax_pair``, ``softmax_probs_inplace`` and
+``softmax_probs_into`` trust their input: the training loop calls them where
+one check covers many operations. Training checks the network's logits once
+per forward pass (``Mlp.forward`` and ``Mlp.predict``) and the loss once per
+step (``train``); a NaN or Inf anywhere else on a step's path, in the logit
 table, the targets or the log-probabilities, reaches that loss.
 
 The random generator is written out explicitly (instead of delegating to a
@@ -294,6 +294,20 @@ def softmax_probs_inplace(m: np.ndarray) -> np.ndarray:
     np.exp(m, out=m)
     m /= row_sum(m)
     return m
+
+
+def softmax_probs_into(m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the row-wise softmax of a finite 2-D float64 array into ``out``
+    (C-ordered, of ``m``'s shape) and return it: ``softmax_probs_inplace`` of
+    a copy of ``m``, bit for bit, without the copy. Both reductions run on the
+    C-ordered rows, which `row_sum` equals bit for bit and `row_max` too but
+    for the sign of a tied zero, which no output shows (see `softmax_pair`);
+    on a table of a few rows their Fortran-ordered copies cost more than
+    they save. The input is not checked."""
+    np.subtract(m, np.maximum.reduce(m, axis=1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= np.add.reduce(out, axis=1, keepdims=True)
+    return out
 
 
 def softmax_rows(m) -> np.ndarray:

@@ -6,7 +6,11 @@ network from the forward cross-entropy gradient, and (when a learnable
 logit table is in play) steps the table from whichever direction the
 configured loss routes to it. Network and table updates within a batch are
 simultaneous: both gradients are computed from pre-step values before
-either parameter set moves.
+either parameter set moves. What depends on the labels alone, the epoch's
+label order, a fixed table's target rows and a learned table's gather and
+scatter indices, is computed once per epoch and sliced per batch; ``ols``
+stores an epoch's predictions and adds them to its per-class sums once the
+epoch ends, in step order.
 
 Strategies:
 
@@ -56,15 +60,16 @@ from .dataio import Dataset, exact_int, write_csv, write_json
 from .labelreg import (
     CMatrix,
     OlsState,
+    TableTargets,
     cross_entropy,
     export_cmatrix,
+    label_indices,
     network_dlogits,
     ols_accumulate,
     ols_table,
     reverse_cross_entropy,
     table_logit_grad,
     target_table,
-    targets_from_row_probs,
 )
 from .model import (
     Mlp,
@@ -74,7 +79,7 @@ from .model import (
     save_checkpoint,
     sgd_step,
 )
-from .numerics import Rng, derive_seed, row_max, softmax_probs_inplace
+from .numerics import Rng, derive_seed, row_max
 
 STRATEGIES = ("onehot", "ls", "lspp", "ols", "distill", "proxy_distill", "ablation")
 ABLATION_LOSSES = ("ce", "sce_original", "sce_ours")
@@ -143,14 +148,16 @@ class TrainConfig:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        # NaN fails every comparison, so each rule is stated as what passes
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not self.weight_decay >= 0.0:
-            raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay}")
-        if self.c_lr is not None and self.c_lr < 0:
-            raise ValueError(f"c_lr must be nonnegative, got {self.c_lr}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(
+                f"weight_decay must be nonnegative and finite, got {self.weight_decay}")
+        if self.c_lr is not None and not 0.0 <= self.c_lr < math.inf:
+            raise ValueError(f"c_lr must be nonnegative and finite, got {self.c_lr}")
         if not 0.0 <= self.ols_mix <= 1.0:
             raise ValueError(f"ols_mix must be in [0, 1], got {self.ols_mix}")
         if self.ablation_loss not in ABLATION_LOSSES:
@@ -252,45 +259,50 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
     # a learned table is rebuilt from its logits every step, ols from the
     # previous epoch's mean predictions every epoch
     cmatrix: CMatrix | None = None
+    learned: TableTargets | None = None
     table = np.eye(k, dtype=np.float64)  # onehot, and ols in epoch 0
     if strategy in LEARNED_TABLE:
         cmatrix = CMatrix.zeros(k, config.alpha)
-        # per-run buffers; the target table's diagonal is written here once
-        table_probs = np.empty_like(cmatrix.logits)
-        table = targets_from_row_probs(table_probs, cmatrix.alpha)
-        cgrad = np.empty_like(cmatrix.logits)
+        learned = TableTargets(cmatrix)
     elif strategy == "ls":
         table = target_table(CMatrix.zeros(k, config.alpha))
     elif strategy == "proxy_distill":
         table = target_table(teacher)
+    fixed_table = learned is None and teacher_model is None
 
     teacher_calls_before = teacher_model.forward_count if teacher_model else 0
     features, labels = train_set.features, train_set.labels
     n = len(train_set)
+    batch_size = config.batch_size
+    # ols reads an epoch's predictions once it ends, stored here in step order
+    ols_probs = np.empty((n, k), dtype=np.float64) if strategy == "ols" else None
     report = TrainReport()
 
     for epoch in range(config.epochs):
         perm = Rng(derive_seed(config.seed, 1 + epoch)).permutation(n)
         loss_sum = 0.0
-        ols_state = OlsState.zeros(k) if strategy == "ols" else None
+        # what depends on the labels alone is gathered once per epoch, and
+        # each step reads its rows as a slice
+        y_epoch = labels.take(perm)
+        if fixed_table:
+            targets_epoch = table.take(y_epoch, axis=0)
+        if learned is not None:
+            cells_epoch, slots_epoch = label_indices(y_epoch, k, batch_size)
 
-        for batch, start in enumerate(range(0, n, config.batch_size)):
-            idx = perm[start : start + config.batch_size]
+        for batch, start in enumerate(range(0, n, batch_size)):
+            stop = start + batch_size
             # take() gathers rows as indexing does, at a third of its cost
-            xb = features.take(idx, axis=0)
-            yb = labels[idx]
-            b = len(idx)
+            xb = features.take(perm[start:stop], axis=0)
+            b = len(xb)
 
             cache = model.forward(xb)
             probs, log_probs = cache.probs, cache.log_probs
             if teacher_model is not None:
                 targets = teacher_model.predict(xb)
+            elif learned is not None:
+                targets = learned.update().take(y_epoch[start:stop], axis=0)
             else:
-                if cmatrix is not None:
-                    np.copyto(table_probs, cmatrix.logits)
-                    softmax_probs_inplace(table_probs)
-                    targets_from_row_probs(table_probs, cmatrix.alpha, out=table)
-                targets = table.take(yb, axis=0)
+                targets = targets_epoch[start:stop]
 
             # the one finiteness check of the step: a NaN or Inf in the
             # table, the targets or the log-probabilities reaches the loss
@@ -303,17 +315,16 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
 
             dlogits = network_dlogits(probs, targets, b, net_rev)
             sgd_step(model, model.backward(cache, dlogits, grads), opt)
-            if cmatrix is not None:
-                table_logit_grad(table_probs, cmatrix.alpha, yb, probs, log_probs,
-                                 forward=c_fwd, reverse=c_rev, out=cgrad)
-                cmatrix.logits -= config.c_lr * (cgrad / b)
-
-            if ols_state is not None:
-                if config.ols_correct_only:
-                    hits = np.argmax(probs, axis=1) == yb
-                    ols_accumulate(ols_state, probs[hits], yb[hits])
-                else:
-                    ols_accumulate(ols_state, probs, yb)
+            if learned is not None:
+                cgrad = table_logit_grad(learned.row_probs, cmatrix.alpha,
+                                         cells_epoch[start:stop], slots_epoch[start:stop],
+                                         probs, log_probs, forward=c_fwd, reverse=c_rev)
+                # c_lr * (cgrad / b), subtracted from the logits in place
+                cgrad /= b
+                cgrad *= config.c_lr
+                cmatrix.logits -= cgrad
+            if ols_probs is not None:
+                ols_probs[start:stop] = probs
 
         train_loss = loss_sum / n
         if train_loss > DIVERGED_LOSS_FACTOR * math.log(k):
@@ -322,7 +333,13 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
                 f"{DIVERGED_LOSS_FACTOR:g} * ln {k}"
             )
 
-        if ols_state is not None:
+        if ols_probs is not None:
+            ols_state = OlsState.zeros(k)
+            if config.ols_correct_only:
+                hits = np.argmax(ols_probs, axis=1) == y_epoch
+                ols_accumulate(ols_state, ols_probs[hits], y_epoch[hits])
+            else:
+                ols_accumulate(ols_state, ols_probs, y_epoch)
             table, fallbacks = ols_table(ols_state.class_means(), config.ols_mix)
             report.ols_fallbacks += fallbacks
 
@@ -461,8 +478,9 @@ def gradient_check(num_classes: int, seed: int, hidden_sizes=(8,),
         model.params, model.backward(cache, dlogits),
         lambda: cross_entropy(targets, model.forward(batch).log_probs) / batch_size, step)
 
-    analytic = table_logit_grad(cmatrix.all_row_probs(), cmatrix.alpha, labels, probs,
-                                cache.log_probs, forward=False, reverse=True) / batch_size
+    analytic = table_logit_grad(cmatrix.all_row_probs(), cmatrix.alpha,
+                                *label_indices(labels, num_classes), probs, cache.log_probs,
+                                forward=False, reverse=True) / batch_size
     cmatrix_err = central_difference_error(
         cmatrix.logits.reshape(-1), analytic.reshape(-1),
         lambda: reverse_cross_entropy(probs, target_table(cmatrix)[labels]) / batch_size, step)

@@ -1,13 +1,16 @@
 """Reference forms the tests check `labelforge` against: the label math one
-sample at a time, and a finite-difference check of a network's gradient.
+sample at a time, a finite-difference check of a network's gradient, and an
+online-smoothing run that adds its predictions one step at a time.
 Nothing in `labelforge` calls them; training and `gradient_check` use the
 batched forms in `labelforge.labelreg`."""
 
 import numpy as np
 
-from labelforge.labelreg import LOG_CLAMP, CMatrix
-from labelforge.model import central_difference_error
-from labelforge.numerics import softmax_rows
+from labelforge.labelreg import LOG_CLAMP, CMatrix, OlsState, network_dlogits, ols_table
+from labelforge.labelreg import cross_entropy as batch_cross_entropy
+from labelforge.model import OptState, central_difference_error, init_model, sgd_step
+from labelforge.numerics import Rng, derive_seed, softmax_rows
+from labelforge.train import EpochStats, evaluate
 
 
 def row_probs(c: CMatrix, y: int) -> np.ndarray:
@@ -73,3 +76,37 @@ def finite_diff_check(model, batch: np.ndarray, scalar_loss_fn, step: float = 1e
     _, analytic = scalar_loss_fn(model, batch)
     return central_difference_error(model.params, analytic,
                                     lambda: scalar_loss_fn(model, batch)[0], step)
+
+
+def ols_run(config, train_set, test_set) -> tuple[list, list]:
+    """An ``ols`` training run as a plain loop over steps, each adding its
+    predictions (or, under ``ols_correct_only``, its correctly predicted
+    rows) to the epoch's per-class sums one sample at a time, in batch
+    order. Returns the `OlsState` of every epoch and its `EpochStats`."""
+    config = config.resolved(train_set.num_features, train_set.num_classes)
+    k, n = train_set.num_classes, len(train_set)
+    model = init_model(config.layer_sizes, config.seed)
+    opt = OptState.for_model(model, config.lr, config.momentum, config.weight_decay)
+    table = np.eye(k)
+    states, stats = [], []
+    for epoch in range(config.epochs):
+        perm = Rng(derive_seed(config.seed, 1 + epoch)).permutation(n)
+        state, loss_sum = OlsState.zeros(k), 0.0
+        for start in range(0, n, config.batch_size):
+            idx = perm[start : start + config.batch_size]
+            xb, yb = train_set.features[idx], train_set.labels[idx]
+            cache = model.forward(xb)
+            targets = table[yb]
+            loss_sum += batch_cross_entropy(targets, cache.log_probs)
+            dlogits = network_dlogits(cache.probs, targets, len(idx), False)
+            sgd_step(model, model.backward(cache, dlogits), opt)
+            for p, y in zip(cache.probs, yb.tolist()):
+                if not config.ols_correct_only or np.argmax(p) == y:
+                    state.sums[y] += p
+                    state.counts[y] += 1
+        table, _ = ols_table(state.class_means(), config.ols_mix)
+        states.append(state)
+        train_eval, test_eval = evaluate(model, train_set), evaluate(model, test_set)
+        stats.append(EpochStats(epoch, train_eval["accuracy"], test_eval["accuracy"],
+                                loss_sum / n, train_eval["mean_max_prob"]))
+    return states, stats

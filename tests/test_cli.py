@@ -203,6 +203,19 @@ class TestGenData:
         assert code == 2
         assert "means" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--std", "inf"], "std must be"),
+        (["--std", "nan"], "std must be"),
+        (["--means=0,0;nan,1"], "means must be finite"),
+        (["--means=0,0;1,-inf"], "means must be finite"),
+    ])
+    def test_non_finite_spec_exits_2_before_writing(self, tmp_path, capsys, flags,
+                                                    message):
+        out = tmp_path / "sub" / "x.csv"
+        assert main(["gen-data", "--per-class", "5", *flags, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("name", ["f0", "f1", " label,x", "label "])
     def test_label_column_that_would_not_read_back_exits_2_before_writing(
             self, tmp_path, capsys, name):
@@ -394,11 +407,21 @@ class TestTrainCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--momentum", "-5"), ("--momentum", "1"),
-                                            ("--weight-decay", "-0.1")])
+                                            ("--weight-decay", "-0.1"),
+                                            ("--weight-decay", "inf")])
     def test_optimizer_out_of_range_exits_2(self, data_csv, tmp_path, capsys, flag, value):
         out = tmp_path / "bad"
         assert run_train(data_csv, out, flag, value) == 2
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--lr", "inf"),
+                                            ("--c-lr", "inf"), ("--c-lr", "nan")])
+    def test_non_finite_learning_rate_exits_2_before_the_run_directory(
+            self, data_csv, tmp_path, capsys, flag, value):
+        out = tmp_path / "bad"
+        assert run_train(data_csv, out, "--strategy", "lspp", flag, value) == 2
+        assert f"{flag[2:].replace('-', '_')} must be" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_finite_csv_cell_exits_2(self, tmp_path, capsys):

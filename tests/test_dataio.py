@@ -49,6 +49,18 @@ class TestDataset:
 
 
 class TestGenerateGaussian:
+    @pytest.mark.parametrize("std", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_std_must_be_positive_and_finite(self, std):
+        with pytest.raises(ValueError, match="std must be positive and finite"):
+            GaussianSpec(PAIRED_MEANS, std, 5)
+
+    @pytest.mark.parametrize("cell", [float("nan"), float("inf"), -float("inf")])
+    def test_means_must_be_finite(self, cell):
+        means = PAIRED_MEANS.copy()
+        means[2, 1] = cell
+        with pytest.raises(ValueError, match="means must be finite"):
+            GaussianSpec(means, 0.5, 5)
+
     def test_tiny_std_collapses_to_means(self):
         spec = GaussianSpec(PAIRED_MEANS, 1e-12, 5, seed=3)
         data = generate_gaussian(spec)

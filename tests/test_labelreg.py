@@ -7,14 +7,15 @@ import pytest
 from labelforge.labelreg import (
     CMatrix,
     OlsState,
+    TableTargets,
     export_cmatrix,
+    label_indices,
     load_cmatrix,
     ols_accumulate,
     ols_table,
     reverse_dlogits,
     table_logit_grad,
     target_table,
-    targets_from_row_probs,
 )
 from labelforge.numerics import (
     Rng,
@@ -39,15 +40,15 @@ def random_cmatrix(rng, k, alpha=0.1):
 def c_logit_grad(c, y, probs):
     """Reverse-term gradient on row y for one sample: a batch of one
     through the batched table gradient."""
-    grad = table_logit_grad(c.all_row_probs(), c.alpha, np.array([y]),
+    grad = table_logit_grad(c.all_row_probs(), c.alpha, *label_indices([y], c.num_classes),
                             np.asarray(probs)[None], None, forward=False, reverse=True)
     return grad[y]
 
 
 def c_logit_grad_forward(c, y, log_probs):
     """Forward-term gradient on row y for one sample, batched as above."""
-    grad = table_logit_grad(c.all_row_probs(), c.alpha, np.array([y]), None,
-                            np.asarray(log_probs)[None], forward=True, reverse=False)
+    grad = table_logit_grad(c.all_row_probs(), c.alpha, *label_indices([y], c.num_classes),
+                            None, np.asarray(log_probs)[None], forward=True, reverse=False)
     return grad[y]
 
 
@@ -517,10 +518,16 @@ class TestExport:
 
 
 class TestBufferedTableStep:
-    """A training run's table step, with its buffers written in place every
-    step, against the fresh forms of `targets_from_row_probs` and
-    `table_logit_grad`, and those against the per-op form (a boolean mask
-    over the batch, NumPy's own row sums), bit for bit."""
+    """A training run's table step, `TableTargets` rewriting its buffers in
+    place and `table_logit_grad` reading index rows sliced out of one
+    epoch's `label_indices`, against the fresh forms (`target_table`, the
+    indices of the batch alone), and those against the per-op form (a
+    boolean mask over the batch, NumPy's own row sums, `np.add.at` into a
+    zeroed table), bit for bit."""
+
+    ROUTINGS = pytest.mark.parametrize(
+        "forward,reverse", [(True, False), (True, True), (False, True)],
+        ids=["ce", "sce_original", "sce_ours"])
 
     @staticmethod
     def per_op_grad(row_probs, alpha, labels, probs, log_probs, forward, reverse):
@@ -538,36 +545,74 @@ class TestBufferedTableStep:
             np.add.at(grad, labels, -alpha * p * (off_logp - inner))
         return grad
 
-    @pytest.mark.parametrize("k", [4, 10])
-    @pytest.mark.parametrize("forward,reverse", [(True, False), (True, True), (False, True)],
-                             ids=["ce", "sce_original", "sce_ours"])
-    def test_matches_fresh_and_per_op_forms(self, k, forward, reverse):
-        rng = np.random.default_rng(k)
+    def check_epoch(self, logits, labels, logits_of_batches, batch_size, forward, reverse):
+        """Step a table through one epoch of batches, as a run does and in
+        the fresh and per-op forms, comparing every buffer's bytes."""
+        k = logits.shape[0]
         alpha, lr = 0.2, 0.5
-        logits = rng.uniform(-3.0, 3.0, size=(k, k - 1))
+        c = CMatrix(logits.copy(), alpha)
         fresh_logits = logits.copy()
-        row_probs = np.empty_like(logits)
-        table = targets_from_row_probs(row_probs, alpha)
-        grad = np.full_like(logits, np.nan)
-        for b in (32, 32, 5):  # every batch of 32 repeats labels
-            labels = rng.integers(0, k, size=b)
-            probs, log_probs = softmax_pair(rng.uniform(-5.0, 5.0, size=(b, k)))
+        learned = TableTargets(c)
+        cells, slots = label_indices(labels, k, batch_size)
+        for start, batch_logits in zip(range(0, len(labels), batch_size), logits_of_batches):
+            stop = start + batch_size
+            yb = labels[start:stop]
+            b = len(yb)
+            probs, log_probs = softmax_pair(batch_logits)
 
-            np.copyto(row_probs, logits)
-            softmax_probs_inplace(row_probs)
-            assert targets_from_row_probs(row_probs, alpha, out=table) is table
-            table_logit_grad(row_probs, alpha, labels, probs, log_probs,
-                             forward=forward, reverse=reverse, out=grad)
+            table = learned.update()
+            grad = table_logit_grad(learned.row_probs, alpha, cells[start:stop],
+                                    slots[start:stop], probs, log_probs,
+                                    forward=forward, reverse=reverse)
 
             fresh_probs = softmax_probs_inplace(fresh_logits.copy())
-            fresh_table = targets_from_row_probs(fresh_probs, alpha)
-            fresh_grad = table_logit_grad(fresh_probs, alpha, labels, probs, log_probs,
-                                          forward=forward, reverse=reverse)
-            per_op = self.per_op_grad(fresh_probs, alpha, labels, probs, log_probs,
+            fresh_grad = table_logit_grad(fresh_probs, alpha, *label_indices(yb, k), probs,
+                                          log_probs, forward=forward, reverse=reverse)
+            per_op = self.per_op_grad(fresh_probs, alpha, yb, probs, log_probs,
                                       forward, reverse)
-            assert table.tobytes() == fresh_table.tobytes()
+            assert table is learned.table
+            assert learned.row_probs.tobytes() == fresh_probs.tobytes()
+            assert table.tobytes() == target_table(CMatrix(fresh_logits, alpha)).tobytes()
             assert grad.tobytes() == fresh_grad.tobytes() == per_op.tobytes()
 
-            logits -= lr * (grad / b)  # as the run steps its table
+            grad /= b  # as the run steps its table, in place
+            grad *= lr
+            c.logits -= grad
             fresh_logits -= lr * (fresh_grad / b)
-            assert logits.tobytes() == fresh_logits.tobytes()
+            assert c.logits.tobytes() == fresh_logits.tobytes()
+
+    @pytest.mark.parametrize("k", [4, 10])
+    @ROUTINGS
+    def test_matches_fresh_and_per_op_forms(self, k, forward, reverse):
+        rng = np.random.default_rng(k)
+        sizes = (32, 32, 5)  # every batch of 32 repeats labels; the last is partial
+        labels = rng.integers(0, k, size=sum(sizes))
+        batches = [rng.uniform(-5.0, 5.0, size=(b, k)) for b in sizes]
+        self.check_epoch(rng.uniform(-3.0, 3.0, size=(k, k - 1)), labels, batches, 32,
+                         forward, reverse)
+
+    @pytest.mark.parametrize("k", [4, 10])
+    @ROUTINGS
+    def test_saturated_batch(self, k, forward, reverse):
+        # predictions saturated on the label: every off-target probability
+        # is exactly 0.0, so those reverse rows are exact zeros, -0.0 in the
+        # per-op form; the rest saturate on another class
+        rng = np.random.default_rng(30 + k)
+        labels = rng.integers(0, k, size=40)
+        predicted = labels.copy()
+        predicted[20:] = (labels[20:] + 1) % k
+        logits = np.where(predicted[:, None] == np.arange(k), 0.0, -1000.0)
+        probs, _ = softmax_pair(logits)
+        assert (probs.take(label_indices(labels[:20], k)[0]) == 0.0).all()
+        batches = [logits[:16], logits[16:32], logits[32:]]
+        self.check_epoch(rng.uniform(-3.0, 3.0, size=(k, k - 1)), labels, batches, 16,
+                         forward, reverse)
+
+    @pytest.mark.parametrize("k", [2, 4, 10])
+    @ROUTINGS
+    def test_batch_of_one_label(self, k, forward, reverse):
+        rng = np.random.default_rng(50 + k)
+        labels = np.full(40, k - 1)
+        batches = [rng.uniform(-5.0, 5.0, size=(b, k)) for b in (32, 8)]
+        self.check_epoch(rng.uniform(-3.0, 3.0, size=(k, k - 1)), labels, batches, 32,
+                         forward, reverse)

@@ -14,6 +14,7 @@ from labelforge.numerics import (
     row_sum,
     softmax_pair,
     softmax_probs_inplace,
+    softmax_probs_into,
     softmax_rows,
 )
 
@@ -161,6 +162,16 @@ class TestSoftmaxPair:
                 work = m.copy()
                 out = softmax_probs_inplace(work)
                 assert out is work
+                assert out.tobytes() == softmax_pair(m)[0].tobytes(), k
+
+    def test_probs_into_match_first_half(self):
+        with np.errstate(over="ignore"):
+            for k in range(2, 65):
+                m = hard_rows(100 + k, k)
+                before = m.tobytes()
+                out = np.full_like(m, np.nan)
+                assert softmax_probs_into(m, out) is out
+                assert m.tobytes() == before
                 assert out.tobytes() == softmax_pair(m)[0].tobytes(), k
 
     def test_checked_forms_return_its_halves(self):

@@ -23,7 +23,7 @@ from labelforge.train import (
 )
 from labelforge.analysis import c_row_entropy
 
-from oracles import lspp_target, row_probs, sample_reverse_cross_entropy
+from oracles import lspp_target, ols_run, row_probs, sample_reverse_cross_entropy
 
 PAIRED_MEANS = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 10.0], [11.0, 10.0]])
 
@@ -144,7 +144,13 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="momentum"):
             TrainConfig(momentum=momentum)
 
-    @pytest.mark.parametrize("weight_decay", (-1e-4, float("nan")))
+    @pytest.mark.parametrize("key", ["lr", "c_lr"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_learning_rate_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be .* finite"):
+            TrainConfig(**{key: value})
+
+    @pytest.mark.parametrize("weight_decay", (-1e-4, float("nan"), float("inf")))
     def test_negative_weight_decay_rejected(self, weight_decay):
         with pytest.raises(ValueError, match="weight_decay"):
             TrainConfig(weight_decay=weight_decay)
@@ -413,6 +419,34 @@ class TestOlsStrategy:
         )
         assert out.report.ols_fallbacks >= 0  # counted, usually 0 on this task
 
+    @pytest.mark.parametrize("correct_only", [False, True])
+    def test_epoch_sums_match_per_step_oracle(self, small_task, tmp_path, monkeypatch,
+                                              correct_only):
+        import labelforge.train as lf_train
+
+        states, shared = [], lf_train.ols_accumulate
+
+        def spy(state, probs, y):
+            states.append(shared(state, probs, y))
+            return states[-1]
+
+        monkeypatch.setattr(lf_train, "ols_accumulate", spy)
+        train_set, test_set = small_task
+        config = TrainConfig(strategy="ols", epochs=6, seed=7, batch_size=48, lr=0.05,
+                             ols_correct_only=correct_only, layer_sizes=(2, 8, 4))
+        assert len(train_set) % config.batch_size != 0  # the last batch is partial
+        out = train(config, train_set, test_set)
+        oracle_states, oracle_stats = ols_run(config, train_set, test_set)
+
+        assert len(states) == len(oracle_states) == config.epochs
+        for got, want in zip(states, oracle_states):
+            assert got.sums.tobytes() == want.sums.tobytes()
+            assert got.counts.tobytes() == want.counts.tobytes()
+        if correct_only:  # some early predictions miss their class
+            assert sum(s.counts.sum() for s in states) < config.epochs * len(train_set)
+        oracle = TrainOutput(out.model, TrainReport(oracle_stats), None)
+        assert metrics_bytes(tmp_path, out, "a.csv") == metrics_bytes(tmp_path, oracle, "b.csv")
+
 
 class TestAblation:
     def test_sce_ours_is_bit_identical_to_lspp(self, small_task, tmp_path):
@@ -653,7 +687,7 @@ class TestBatchGradientConsistency:
         return -probs * (log_t - np.dot(probs, log_t))
 
     def test_vectorized_table_grads_match_per_sample_ops(self):
-        from labelforge.labelreg import table_logit_grad
+        from labelforge.labelreg import label_indices, table_logit_grad
         from labelforge.numerics import Rng, log_softmax_rows, softmax_rows
 
         rng = Rng(55)
@@ -664,8 +698,8 @@ class TestBatchGradientConsistency:
         log_probs = log_softmax_rows(logits)
         labels = np.array([rng.next_below(k) for _ in range(b)])
 
-        vectorized = table_logit_grad(c.all_row_probs(), c.alpha, labels, probs,
-                                      log_probs, forward=True, reverse=True)
+        vectorized = table_logit_grad(c.all_row_probs(), c.alpha, *label_indices(labels, k),
+                                      probs, log_probs, forward=True, reverse=True)
         looped = np.zeros_like(c.logits)
         for i, y in enumerate(labels):
             looped[int(y)] += self.reverse_row_grad(c, int(y), probs[i])
@@ -710,7 +744,8 @@ class TestSharedLosses:
         import labelforge.train as lf_train
 
         calls = []
-        for name in ("cross_entropy", "network_dlogits", "reverse_cross_entropy"):
+        for name in ("cross_entropy", "network_dlogits", "reverse_cross_entropy",
+                     "table_logit_grad", "ols_accumulate"):
             shared = getattr(lf_labelreg, name)
             assert getattr(lf_train, name) is shared
 
@@ -721,10 +756,18 @@ class TestSharedLosses:
             monkeypatch.setattr(lf_train, name, spy)
         train(TrainConfig(strategy="lspp", epochs=1, layer_sizes=(2, 8, 4)), *small_task)
         steps = 160 // 32
-        assert calls == ["cross_entropy", "network_dlogits"] * steps
+        assert calls == ["cross_entropy", "network_dlogits", "table_logit_grad"] * steps
+        for correct_only in (False, True):
+            calls.clear()
+            train(TrainConfig(strategy="ols", epochs=3, ols_correct_only=correct_only,
+                              layer_sizes=(2, 8, 4)), *small_task)
+            # an ols run adds its predictions once per epoch
+            assert calls == (["cross_entropy", "network_dlogits"] * steps
+                             + ["ols_accumulate"]) * 3
         calls.clear()
         gradient_check(num_classes=4, seed=0)
-        assert set(calls) == {"cross_entropy", "network_dlogits", "reverse_cross_entropy"}
+        assert set(calls) == {"cross_entropy", "network_dlogits", "reverse_cross_entropy",
+                              "table_logit_grad"}
 
     @pytest.mark.parametrize("k", [2, 5])
     def test_batched_reverse_cross_entropy_sums_the_per_sample_oracle(self, k):
