@@ -50,6 +50,7 @@ from .dataio import (
 )
 from .labelreg import CMatrix, load_cmatrix
 from .model import load_checkpoint
+from .numerics import checked_seed
 from .train import (
     ABLATION_LOSSES,
     TEACHERS,
@@ -310,7 +311,7 @@ def _cmd_gen_data(args) -> int:
     with _usage_errors():
         spec = GaussianSpec(means, args.std, args.per_class, args.seed)
         data_header(means.shape[1], args.label_column)  # before any work or write
-    dataset = generate_gaussian(spec)
+        dataset = generate_gaussian(spec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_csv(dataset, out, args.label_column)
@@ -386,6 +387,8 @@ def _cmd_gradcheck(args) -> int:
     ):
         if not ok:
             raise UsageError(f"{flag} must {need}, got {value!r}")
+    with _usage_errors():
+        checked_seed(args.seed, "--seed")
     outcome = gradient_check(
         num_classes=args.k,
         seed=args.seed,

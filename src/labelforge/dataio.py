@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng
+from .numerics import Rng, checked_seed
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -107,6 +107,7 @@ class GaussianSpec:
         if self.per_class < 1:
             raise ValueError("per_class must be at least 1")
         object.__setattr__(self, "means", means)
+        object.__setattr__(self, "seed", checked_seed(exact_int(self.seed, "seed")))
 
 
 def generate_gaussian(spec: GaussianSpec) -> Dataset:
@@ -114,14 +115,19 @@ def generate_gaussian(spec: GaussianSpec) -> Dataset:
 
     Normals are drawn sample-major then dimension-major within each class
     (one block per class), so a fixed seed yields bit-identical features on
-    every run.
+    every run. Raises ValueError when a feature overflows float64, as a
+    finite but huge ``std`` or mean can make it.
     """
     k, dim = spec.means.shape
     n = spec.per_class
     rng = Rng(spec.seed)
     features = np.empty((k * n, dim), dtype=np.float64)
-    for c in range(k):
-        features[c * n : (c + 1) * n] = spec.means[c] + spec.std * rng.normals((n, dim))
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        for c in range(k):
+            features[c * n : (c + 1) * n] = spec.means[c] + spec.std * rng.normals((n, dim))
+    if not np.isfinite(features).all():
+        raise ValueError(f"std {spec.std!r} with these means overflows float64: "
+                         f"a generated feature is not finite")
     return Dataset(features, np.repeat(np.arange(k, dtype=np.int64), n), k)
 
 
@@ -493,7 +499,7 @@ def stratified_split_indices(
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     labels = np.asarray(labels, dtype=np.int64)
-    rng = Rng(seed)
+    rng = Rng(checked_seed(seed, "split seed"))
     train_parts = []
     test_parts = []
     for c in range(num_classes):

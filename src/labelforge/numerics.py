@@ -69,6 +69,17 @@ _XORSHIFT_MULT = 0x2545F4914F6CDD1D
 _TWO_POW_NEG53 = 2.0 ** -53
 
 BLOCK = 1024  # states computed per jump-table pass
+ORDER_CAP = 1 << 20  # epoch-order indices a process keeps, 4 MB as int32 (train.epoch_order)
+SEED_LIMIT = 1 << 64  # seeds lie in [0, SEED_LIMIT); derive_seed reads them mod 2**64
+
+
+def checked_seed(seed: int, name: str = "seed") -> int:
+    """``seed`` if it lies in [0, SEED_LIMIT), else a ValueError naming
+    ``name``: `derive_seed` reads a seed modulo 2**64, so a seed outside the
+    range would train as another."""
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"{name} must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def mix64(x: int) -> int:

@@ -10,7 +10,9 @@ either parameter set moves. What depends on the labels alone, the epoch's
 label order, a fixed table's target rows and a learned table's gather and
 scatter indices, is computed once per epoch and sliced per batch; ``ols``
 stores an epoch's predictions and adds them to its per-class sums once the
-epoch ends, in step order.
+epoch ends, in step order. An epoch's shuffle depends only on the seed, the
+epoch and the row count, so runs that share a seed share their shuffles:
+`epoch_order` computes each once per process, up to ``ORDER_CAP`` indices.
 
 Strategies:
 
@@ -74,12 +76,13 @@ from .labelreg import (
 from .model import (
     Mlp,
     OptState,
+    _checked_sizes,
     central_difference_error,
     init_model,
     save_checkpoint,
     sgd_step,
 )
-from .numerics import Rng, derive_seed, row_max
+from .numerics import ORDER_CAP, Rng, checked_seed, derive_seed, row_max
 
 STRATEGIES = ("onehot", "ls", "lspp", "ols", "distill", "proxy_distill", "ablation")
 ABLATION_LOSSES = ("ce", "sce_original", "sce_ours")
@@ -130,9 +133,10 @@ class TrainConfig:
     def __post_init__(self):
         for key in ("epochs", "batch_size", "seed"):
             object.__setattr__(self, key, exact_int(getattr(self, key), key))
+        checked_seed(self.seed)
         if self.layer_sizes is not None:
             object.__setattr__(self, "layer_sizes",
-                               tuple(exact_int(s, "layer_sizes") for s in self.layer_sizes))
+                               tuple(_checked_sizes(self.layer_sizes, "layer_sizes")))
         if self.strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}"
@@ -243,6 +247,36 @@ def evaluate(model: Mlp, dataset: Dataset) -> dict:
     return {"accuracy": accuracy, "mean_nll": mean_nll, "mean_max_prob": mean_max_prob}
 
 
+# The epoch orders of the latest (seed, n) a run asked for: that key and a
+# dict of epoch -> read-only row. A new key replaces the pair as a whole, so
+# a reader that took the pair never sees another key's rows.
+_epoch_orders: tuple = (None, {})
+
+
+def epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
+    """The shuffle of epoch ``epoch`` in a run of ``seed`` on ``n`` rows,
+    ``Rng(derive_seed(seed, 1 + epoch)).permutation(n)``, as a read-only
+    int32 row (int64 from n = 2**31).
+
+    The rows of the latest ``(seed, n)`` are kept as they are asked for,
+    up to ``ORDER_CAP`` indices in all; rows past that are computed on
+    every call and not kept.
+    """
+    global _epoch_orders
+    key, rows = _epoch_orders
+    if key != (seed, n):
+        rows = {}
+        _epoch_orders = (seed, n), rows
+    row = rows.get(epoch)
+    if row is None:
+        perm = Rng(derive_seed(seed, 1 + epoch)).permutation(n)
+        row = perm.astype(np.int32 if n < 1 << 31 else np.int64)
+        row.flags.writeable = False
+        if (len(rows) + 1) * n <= ORDER_CAP:
+            rows[epoch] = row
+    return row
+
+
 def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
          teacher: Mlp | CMatrix | None) -> TrainOutput:
     started = time.perf_counter()
@@ -279,7 +313,7 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
     report = TrainReport()
 
     for epoch in range(config.epochs):
-        perm = Rng(derive_seed(config.seed, 1 + epoch)).permutation(n)
+        perm = epoch_order(config.seed, epoch, n)
         loss_sum = 0.0
         # what depends on the labels alone is gathered once per epoch, and
         # each step reads its rows as a slice

@@ -208,6 +208,9 @@ class TestGenData:
         (["--std", "nan"], "std must be"),
         (["--means=0,0;nan,1"], "means must be finite"),
         (["--means=0,0;1,-inf"], "means must be finite"),
+        (["--std", "1e308"], "overflows float64"),
+        (["--seed", "-1"], "seed must be in [0, 2**64)"),
+        (["--seed", str(2 ** 64)], "seed must be in [0, 2**64)"),
     ])
     def test_non_finite_spec_exits_2_before_writing(self, tmp_path, capsys, flags,
                                                     message):
@@ -423,6 +426,35 @@ class TestTrainCommand:
         assert run_train(data_csv, out, "--strategy", "lspp", flag, value) == 2
         assert f"{flag[2:].replace('-', '_')} must be" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("sizes,message", [("2,0,4", "must be positive"),
+                                               ("2,-32,4", "must be positive"),
+                                               ("2", "need at least input and output")])
+    def test_bad_layer_sizes_exit_2_before_the_run_directory(self, tmp_path, capsys,
+                                                             sizes, message):
+        # 2 features and 2 classes, so the single size "2" matches both ends
+        data = tmp_path / "d.csv"
+        assert main(["gen-data", "--means", "0,0;5,5", "--per-class", "10",
+                     "--out", str(data)]) == 0
+        out = tmp_path / "bad"
+        assert run_train(data, out, "--layer-sizes", sizes) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--seed", str(2 ** 64)),
+                                            ("--split-seed", "-1"),
+                                            ("--split-seed", str(2 ** 64 + 3))])
+    def test_seed_outside_the_64_bit_range_exits_2_before_the_run_directory(
+            self, data_csv, tmp_path, capsys, flag, value):
+        out = tmp_path / "bad"
+        assert run_train(data_csv, out, flag, value) == 2
+        assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_trains(self, data_csv, tmp_path):
+        out = tmp_path / "run"
+        assert run_train(data_csv, out, "--seed", str(2 ** 64 - 1), "--epochs", "1") == 0
+        assert json.loads((out / "config.json").read_text())["seed"] == 2 ** 64 - 1
 
     def test_non_finite_csv_cell_exits_2(self, tmp_path, capsys):
         path = tmp_path / "nan.csv"
@@ -723,6 +755,7 @@ class TestGradcheckCommand:
     @pytest.mark.parametrize("flag,value", [
         ("--k", "1"), ("--k", "0"), ("--batch", "0"), ("--step", "0"),
         ("--step", "nan"), ("--step", "inf"), ("--layers", "0"), ("--layers", "a"),
+        ("--seed", "-1"), ("--seed", str(2 ** 64)),
     ])
     def test_bad_flag_exits_2_naming_it_before_any_check(self, capsys, monkeypatch,
                                                          flag, value):

@@ -2,6 +2,7 @@ import gzip
 import hashlib
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from labelforge.dataio import (
     write_json,
 )
 from labelforge.labelreg import CMatrix, export_cmatrix, load_cmatrix
+from labelforge.numerics import SEED_LIMIT
 
 PAIRED_MEANS = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 10.0], [11.0, 10.0]])
 
@@ -60,6 +62,21 @@ class TestGenerateGaussian:
         means[2, 1] = cell
         with pytest.raises(ValueError, match="means must be finite"):
             GaussianSpec(means, 0.5, 5)
+
+    @pytest.mark.parametrize("std,means", [
+        (1e308, PAIRED_MEANS),
+        (1e307, np.array([[0.0, 0.0], [1.79e308, 0.0]])),  # the mean plus a draw
+    ])
+    def test_features_that_overflow_raise_without_a_warning(self, std, means):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows float64"):
+                generate_gaussian(GaussianSpec(means, std, 5))
+
+    @pytest.mark.parametrize("seed", [-1, SEED_LIMIT, 1.5, True])
+    def test_seed_must_be_an_integer_in_the_64_bit_range(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            GaussianSpec(PAIRED_MEANS, 0.5, 5, seed=seed)
 
     def test_tiny_std_collapses_to_means(self):
         spec = GaussianSpec(PAIRED_MEANS, 1e-12, 5, seed=3)
@@ -488,6 +505,11 @@ class TestSplit:
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
             split(self.make(), 1.0, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, SEED_LIMIT])
+    def test_seed_outside_the_64_bit_range_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"split seed must be in \[0, 2\*\*64\)"):
+            split(self.make(), 0.5, seed=seed)
 
     def test_both_sides_nonempty_even_when_rounding_up(self):
         d = self.make(2, classes=2)

@@ -6,7 +6,9 @@ import pytest
 import labelforge.numerics as numerics
 from labelforge.numerics import (
     BLOCK,
+    SEED_LIMIT,
     Rng,
+    checked_seed,
     derive_seed,
     log_softmax_rows,
     mix64,
@@ -281,6 +283,14 @@ class TestRng:
 
     def test_different_seeds_differ(self):
         assert Rng(1).next_uint64() != Rng(2).next_uint64()
+
+    def test_checked_seed_keeps_seeds_that_derive_seed_reads_one_to_one(self):
+        assert derive_seed(SEED_LIMIT + 5, 1) == derive_seed(5, 1)  # why the range
+        assert checked_seed(0) == 0
+        assert checked_seed(SEED_LIMIT - 1) == SEED_LIMIT - 1
+        for seed in (-1, SEED_LIMIT, SEED_LIMIT + 5):
+            with pytest.raises(ValueError, match=r"^split seed must be in \[0, 2\*\*64\)"):
+                checked_seed(seed, "split seed")
 
 
 class ScalarReference:

@@ -1,13 +1,15 @@
 import json
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from labelforge.dataio import Dataset, GaussianSpec, generate_gaussian
 from labelforge.labelreg import CMatrix
+from labelforge import train as lf_train
 from labelforge.model import Mlp, init_model
+from labelforge.numerics import SEED_LIMIT, Rng, derive_seed
 from labelforge.train import (
     EpochStats,
     TrainConfig,
@@ -188,6 +190,23 @@ class TestTrainConfig:
     def test_resolved_rejects_mismatched_sizes(self):
         with pytest.raises(ValueError, match="layer_sizes"):
             TrainConfig(layer_sizes=(3, 8, 4)).resolved(input_dim=2, num_classes=4)
+
+    @pytest.mark.parametrize("sizes,message", [
+        ((2, 0, 4), "must be positive"),
+        ((2, -8, 4), "must be positive"),
+        ((4,), "need at least input and output sizes"),
+        ((), "need at least input and output sizes"),
+    ])
+    def test_layer_sizes_the_model_rejects_fail_the_config(self, sizes, message):
+        # init_model's own rule, checked before anything trains or is written
+        with pytest.raises(ValueError, match=f"layer_sizes.*{message}"):
+            TrainConfig(layer_sizes=sizes)
+
+    @pytest.mark.parametrize("seed", [-1, SEED_LIMIT, SEED_LIMIT + 5])
+    def test_seed_outside_the_64_bit_range_rejected(self, seed):
+        # derive_seed reads seeds mod 2**64: 2**64 + 5 would train as seed 5
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            TrainConfig(seed=seed)
 
 
 class TestEvaluate:
@@ -788,6 +807,97 @@ class TestGradientCheckHarness:
         out = gradient_check(num_classes=4, seed=21, hidden_sizes=(6,), batch_size=6)
         assert out["network_max_rel_err"] < 1e-6
         assert out["cmatrix_max_rel_err"] < 1e-6
+
+
+class TestEpochOrders:
+    """Runs of one seed share their epoch shuffles through `epoch_order`;
+    what a run writes must not depend on the runs before it."""
+
+    @staticmethod
+    def empty_table(monkeypatch):
+        monkeypatch.setattr(lf_train, "_epoch_orders", (None, {}))
+
+    @staticmethod
+    def count_permutations(monkeypatch):
+        calls, permutation = [], Rng.permutation
+
+        def spy(rng, n):
+            calls.append(n)
+            return permutation(rng, n)
+
+        monkeypatch.setattr(Rng, "permutation", spy)
+        return calls
+
+    @staticmethod
+    def artifacts(tmp_path, name, config, train_set, test_set):
+        run_dir = tmp_path / name
+        write_run_artifacts(run_dir, config, train(config, train_set, test_set))
+        return {f: (run_dir / f).read_bytes()
+                for f in ("metrics.csv", "cmatrix.csv", "checkpoint.json")}
+
+    def test_runs_after_other_runs_match_runs_on_an_empty_table(self, small_task, tmp_path,
+                                                                 monkeypatch):
+        train_set, test_set = small_task
+        half = train_set.subset(np.arange(0, len(train_set), 2))  # the same seed, other n
+        runs = [(11, 20, train_set), (12, 20, train_set), (11, 20, train_set),
+                (11, 20, half), (13, 3, train_set), (13, 200, train_set)]
+
+        def config(seed, epochs):
+            return TrainConfig(strategy="lspp", epochs=epochs, seed=seed,
+                               layer_sizes=(2, 8, 4))
+
+        self.empty_table(monkeypatch)
+        shared = [self.artifacts(tmp_path, f"shared{i}", config(seed, epochs), data, test_set)
+                  for i, (seed, epochs, data) in enumerate(runs)]
+        for i, (seed, epochs, data) in enumerate(runs):
+            self.empty_table(monkeypatch)
+            fresh = self.artifacts(tmp_path, f"fresh{i}", config(seed, epochs), data, test_set)
+            assert shared[i] == fresh, runs[i][:2]
+
+    @pytest.mark.parametrize("n", [1, 2, 160])
+    def test_each_row_is_the_epochs_permutation(self, monkeypatch, n):
+        self.empty_table(monkeypatch)
+        for epoch in (0, 1, 0, 5, 2, 5):
+            row = lf_train.epoch_order(7, epoch, n)
+            assert row.dtype == np.int32
+            assert np.array_equal(row, Rng(derive_seed(7, 1 + epoch)).permutation(n))
+
+    def test_rows_are_read_only(self, monkeypatch):
+        self.empty_table(monkeypatch)
+        for _ in range(2):  # as computed, then as kept
+            row = lf_train.epoch_order(3, 0, 10)
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 1
+
+    def test_same_seed_runs_shuffle_each_epoch_once(self, small_task, monkeypatch):
+        train_set, test_set = small_task
+        calls = self.count_permutations(monkeypatch)
+        self.empty_table(monkeypatch)
+        config = TrainConfig(epochs=7, seed=21, layer_sizes=(2, 8, 4))
+        train(config, train_set, test_set)
+        train(replace(config, strategy="ls"), train_set, test_set)
+        train(replace(config, epochs=0), train_set, test_set)
+        assert calls == [len(train_set)] * config.epochs
+
+    def test_rows_past_the_cap_are_computed_and_not_kept(self, small_task, tmp_path,
+                                                        monkeypatch):
+        train_set, test_set = small_task
+        n = len(train_set)
+        monkeypatch.setattr(lf_train, "ORDER_CAP", 2 * n + n // 2)  # room for two rows
+        calls = self.count_permutations(monkeypatch)
+        self.empty_table(monkeypatch)
+        config = TrainConfig(strategy="lspp", epochs=5, seed=17, layer_sizes=(2, 8, 4))
+        first = self.artifacts(tmp_path, "first", config, train_set, test_set)
+        assert lf_train._epoch_orders[0] == (17, n)
+        assert sorted(lf_train._epoch_orders[1]) == [0, 1]
+        second = self.artifacts(tmp_path, "second", config, train_set, test_set)
+        assert first == second
+        assert len(calls) == config.epochs + config.epochs - 2
+        # a single row longer than the cap is never kept
+        row = lf_train.epoch_order(17, 0, 3 * n)
+        assert np.array_equal(row, Rng(derive_seed(17, 1)).permutation(3 * n))
+        assert lf_train._epoch_orders[0] == (17, 3 * n)
+        assert lf_train._epoch_orders[1] == {}
 
 
 class TestRunArtifacts:
