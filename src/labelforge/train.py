@@ -270,7 +270,7 @@ def epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     row = rows.get(epoch)
     if row is None:
         perm = Rng(derive_seed(seed, 1 + epoch)).permutation(n)
-        row = perm.astype(np.int32 if n < 1 << 31 else np.int64)
+        row = perm.astype(np.int32 if n < 1 << 31 else np.int64, copy=False)
         row.flags.writeable = False
         if (len(rows) + 1) * n <= ORDER_CAP:
             rows[epoch] = row

@@ -441,8 +441,6 @@ class TestOlsStrategy:
     @pytest.mark.parametrize("correct_only", [False, True])
     def test_epoch_sums_match_per_step_oracle(self, small_task, tmp_path, monkeypatch,
                                               correct_only):
-        import labelforge.train as lf_train
-
         states, shared = [], lf_train.ols_accumulate
 
         def spy(state, probs, y):
