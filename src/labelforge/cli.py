@@ -21,7 +21,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,6 @@ from .dataio import (
     Dataset,
     GaussianSpec,
     data_header,
-    exact_int,
     file_sha256,
     generate_gaussian,
     load_csv,
@@ -53,10 +52,12 @@ from .model import load_checkpoint
 from .numerics import checked_seed
 from .train import (
     ABLATION_LOSSES,
+    CONFIG_KINDS,
     TEACHERS,
     TrainConfig,
     check_fit,
     check_teacher,
+    config_value,
     evaluate,
     gradient_check,
     train,
@@ -81,14 +82,6 @@ def _usage_errors(prefix: str = ""):
         raise UsageError(f"{prefix}{exc}") from None
 
 
-# Every TrainConfig field is a config key and a flag, parsed by the kind its
-# annotation names (a string: the module postpones annotation evaluation).
-# An annotation missing here fails at import.
-_KINDS = {"str": str, "int": int, "float": float, "bool": bool,
-          "tuple[int, ...]": "int_list"}
-_CONFIG_TYPES = {f.name: _KINDS[f.type.partition(" | ")[0]] for f in fields(TrainConfig)}
-
-
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("true", "1", "yes", "on"):
@@ -102,44 +95,23 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
-# The JSON values a float, bool or str key takes: a number, a boolean, a
-# string (a JSON boolean is also a Python int, so `_coerce` rules it out first)
-_JSON_TYPES = {float: (int, float), bool: bool, str: str}
-
-
-def _coerce(key: str, raw, line_no=None, typed: bool = False) -> object:
-    """Config key ``key``'s value from text (a key=value line or a flag) or,
-    when ``typed``, JSON: a typed value must have its key's JSON type, and a
-    typed integer must pass `exact_int`."""
-    kind = _CONFIG_TYPES[key]
-    where = f" (line {line_no})" if line_no is not None else ""
+def _coerce(key: str, text: str, line_no=None) -> object:
+    """Config key ``key``'s value from its text in a key=value line or a
+    flag, read by the key's kind (`train.CONFIG_KINDS`)."""
+    kind = CONFIG_KINDS[key]
+    parse = {bool: _parse_bool, tuple: _parse_int_list}.get(kind, kind)
     try:
-        if typed or not isinstance(raw, str):
-            if isinstance(raw, bool) and kind is not bool:
-                raise TypeError  # float(True) would read it as 1.0
-            if kind == "int_list":
-                if not isinstance(raw, (list, tuple)):
-                    raise TypeError
-                return tuple(exact_int(v, key) for v in raw)
-            if kind is int:
-                return exact_int(raw, key)
-            if not isinstance(raw, _JSON_TYPES[kind]):
-                raise TypeError  # float("0.5") and bool("yes") would read text
-            return kind(raw)
-        if kind == "int_list":
-            return _parse_int_list(raw)
-        if kind is bool:
-            return _parse_bool(raw)
-        return kind(raw)
-    except (TypeError, ValueError):
+        return parse(text)
+    except ValueError:
+        where = f" (line {line_no})" if line_no is not None else ""
         raise UsageError(
-            f"config key {key!r}{where}: cannot parse {raw!r} as {getattr(kind, '__name__', kind)}"
+            f"config key {key!r}{where}: cannot parse {text!r} as {kind.__name__}"
         ) from None
 
 
 def _unknown_key_error(key: str, line_no=None) -> UsageError:
     where = f" (line {line_no})" if line_no is not None else ""
-    close = difflib.get_close_matches(key, _CONFIG_TYPES, n=1)
+    close = difflib.get_close_matches(key, CONFIG_KINDS, n=1)
     hint = f"; did you mean {close[0]!r}?" if close else ""
     return UsageError(f"unknown config key {key!r}{where}{hint}")
 
@@ -153,10 +125,11 @@ def parse_config_file(path) -> dict:
         with _usage_errors(f"config file {path} is not valid JSON: "):
             doc = json.loads(text)
         for key, raw in doc.items():
-            if key not in _CONFIG_TYPES:
+            if key not in CONFIG_KINDS:
                 raise _unknown_key_error(key)
             if raw is not None:
-                values[key] = _coerce(key, raw, typed=True)
+                with _usage_errors():
+                    values[key] = config_value(key, raw)
         return values
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -167,7 +140,7 @@ def parse_config_file(path) -> dict:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in _CONFIG_TYPES:
+        if key not in CONFIG_KINDS:
             raise _unknown_key_error(key, line_no)
         values[key] = _coerce(key, raw, line_no)
     return values
@@ -179,7 +152,7 @@ def load_config(path, overrides: dict, base: dict | None = None) -> TrainConfig:
     values = {**(base or {}), **(parse_config_file(path) if path else {})}
     for key, raw in overrides.items():
         if raw is not None:
-            values[key] = _coerce(key, raw)
+            values[key] = _coerce(key, raw) if isinstance(raw, str) else raw
     with _usage_errors():
         return TrainConfig(**values)
 
@@ -187,7 +160,7 @@ def load_config(path, overrides: dict, base: dict | None = None) -> TrainConfig:
 def _config_overrides(args) -> dict:
     return {
         key: getattr(args, key, None)
-        for key in _CONFIG_TYPES
+        for key in CONFIG_KINDS
         if getattr(args, key, None) is not None
     }
 
@@ -324,6 +297,10 @@ def _cmd_gen_data(args) -> int:
 
 def _finish_training_command(args, subcommand, strategy_override=None,
                              teacher=None, teacher_inputs=None):
+    if strategy_override and args.strategy is not None:
+        # a config file's strategy is replaced, so a run's config.json is reusable
+        raise UsageError(f"{subcommand} trains strategy {strategy_override!r}; "
+                         f"--strategy {args.strategy!r} cannot change it")
     train_set, test_set, inputs = _load_datasets(args)
     if args.config:
         inputs["config"] = (args.config, None)
@@ -459,13 +436,13 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file (flags override)")
-    for key, kind in _CONFIG_TYPES.items():
+    for key, kind in CONFIG_KINDS.items():
         flag = "--" + key.replace("_", "-")
         if kind is bool:
             p.add_argument(flag, dest=key, action="store_const", const=True)
         elif kind in (int, float):
             p.add_argument(flag, dest=key, type=kind)
-        elif kind == "int_list":
+        elif kind is tuple:
             p.add_argument(flag, dest=key, help="e.g. 2,32,4")
         else:
             choices = ABLATION_LOSSES if key == "ablation_loss" else None

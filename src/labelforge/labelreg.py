@@ -24,8 +24,9 @@ same functions; the tests check them against per-sample oracles.
 
 What depends on the labels alone is built outside the step that reads it:
 `label_indices` gives the gather and scatter indices of `table_logit_grad`,
-which a training run builds once per epoch, and `TableTargets` holds a
-learned table's target buffers, allocated once per run.
+which a training run builds once per epoch. `TableTargets` is the one
+builder of a K x K target table: `target_table` is one update of a new one,
+and a learned table keeps one, with its buffers, for the whole run.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import exact_int, json_types, read_table, write_csv, write_json
-from .numerics import row_sum, softmax_probs_into, softmax_rows
+from .numerics import require_finite, row_sum, softmax_probs_into, softmax_rows
 
 LOG_CLAMP = 1e-12
 
@@ -90,6 +91,7 @@ class CMatrix:
             )
         if logits.shape[0] < 2:
             raise ValueError("need at least 2 classes")
+        require_finite(logits, "logits")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
         self.logits = logits
@@ -113,33 +115,27 @@ class CMatrix:
 
 def target_table(c: CMatrix) -> np.ndarray:
     """All K class targets at once: row y is the target of class y."""
-    return targets_from_row_probs(c.all_row_probs(), c.alpha)
-
-
-def targets_from_row_probs(row_probs: np.ndarray, alpha: float) -> np.ndarray:
-    """The K x K target table from a logit table's K x (K-1) row softmax:
-    1 - alpha on the diagonal, alpha times row y's softmax around it."""
-    return around_diagonal(alpha * row_probs, 1.0 - alpha)
+    return TableTargets(c).update()
 
 
 class TableTargets:
-    """The targets of a table that learns while it trains, kept in buffers a
-    run allocates once: ``row_probs`` holds the row softmax of the table's
-    logits and ``table`` the K x K targets, whose 1 - alpha diagonal is
-    written here once. `update` rewrites the rest from the logits."""
+    """The one builder of a K x K target table: 1 - alpha on the diagonal,
+    alpha times the row softmax of ``cmatrix``'s logits around it. A run
+    whose table learns keeps one, and so its buffers: ``row_probs`` holds
+    the row softmax and ``table`` the targets, whose diagonal is written
+    here once. `update` rewrites the rest from the logits as they stand."""
 
     def __init__(self, c: CMatrix):
         self.cmatrix = c
         self.row_probs = np.zeros_like(c.logits)
-        self.table = targets_from_row_probs(self.row_probs, c.alpha)
+        self.table = around_diagonal(self.row_probs, 1.0 - c.alpha)
         # the table's off-diagonal cells, and row_probs laid out as they are
         self._cells = _off_cells(self.table)
         self._row_cells = self.row_probs.reshape(self._cells.shape)
 
     def update(self) -> np.ndarray:
         """Softmax the logits into ``row_probs``, write alpha times it around
-        the diagonal of ``table`` and return the table: `target_table` of
-        the logits as they stand, bit for bit."""
+        the diagonal of ``table`` and return the table."""
         softmax_probs_into(self.cmatrix.logits, self.row_probs)
         np.multiply(self._row_cells, self.cmatrix.alpha, out=self._cells)
         return self.table

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataio import atomic_write, exact_int, json_types
-from .numerics import Rng, require_finite, softmax_pair, softmax_probs_inplace
+from .numerics import Rng, require_finite, softmax_pair, softmax_probs_into
 
 
 @dataclass
@@ -165,7 +165,8 @@ class Mlp:
         """Softmax probabilities of a batch, equal bit for bit to
         ``forward(batch).probs``, without the backward cache or the
         log-probabilities; counts as a forward pass in `forward_count`."""
-        return softmax_probs_inplace(self._logits(batch_features, keep=False)[1])
+        logits = self._logits(batch_features, keep=False)[1]
+        return softmax_probs_into(logits, logits)
 
     def backward(self, cache: ForwardCache, dlogits: np.ndarray,
                  out: "Mlp | None" = None) -> np.ndarray:

@@ -4,12 +4,15 @@ Matrices are plain 2-D float64 numpy arrays (row-major). The operations
 that take values from outside the training loop (``softmax_rows``,
 ``log_softmax_rows``) validate shapes and reject non-finite inputs, so that
 bad values surface where they are created instead of three modules later.
-``row_max``, ``row_sum``, ``softmax_pair``, ``softmax_probs_inplace`` and
-``softmax_probs_into`` trust their input: the training loop calls them where
-one check covers many operations. Training checks the network's logits once
-per forward pass (``Mlp.forward`` and ``Mlp.predict``) and the loss once per
-step (``train``); a NaN or Inf anywhere else on a step's path, in the logit
-table, the targets or the log-probabilities, reaches that loss.
+``row_max``, ``row_sum``, ``softmax_pair`` and ``softmax_probs_into`` trust
+their input: the training loop calls them where one check covers many
+operations. ``softmax_probs_into`` is the one kernel that gives
+probabilities alone: ``Mlp.predict`` writes it over its logits, and a
+learned table (``labelreg.TableTargets``) into its run's buffer. Training
+checks the network's logits once per forward pass (``Mlp.forward`` and
+``Mlp.predict``), a logit table's once when it is made (``CMatrix``) and the
+loss once per step (``train``); a NaN or Inf anywhere else on a step's path,
+in the logit table, the targets or the log-probabilities, reaches that loss.
 
 The random generator is written out explicitly (instead of delegating to a
 library) so that any reimplementation, in any language, can reproduce the
@@ -296,28 +299,15 @@ def softmax_pair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, shifted
 
 
-def softmax_probs_inplace(m: np.ndarray) -> np.ndarray:
-    """Overwrite a finite 2-D float64 array with its row-wise softmax and
-    return it: the first half of ``softmax_pair``, bit for bit, with the
-    same three steps (row-max shift, exp, divide by the row sum) done in
-    place and no log half. The input is not checked."""
-    m -= row_max(m)[:, None]
-    np.exp(m, out=m)
-    m /= row_sum(m)
-    return m
-
-
 def softmax_probs_into(m: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write the row-wise softmax of a finite 2-D float64 array into ``out``
-    (C-ordered, of ``m``'s shape) and return it: ``softmax_probs_inplace`` of
-    a copy of ``m``, bit for bit, without the copy. Both reductions run on the
-    C-ordered rows, which `row_sum` equals bit for bit and `row_max` too but
-    for the sign of a tied zero, which no output shows (see `softmax_pair`);
-    on a table of a few rows their Fortran-ordered copies cost more than
-    they save. The input is not checked."""
-    np.subtract(m, np.maximum.reduce(m, axis=1, keepdims=True), out=out)
+    (C-ordered, of ``m``'s shape, or ``m`` itself) and return it: the first
+    half of ``softmax_pair``, bit for bit, with the same three steps (row-max
+    shift, exp, divide by the row sum) and no log half. The input is not
+    checked."""
+    np.subtract(m, row_max(m)[:, None], out=out)
     np.exp(out, out=out)
-    out /= np.add.reduce(out, axis=1, keepdims=True)
+    out /= row_sum(out)
     return out
 
 

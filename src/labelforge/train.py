@@ -50,8 +50,9 @@ learned, checkpoint.json, report.json.
 from __future__ import annotations
 
 import math
+import numbers
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -131,12 +132,13 @@ class TrainConfig:
     ablation_loss: str = "sce_ours"
 
     def __post_init__(self):
-        for key in ("epochs", "batch_size", "seed"):
-            object.__setattr__(self, key, exact_int(getattr(self, key), key))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:  # None: unset, where allowed
+                object.__setattr__(self, f.name, config_value(f.name, value))
         checked_seed(self.seed)
         if self.layer_sizes is not None:
-            object.__setattr__(self, "layer_sizes",
-                               tuple(_checked_sizes(self.layer_sizes, "layer_sizes")))
+            _checked_sizes(self.layer_sizes, "layer_sizes")
         if self.strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}"
@@ -194,6 +196,35 @@ class TrainConfig:
             layer_sizes=tuple(sizes),
             c_lr=self.lr if self.c_lr is None else self.c_lr,
         )
+
+
+# The kind of each config key, from its TrainConfig annotation (a string:
+# the module postpones annotation evaluation); an annotation missing here
+# fails at import. The command line parses its text by the same kinds.
+_KINDS = {"str": str, "int": int, "float": float, "bool": bool, "tuple[int, ...]": tuple}
+CONFIG_KINDS = {f.name: _KINDS[f.type.partition(" | ")[0]] for f in fields(TrainConfig)}
+
+
+def config_value(key: str, value):
+    """``value`` as config key ``key``'s kind, as `TrainConfig` and a JSON
+    config file read it: an int or an integral float for an int
+    (`exact_int`), a real number but not a bool for a float, a sequence of
+    those ints (not a str) for a tuple, and a bool or a str as itself. Any
+    other value raises a ValueError naming the key: float() would read True
+    as 1.0, and bool() "no" as True."""
+    kind = CONFIG_KINDS[key]
+    try:
+        if kind is int:
+            return exact_int(value, key)
+        if kind is tuple and not isinstance(value, str):
+            return tuple(exact_int(v, key) for v in value)
+        if kind is float and isinstance(value, numbers.Real) and not isinstance(value, bool):
+            return float(value)
+        if kind in (bool, str) and isinstance(value, kind):
+            return value
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"config key {key!r}: cannot parse {value!r} as {kind.__name__}")
 
 
 @dataclass

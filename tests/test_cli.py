@@ -741,6 +741,41 @@ class TestAblateCommand:
         assert (out / "cmatrix.csv").exists()
 
 
+    def test_config_file_strategy_is_replaced(self, data_csv, tmp_path):
+        # a run's own config.json, and a file naming another strategy
+        first = tmp_path / "first"
+        assert main(["ablate", "--data", str(data_csv), "--epochs", "2",
+                     "--out", str(first)]) == 0
+        other = tmp_path / "other.cfg"
+        other.write_text("strategy=onehot\nepochs=2\n")
+        for name, config in (("again", first / "config.json"), ("other", other)):
+            assert main(["ablate", "--data", str(data_csv), "--config", str(config),
+                         "--out", str(tmp_path / name)]) == 0
+            assert ((tmp_path / name / "config.json").read_bytes()
+                    == (first / "config.json").read_bytes())
+
+
+@pytest.mark.parametrize("command,teacher,strategy,given", [
+    ("ablate", None, "ablation", "onehot"),
+    ("ablate", None, "ablation", "ablation"),
+    ("distill", "--teacher-cmatrix", "proxy_distill", "ls"),
+    ("distill", "--teacher-checkpoint", "distill", "lspp"),
+])
+def test_strategy_flag_of_a_command_that_picks_it_exits_2_without_a_run_directory(
+        data_csv, tmp_path, capsys, command, teacher, strategy, given):
+    teachers = {"--teacher-cmatrix": tmp_path / "cmatrix.csv",
+                "--teacher-checkpoint": tmp_path / "checkpoint.json"}
+    export_cmatrix(CMatrix.zeros(4, 0.1), teachers["--teacher-cmatrix"])
+    save_checkpoint(init_model([2, 8, 4], seed=0), teachers["--teacher-checkpoint"])
+    argv = [teacher, str(teachers[teacher])] if teacher else []
+    out = tmp_path / "run"
+    assert main([command, "--data", str(data_csv), *argv, "--strategy", given,
+                 "--epochs", "1", "--out", str(out)]) == 2
+    assert (f"{command} trains strategy {strategy!r}; --strategy {given!r} cannot "
+            "change it") in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestGradcheckCommand:
     def test_passes_at_sane_step(self, capsys):
         assert main(["gradcheck", "--k", "5", "--seed", "3"]) == 0

@@ -21,7 +21,6 @@ from labelforge.numerics import (
     Rng,
     log_softmax_rows,
     softmax_pair,
-    softmax_probs_inplace,
     softmax_rows,
 )
 
@@ -91,6 +90,14 @@ class TestCMatrix:
         with pytest.raises(ValueError):
             CMatrix(np.zeros((4, 3)), 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logit_rejected_naming_the_key(self, bad):
+        # target_table no longer passes through the checked softmax_rows
+        logits = np.zeros((4, 3))
+        logits[2, 1] = bad
+        with pytest.raises(ValueError, match="logits contains NaN or Inf"):
+            CMatrix(logits, 0.1)
+
 
 class TestLsppTarget:
     def test_zero_logits_pinned(self):
@@ -130,13 +137,18 @@ class TestLsppTarget:
             assert np.abs(table[y] - lspp_target(c, y)).max() < 1e-15
 
     def test_table_rows_bit_identical_to_lspp_target(self):
+        # fresh tables, and one TableTargets whose buffers each draw rewrites
         rng = np.random.default_rng(6)
         for k in range(2, 21):
             for alpha in (0.0, 0.1, 0.45):
-                c = CMatrix(rng.uniform(-30.0, 30.0, size=(k, k - 1)), alpha)
-                table = target_table(c)
-                for y in range(k):
-                    assert table[y].tobytes() == lspp_target(c, y).tobytes(), (k, y)
+                learned = TableTargets(CMatrix.zeros(k, alpha))
+                for _ in range(3):
+                    c = CMatrix(rng.uniform(-30.0, 30.0, size=(k, k - 1)), alpha)
+                    learned.cmatrix.logits[...] = c.logits
+                    fresh, step = target_table(c), learned.update()
+                    for y in range(k):
+                        expected = lspp_target(c, y).tobytes()
+                        assert fresh[y].tobytes() == step[y].tobytes() == expected, (k, y)
 
     def test_expanded_probs_match_row_scatter(self):
         rng = np.random.default_rng(7)
@@ -520,10 +532,10 @@ class TestExport:
 class TestBufferedTableStep:
     """A training run's table step, `TableTargets` rewriting its buffers in
     place and `table_logit_grad` reading index rows sliced out of one
-    epoch's `label_indices`, against the fresh forms (`target_table`, the
-    indices of the batch alone), and those against the per-op form (a
-    boolean mask over the batch, NumPy's own row sums, `np.add.at` into a
-    zeroed table), bit for bit."""
+    epoch's `label_indices`, against the fresh forms (`softmax_rows`, the
+    oracle's `lspp_target` rows, the indices of the batch alone), and those
+    against the per-op form (a boolean mask over the batch, NumPy's own row
+    sums, `np.add.at` into a zeroed table), bit for bit."""
 
     ROUTINGS = pytest.mark.parametrize(
         "forward,reverse", [(True, False), (True, True), (False, True)],
@@ -565,14 +577,16 @@ class TestBufferedTableStep:
                                     slots[start:stop], probs, log_probs,
                                     forward=forward, reverse=reverse)
 
-            fresh_probs = softmax_probs_inplace(fresh_logits.copy())
+            fresh_probs = softmax_rows(fresh_logits)
             fresh_grad = table_logit_grad(fresh_probs, alpha, *label_indices(yb, k), probs,
                                           log_probs, forward=forward, reverse=reverse)
             per_op = self.per_op_grad(fresh_probs, alpha, yb, probs, log_probs,
                                       forward, reverse)
             assert table is learned.table
             assert learned.row_probs.tobytes() == fresh_probs.tobytes()
-            assert table.tobytes() == target_table(CMatrix(fresh_logits, alpha)).tobytes()
+            fresh_c = CMatrix(fresh_logits, alpha)
+            oracle = np.array([lspp_target(fresh_c, y) for y in range(k)])
+            assert table.tobytes() == oracle.tobytes()
             assert grad.tobytes() == fresh_grad.tobytes() == per_op.tobytes()
 
             grad /= b  # as the run steps its table, in place

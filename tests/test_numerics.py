@@ -15,7 +15,6 @@ from labelforge.numerics import (
     row_max,
     row_sum,
     softmax_pair,
-    softmax_probs_inplace,
     softmax_probs_into,
     softmax_rows,
 )
@@ -162,7 +161,7 @@ class TestSoftmaxPair:
             for k in range(2, 65):
                 m = hard_rows(100 + k, k)
                 work = m.copy()
-                out = softmax_probs_inplace(work)
+                out = softmax_probs_into(work, work)
                 assert out is work
                 assert out.tobytes() == softmax_pair(m)[0].tobytes(), k
 

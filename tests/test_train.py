@@ -184,8 +184,29 @@ class TestTrainConfig:
         ("batch_size", float("inf")),
     ])
     def test_non_integers_rejected_naming_the_key(self, key, value):
-        with pytest.raises(ValueError, match=f"{key}: .* is not an integer"):
+        with pytest.raises(ValueError, match=f"config key '{key}': cannot parse"):
             TrainConfig(**{key: value})
+
+    @pytest.mark.parametrize("key,value", [
+        ("lr", True),
+        ("ols_correct_only", "no"),
+        ("ols_correct_only", 1),
+        ("ols_mix", True),
+        ("c_lr", True),
+        ("alpha", "0.1"),
+        ("momentum", None),
+        ("strategy", 5),
+        ("layer_sizes", "2,8,4"),
+    ])
+    def test_values_of_another_type_rejected_naming_the_key(self, key, value):
+        # float() would train at lr 1.0 and bool() read "no" as True
+        with pytest.raises(ValueError, match=f"config key '{key}': cannot parse"):
+            TrainConfig(**{key: value})
+
+    def test_floats_accept_ints_and_numpy_reals_as_floats(self):
+        cfg = TrainConfig(lr=1, alpha=np.float32(0.25), momentum=np.int64(0))
+        assert (cfg.lr, cfg.alpha, cfg.momentum) == (1.0, 0.25, 0.0)
+        assert all(type(v) is float for v in (cfg.lr, cfg.alpha, cfg.momentum))
 
     def test_resolved_rejects_mismatched_sizes(self):
         with pytest.raises(ValueError, match="layer_sizes"):
@@ -642,9 +663,9 @@ class TestTargetsAreDistributions:
 
     def test_every_target_source(self):
         from labelforge.labelreg import (
-            OlsState, ols_accumulate, ols_table, target_table, targets_from_row_probs,
+            OlsState, TableTargets, ols_accumulate, ols_table, target_table,
         )
-        from labelforge.numerics import softmax_probs_inplace
+        from labelforge.numerics import softmax_probs_into
 
         rng = np.random.default_rng(2024)
         for trial in range(200):
@@ -655,11 +676,13 @@ class TestTargetsAreDistributions:
             where = (trial, k, alpha, batch)
             logits = rng.uniform(-30.0, 30.0, size=(k, k - 1))
 
-            # onehot, ls, and lspp both as the step builds it and as a table
+            # onehot, ls, and lspp both as a step rewrites its buffers and as a table
             self.assert_distributions(np.eye(k)[labels], where)
             self.assert_distributions(target_table(CMatrix.zeros(k, alpha))[labels], where)
-            step_table = targets_from_row_probs(softmax_probs_inplace(logits.copy()), alpha)
-            self.assert_distributions(step_table[labels], where)
+            step = TableTargets(CMatrix.zeros(k, alpha))
+            step.update()
+            step.cmatrix.logits[...] = logits
+            self.assert_distributions(step.update()[labels], where)
             self.assert_distributions(target_table(CMatrix(logits, alpha))[labels], where)
 
             # proxy_distill: a teacher's frozen table
@@ -669,7 +692,8 @@ class TestTargetsAreDistributions:
             # ols: mean predictions of a batch, some classes possibly unseen
             state = OlsState.zeros(k)
             seen = rng.integers(0, k, size=batch)
-            probs = softmax_probs_inplace(rng.uniform(-30.0, 30.0, size=(batch, k)))
+            logits_b = rng.uniform(-30.0, 30.0, size=(batch, k))
+            probs = softmax_probs_into(logits_b, logits_b)
             ols_accumulate(state, probs, seen)
             for mix in (0.0, 1.0, float(rng.uniform())):
                 table, _ = ols_table(state.class_means(), mix)
