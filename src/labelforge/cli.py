@@ -92,7 +92,7 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
+    return tuple(int(part) for part in text.split(","))
 
 
 def _coerce(key: str, text: str, line_no=None) -> object:
@@ -127,9 +127,8 @@ def parse_config_file(path) -> dict:
         for key, raw in doc.items():
             if key not in CONFIG_KINDS:
                 raise _unknown_key_error(key)
-            if raw is not None:
-                with _usage_errors():
-                    values[key] = config_value(key, raw)
+            with _usage_errors():
+                values[key] = config_value(key, raw)
         return values
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()

@@ -235,36 +235,18 @@ def table_logit_grad(row_probs: np.ndarray, alpha: float, cells: np.ndarray,
     return grad.reshape(row_probs.shape)
 
 
-@dataclass
-class OlsState:
-    """Running per-class sums of predicted distributions plus counts."""
-
-    sums: np.ndarray
-    counts: np.ndarray
-
-    @classmethod
-    def zeros(cls, num_classes: int) -> "OlsState":
-        return cls(
-            np.zeros((num_classes, num_classes), dtype=np.float64),
-            np.zeros(num_classes, dtype=np.int64),
-        )
-
-    def class_means(self) -> np.ndarray:
-        """Mean prediction per class; rows with zero count stay all-zero."""
-        means = np.zeros_like(self.sums)
-        seen = self.counts > 0
-        means[seen] = self.sums[seen] / self.counts[seen, None]
-        return means
-
-
-def ols_accumulate(state: OlsState, probs: np.ndarray, y) -> OlsState:
-    """Add one prediction (probs of shape (K,), int y) or a batch of them
-    (B x K probs, B labels). A batch is added in row order, as B single
-    calls would add it, so repeated labels sum in the same order; a training
-    run adds an epoch's predictions, stored in step order, with one call."""
-    np.add.at(state.sums, y, np.asarray(probs, dtype=np.float64))
-    np.add.at(state.counts, y, 1)
-    return state
+def ols_accumulate(probs: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """The K x K mean prediction per class of B x K ``probs`` with B
+    ``labels``: row y sums the rows of class y from zero in row order, as a
+    loop over them would, and divides by their count. A class with no rows
+    keeps an all-zero row. A training run passes an epoch's predictions,
+    stored in step order, in one call."""
+    means = np.zeros((k, k), dtype=np.float64)
+    np.add.at(means, labels, probs)
+    counts = np.bincount(labels, minlength=k)
+    seen = counts > 0
+    means[seen] /= counts[seen, None]
+    return means
 
 
 def ols_table(class_means: np.ndarray, mix: float) -> tuple[np.ndarray, int]:

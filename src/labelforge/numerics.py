@@ -237,11 +237,11 @@ class Rng:
         return np.fromiter(perm, dtype=np.int64, count=n)
 
 
-def as_matrix(values, name: str = "matrix") -> np.ndarray:
+def as_matrix(values) -> np.ndarray:
     """Coerce to a 2-D float64 array, rejecting anything else."""
     m = np.asarray(values, dtype=np.float64)
     if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
+        raise ValueError(f"matrix must be 2-D, got shape {m.shape}")
     return m
 
 

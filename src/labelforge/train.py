@@ -62,7 +62,6 @@ from .analysis import c_row_entropy
 from .dataio import Dataset, exact_int, write_csv, write_json
 from .labelreg import (
     CMatrix,
-    OlsState,
     TableTargets,
     cross_entropy,
     export_cmatrix,
@@ -133,9 +132,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None or f.default is not None:  # None: unset, where allowed
-                object.__setattr__(self, f.name, config_value(f.name, value))
+            object.__setattr__(self, f.name, config_value(f.name, getattr(self, f.name)))
         checked_seed(self.seed)
         if self.layer_sizes is not None:
             _checked_sizes(self.layer_sizes, "layer_sizes")
@@ -209,10 +206,13 @@ def config_value(key: str, value):
     """``value`` as config key ``key``'s kind, as `TrainConfig` and a JSON
     config file read it: an int or an integral float for an int
     (`exact_int`), a real number but not a bool for a float, a sequence of
-    those ints (not a str) for a tuple, and a bool or a str as itself. Any
-    other value raises a ValueError naming the key: float() would read True
-    as 1.0, and bool() "no" as True."""
+    those ints (not a str) for a tuple, a bool or a str as itself, and None
+    (unset) only where it is the key's default. Any other value raises a
+    ValueError naming the key: float() would read True as 1.0, and bool()
+    "no" as True."""
     kind = CONFIG_KINDS[key]
+    if value is None and getattr(TrainConfig, key) is None:
+        return None
     try:
         if kind is int:
             return exact_int(value, key)
@@ -399,13 +399,12 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
             )
 
         if ols_probs is not None:
-            ols_state = OlsState.zeros(k)
             if config.ols_correct_only:
                 hits = np.argmax(ols_probs, axis=1) == y_epoch
-                ols_accumulate(ols_state, ols_probs[hits], y_epoch[hits])
+                means = ols_accumulate(ols_probs[hits], y_epoch[hits], k)
             else:
-                ols_accumulate(ols_state, ols_probs, y_epoch)
-            table, fallbacks = ols_table(ols_state.class_means(), config.ols_mix)
+                means = ols_accumulate(ols_probs, y_epoch, k)
+            table, fallbacks = ols_table(means, config.ols_mix)
             report.ols_fallbacks += fallbacks
 
         train_eval = evaluate(model, train_set)
@@ -507,8 +506,7 @@ def distill(student_config: TrainConfig, teacher, train_set: Dataset,
 
 
 def gradient_check(num_classes: int, seed: int, hidden_sizes=(8,),
-                   batch_size: int = 8, step: float = 1e-5,
-                   input_dim: int = 3) -> dict:
+                   batch_size: int = 8, step: float = 1e-5) -> dict:
     """Verify both gradient pathways on one random instance with the
     functions training calls, against central finite differences.
 
@@ -519,6 +517,7 @@ def gradient_check(num_classes: int, seed: int, hidden_sizes=(8,),
     predictions held fixed. Returns the worst relative error for each side.
     """
     rng = Rng(derive_seed(seed, 9000))
+    input_dim = 3
     sizes = [input_dim, *[int(h) for h in hidden_sizes], num_classes]
     model = init_model(sizes, seed)
     # central differences are only valid away from rectifier kinks: redraw
@@ -569,8 +568,7 @@ def write_metrics_csv(report: TrainReport, path) -> None:
     )
 
 
-def write_run_artifacts(run_dir, config: TrainConfig, result: TrainOutput,
-                        extra_report: dict | None = None) -> None:
+def write_run_artifacts(run_dir, config: TrainConfig, result: TrainOutput) -> None:
     """Write config.json, metrics.csv, checkpoint.json, report.json, and
     (when a table was learned) cmatrix.csv with its sidecar."""
     run_dir = Path(run_dir)
@@ -595,6 +593,4 @@ def write_run_artifacts(run_dir, config: TrainConfig, result: TrainOutput,
         report_doc["c_row_entropy"] = [
             float(v) for v in c_row_entropy(result.cmatrix)
         ]
-    if extra_report:
-        report_doc.update(extra_report)
     write_json(run_dir / "report.json", report_doc)

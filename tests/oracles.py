@@ -6,7 +6,7 @@ batched forms in `labelforge.labelreg`."""
 
 import numpy as np
 
-from labelforge.labelreg import LOG_CLAMP, CMatrix, OlsState, network_dlogits, ols_table
+from labelforge.labelreg import LOG_CLAMP, CMatrix, network_dlogits, ols_table
 from labelforge.labelreg import cross_entropy as batch_cross_entropy
 from labelforge.model import OptState, central_difference_error, init_model, sgd_step
 from labelforge.numerics import Rng, derive_seed, softmax_rows
@@ -82,16 +82,17 @@ def ols_run(config, train_set, test_set) -> tuple[list, list]:
     """An ``ols`` training run as a plain loop over steps, each adding its
     predictions (or, under ``ols_correct_only``, its correctly predicted
     rows) to the epoch's per-class sums one sample at a time, in batch
-    order. Returns the `OlsState` of every epoch and its `EpochStats`."""
+    order. Returns every epoch's class means (an all-zero row for a class
+    with no rows) with its per-class row counts, and its `EpochStats`."""
     config = config.resolved(train_set.num_features, train_set.num_classes)
     k, n = train_set.num_classes, len(train_set)
     model = init_model(config.layer_sizes, config.seed)
     opt = OptState.for_model(model, config.lr, config.momentum, config.weight_decay)
     table = np.eye(k)
-    states, stats = [], []
+    epochs, stats = [], []
     for epoch in range(config.epochs):
         perm = Rng(derive_seed(config.seed, 1 + epoch)).permutation(n)
-        state, loss_sum = OlsState.zeros(k), 0.0
+        sums, counts, loss_sum = np.zeros((k, k)), np.zeros(k, dtype=np.int64), 0.0
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
             xb, yb = train_set.features[idx], train_set.labels[idx]
@@ -102,11 +103,14 @@ def ols_run(config, train_set, test_set) -> tuple[list, list]:
             sgd_step(model, model.backward(cache, dlogits), opt)
             for p, y in zip(cache.probs, yb.tolist()):
                 if not config.ols_correct_only or np.argmax(p) == y:
-                    state.sums[y] += p
-                    state.counts[y] += 1
-        table, _ = ols_table(state.class_means(), config.ols_mix)
-        states.append(state)
+                    sums[y] += p
+                    counts[y] += 1
+        means = np.zeros((k, k))
+        for y in np.flatnonzero(counts):
+            means[y] = sums[y] / counts[y]
+        table, _ = ols_table(means, config.ols_mix)
+        epochs.append((means, counts))
         train_eval, test_eval = evaluate(model, train_set), evaluate(model, test_set)
         stats.append(EpochStats(epoch, train_eval["accuracy"], test_eval["accuracy"],
                                 loss_sum / n, train_eval["mean_max_prob"]))
-    return states, stats
+    return epochs, stats

@@ -133,21 +133,40 @@ class TestConfigFile:
     ({"ols_correct_only": "yes"}, "ols_correct_only"),
     ({"ols_correct_only": 1}, "ols_correct_only"),
     ({"strategy": 5}, "strategy"),
+    ({"momentum": None}, "momentum"),
+    ({"seed": None}, "seed"),
 ], ids=["fractional-size", "boolean-size", "string-size", "fractional-epochs",
         "string-epochs", "boolean-seed", "infinite-batch-size", "boolean-lr",
-        "boolean-alpha", "string-lr", "string-bool", "integer-bool", "integer-strategy"])
+        "boolean-alpha", "string-lr", "string-bool", "integer-bool", "integer-strategy",
+        "null-momentum", "null-seed"])
 def test_json_config_non_integer_exits_2_without_a_run_directory(data_csv, tmp_path, capsys,
                                                                doc, key):
     # int() would truncate 8.7 to 8, read true as 1 and "1" as 1, and
     # overflow on Infinity (which Python's json reads); float() would read
     # true as 1.0, training at lr 1.0, and "0.5" as 0.5; bool() would read
-    # "yes" and 1 as true, and str() 5 as "5"
+    # "yes" and 1 as true, and str() 5 as "5"; null unsets only c_lr and layer_sizes
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"epochs": 1, **doc}))
     out = tmp_path / "run"
     assert run_train(data_csv, out, "--config", str(path)) == 2
     assert f"config key {key!r}: cannot parse" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_json_config_null_unsets_only_c_lr_and_layer_sizes(data_csv, tmp_path, capsys):
+    # the keys whose default is None; a flag for another key does not hide its null
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"momentum": None, "epochs": 1}))
+    out = tmp_path / "bad"
+    assert run_train(data_csv, out, "--config", str(path), "--momentum", "0.5") == 2
+    assert "config key 'momentum': cannot parse None as float" in capsys.readouterr().err
+    assert not out.exists()
+    path.write_text(json.dumps({"c_lr": None, "layer_sizes": None, "epochs": 1}))
+    out = tmp_path / "run"
+    assert run_train(data_csv, out, "--config", str(path), "--c-lr", "0.3",
+                     "--strategy", "lspp") == 0
+    config = json.loads((out / "config.json").read_text())
+    assert (config["c_lr"], config["layer_sizes"]) == (0.3, [2, 32, 4])
 
 
 def test_json_config_integral_floats_train_as_ints(data_csv, tmp_path):
@@ -427,17 +446,24 @@ class TestTrainCommand:
         assert f"{flag[2:].replace('-', '_')} must be" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("sizes,message", [("2,0,4", "must be positive"),
-                                               ("2,-32,4", "must be positive"),
-                                               ("2", "need at least input and output")])
+    @pytest.mark.parametrize("sizes,message", [
+        ("2,0,4", "must be positive"), ("2,-32,4", "must be positive"),
+        ("2", "need at least input and output"),
+        # a list takes every comma-separated part, and an empty one is no size
+        ("2,,8,,2", "config key 'layer_sizes'"), ("2,8,2,", "config key 'layer_sizes'"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "file"])
     def test_bad_layer_sizes_exit_2_before_the_run_directory(self, tmp_path, capsys,
-                                                             sizes, message):
+                                                             sizes, message, source):
         # 2 features and 2 classes, so the single size "2" matches both ends
         data = tmp_path / "d.csv"
         assert main(["gen-data", "--means", "0,0;5,5", "--per-class", "10",
                      "--out", str(data)]) == 0
+        config = tmp_path / "c.cfg"
+        config.write_text(f"layer_sizes={sizes}\n")
         out = tmp_path / "bad"
-        assert run_train(data, out, "--layer-sizes", sizes) == 2
+        flags = ("--layer-sizes", sizes) if source == "flag" else ("--config", str(config))
+        assert run_train(data, out, *flags) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -790,7 +816,7 @@ class TestGradcheckCommand:
     @pytest.mark.parametrize("flag,value", [
         ("--k", "1"), ("--k", "0"), ("--batch", "0"), ("--step", "0"),
         ("--step", "nan"), ("--step", "inf"), ("--layers", "0"), ("--layers", "a"),
-        ("--seed", "-1"), ("--seed", str(2 ** 64)),
+        ("--layers", "8,,8"), ("--seed", "-1"), ("--seed", str(2 ** 64)),
     ])
     def test_bad_flag_exits_2_naming_it_before_any_check(self, capsys, monkeypatch,
                                                          flag, value):

@@ -6,7 +6,6 @@ import pytest
 
 from labelforge.labelreg import (
     CMatrix,
-    OlsState,
     TableTargets,
     export_cmatrix,
     label_indices,
@@ -324,54 +323,50 @@ class TestGatingDisjointness:
 
 class TestOls:
     def test_single_sample_mean(self):
-        state = OlsState.zeros(3)
         probs = np.array([0.2, 0.5, 0.3])
-        ols_accumulate(state, probs, 1)
-        assert np.array_equal(state.class_means()[1], probs)
+        assert np.array_equal(ols_accumulate(probs[None], np.array([1]), 3)[1], probs)
 
     def test_two_sample_average(self):
-        state = OlsState.zeros(3)
         a = np.array([0.2, 0.5, 0.3])
         b = np.array([0.6, 0.2, 0.2])
-        ols_accumulate(state, a, 0)
-        ols_accumulate(state, b, 0)
-        assert np.abs(state.class_means()[0] - (a + b) / 2).max() < 1e-12
+        means = ols_accumulate(np.stack([a, b]), np.array([0, 0]), 3)
+        assert np.abs(means[0] - (a + b) / 2).max() < 1e-12
 
     def test_hundred_samples_against_brute_force(self):
         rng = Rng(14)
-        state = OlsState.zeros(4)
-        per_class = {c: [] for c in range(4)}
-        for _ in range(100):
-            y = rng.next_below(4)
-            p = random_probs(rng, 4)
-            per_class[y].append(p)
-            ols_accumulate(state, p, y)
-        means = state.class_means()
+        labels = np.array([rng.next_below(4) for _ in range(100)])
+        probs = np.stack([random_probs(rng, 4) for _ in range(100)])
+        means = ols_accumulate(probs, labels, 4)
         for c in range(4):
-            expected = np.mean(per_class[c], axis=0)
+            expected = np.mean(probs[labels == c], axis=0)
             assert np.abs(means[c] - expected).max() < 1e-10
 
-    def test_batch_update_matches_sequential_updates(self):
+    def test_batch_matches_a_per_sample_loop(self):
         rng = np.random.default_rng(15)
         k = 4
         probs = softmax_rows(rng.uniform(-4.0, 4.0, size=(64, k)))
         labels = rng.integers(0, k - 1, size=64)  # class 3 never seen, 0-2 repeated
-        batched = ols_accumulate(OlsState.zeros(k), probs, labels)
-        one_by_one = OlsState.zeros(k)
-        in_place = OlsState.zeros(k)
+        sums, counts = np.zeros((k, k)), np.zeros(k, dtype=np.int64)
         for p, y in zip(probs, labels.tolist()):
-            ols_accumulate(one_by_one, p, y)
-            in_place.sums[y] += p
-            in_place.counts[y] += 1
-        for state in (one_by_one, in_place):
-            assert batched.sums.tobytes() == state.sums.tobytes()
-            assert np.array_equal(batched.counts, state.counts)
-        assert batched.counts[3] == 0
+            sums[y] += p
+            counts[y] += 1
+        looped = np.zeros((k, k))
+        for y in range(k - 1):
+            looped[y] = sums[y] / counts[y]
+        assert ols_accumulate(probs, labels, k).tobytes() == looped.tobytes()
 
-    def test_unseen_class_mean_is_zero_row(self):
-        state = OlsState.zeros(3)
-        ols_accumulate(state, np.array([0.9, 0.05, 0.05]), 0)
-        assert np.array_equal(state.class_means()[2], np.zeros(3))
+    def test_unseen_class_is_a_zero_row_and_a_fallback(self):
+        means = ols_accumulate(np.array([[0.9, 0.05, 0.05]]), np.array([0]), 3)
+        assert np.array_equal(means[1:], np.zeros((2, 3)))
+        table, fallbacks = ols_table(means, 0.5)
+        assert fallbacks == 2
+        assert np.array_equal(table[1:], np.eye(3)[1:])
+
+    def test_no_rows_gives_all_zero_means(self):
+        # ols_correct_only in an epoch where no prediction hits its class
+        means = ols_accumulate(np.empty((0, 3)), np.empty(0, dtype=np.int64), 3)
+        assert means.tobytes() == np.zeros((3, 3)).tobytes()
+        assert ols_table(means, 0.5)[1] == 3
 
 
 class TestOlsTarget:

@@ -462,11 +462,11 @@ class TestOlsStrategy:
     @pytest.mark.parametrize("correct_only", [False, True])
     def test_epoch_sums_match_per_step_oracle(self, small_task, tmp_path, monkeypatch,
                                               correct_only):
-        states, shared = [], lf_train.ols_accumulate
+        calls, shared = [], lf_train.ols_accumulate
 
-        def spy(state, probs, y):
-            states.append(shared(state, probs, y))
-            return states[-1]
+        def spy(probs, labels, k):
+            calls.append((shared(probs, labels, k), np.bincount(labels, minlength=k)))
+            return calls[-1][0]
 
         monkeypatch.setattr(lf_train, "ols_accumulate", spy)
         train_set, test_set = small_task
@@ -474,14 +474,14 @@ class TestOlsStrategy:
                              ols_correct_only=correct_only, layer_sizes=(2, 8, 4))
         assert len(train_set) % config.batch_size != 0  # the last batch is partial
         out = train(config, train_set, test_set)
-        oracle_states, oracle_stats = ols_run(config, train_set, test_set)
+        oracle_epochs, oracle_stats = ols_run(config, train_set, test_set)
 
-        assert len(states) == len(oracle_states) == config.epochs
-        for got, want in zip(states, oracle_states):
-            assert got.sums.tobytes() == want.sums.tobytes()
-            assert got.counts.tobytes() == want.counts.tobytes()
+        assert len(calls) == len(oracle_epochs) == config.epochs
+        for (means, counts), (want_means, want_counts) in zip(calls, oracle_epochs):
+            assert means.tobytes() == want_means.tobytes()
+            assert np.array_equal(counts, want_counts)
         if correct_only:  # some early predictions miss their class
-            assert sum(s.counts.sum() for s in states) < config.epochs * len(train_set)
+            assert sum(counts.sum() for _, counts in calls) < config.epochs * len(train_set)
         oracle = TrainOutput(out.model, TrainReport(oracle_stats), None)
         assert metrics_bytes(tmp_path, out, "a.csv") == metrics_bytes(tmp_path, oracle, "b.csv")
 
@@ -663,7 +663,7 @@ class TestTargetsAreDistributions:
 
     def test_every_target_source(self):
         from labelforge.labelreg import (
-            OlsState, TableTargets, ols_accumulate, ols_table, target_table,
+            TableTargets, ols_accumulate, ols_table, target_table,
         )
         from labelforge.numerics import softmax_probs_into
 
@@ -690,13 +690,11 @@ class TestTargetsAreDistributions:
             self.assert_distributions(target_table(teacher_c)[labels], where)
 
             # ols: mean predictions of a batch, some classes possibly unseen
-            state = OlsState.zeros(k)
             seen = rng.integers(0, k, size=batch)
             logits_b = rng.uniform(-30.0, 30.0, size=(batch, k))
-            probs = softmax_probs_into(logits_b, logits_b)
-            ols_accumulate(state, probs, seen)
+            means = ols_accumulate(softmax_probs_into(logits_b, logits_b), seen, k)
             for mix in (0.0, 1.0, float(rng.uniform())):
-                table, _ = ols_table(state.class_means(), mix)
+                table, _ = ols_table(means, mix)
                 self.assert_distributions(table[labels], (*where, mix))
 
             # distill: a teacher network's probabilities
@@ -949,7 +947,7 @@ class TestRunArtifacts:
                 for e in range(3)]
         report = TrainReport(rows, 0.875, 0.6, 0.1 / 3, 2.0 / 7, 0.91, 0.8, 1.25, 15, 2)
         result = TrainOutput(init_model([2, 3, 4], seed=1), report, None)
-        write_run_artifacts(tmp_path, TrainConfig(), result, {"extra": [1, 2]})
+        write_run_artifacts(tmp_path, TrainConfig(), result)
         # the key-by-key document write_run_artifacts wrote before asdict, as oracle
         oracle = {
             "final_train_accuracy": report.final_train_accuracy,
@@ -962,7 +960,6 @@ class TestRunArtifacts:
             "teacher_forward_calls": report.teacher_forward_calls,
             "ols_fallbacks": report.ols_fallbacks,
             "epochs": [asdict(row) for row in report.epoch_stats],
-            "extra": [1, 2],
         }
         expected = json.dumps(oracle, indent=2, sort_keys=True) + "\n"
         assert (tmp_path / "report.json").read_text() == expected
