@@ -196,6 +196,16 @@ def _remap_labels(features, labels, test_mapping: dict, mapping: dict,
     return Dataset(features, to_train[labels], len(mapping))
 
 
+def _require_width(features, train: Dataset, test_path, train_path) -> None:
+    """Raise UsageError, naming both files, unless the test rows have the
+    training set's features."""
+    if features.shape[1] != train.num_features:
+        raise UsageError(
+            f"{test_path}: test data has {features.shape[1]} features, the training "
+            f"data {train_path} has {train.num_features}"
+        )
+
+
 def _load_datasets(args) -> tuple[Dataset, Dataset, dict]:
     """Resolve train/test datasets from CSV or IDX flags; returns the inputs
     for the manifest alongside the datasets, each a name mapped to its path
@@ -209,6 +219,7 @@ def _load_datasets(args) -> tuple[Dataset, Dataset, dict]:
             if args.test_data:
                 test, test_mapping, sha256 = load_csv(args.test_data, args.label_column)
                 inputs["test_data"] = (args.test_data, sha256)
+                _require_width(test.features, full, args.test_data, args.data)
                 test = _remap_labels(test.features, test.labels, test_mapping, mapping,
                                      args.test_data, args.data)
                 return full, test, inputs
@@ -223,6 +234,7 @@ def _load_datasets(args) -> tuple[Dataset, Dataset, dict]:
                 inputs["test_idx_images"] = (args.test_idx_images, None)
                 inputs["test_idx_labels"] = (args.test_idx_labels, None)
                 features, labels = read_idx(args.test_idx_images, args.test_idx_labels)
+                _require_width(features, full, args.test_idx_images, args.idx_images)
                 # IDX labels are class indices already; the test file may
                 # lack or add any of them, which _remap_labels names
                 present, dense = np.unique(labels, return_inverse=True)

@@ -19,8 +19,9 @@ whole-buffer operations: four passes over the buffer without weight decay
 (see `sgd_step`), six with it.
 
 ``forward`` keeps what ``backward`` needs (the training pass); ``predict``
-returns only the probabilities and works in place (inference). Both run the
-same layer loop and give the same probabilities, bit for bit.
+returns only the probabilities and works in place (inference), on one batch
+or on an (S, B, D) stack of batches. Both run the same layer loop and give
+the same probabilities, bit for bit.
 
 Checkpoint format (JSON, one object):
 
@@ -130,14 +131,18 @@ class Mlp:
         Returns the float64 input, the checked logits, and the pre-activations
         (logits last) and post-ReLU activations of every layer when ``keep``;
         without ``keep`` each hidden layer's ReLU overwrites its own
-        pre-activation and both lists stay empty.
+        pre-activation and both lists stay empty, and the input may be an
+        (S, B, D) stack of batches, which counts as S forward passes.
         """
         x = np.asarray(batch_features, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
+        if x.ndim != 2 and (keep or x.ndim != 3):
+            shapes = "a 2-D batch" if keep else "a 2-D batch or a 3-D stack of batches"
+            raise ValueError(f"batch shape {x.shape}: expected {shapes}")
+        if x.shape[-1] != self.input_dim:
             raise ValueError(
                 f"batch shape {x.shape} does not match input dimension {self.input_dim}"
             )
-        self.forward_count += 1
+        self.forward_count += 1 if x.ndim == 2 else len(x)
         pre_acts = []
         hidden_acts = []
         act = x
@@ -164,9 +169,19 @@ class Mlp:
     def predict(self, batch_features: np.ndarray) -> np.ndarray:
         """Softmax probabilities of a batch, equal bit for bit to
         ``forward(batch).probs``, without the backward cache or the
-        log-probabilities; counts as a forward pass in `forward_count`."""
+        log-probabilities; counts as a forward pass in `forward_count`.
+
+        An (S, B, D) stack of S batches gives (S, B, K) probabilities whose
+        slice s equals ``predict(stack[s])`` bit for bit, and counts as S
+        forward passes. Each matmul runs along the leading axis, one product
+        per batch: the rows of two batches never share a product, whose sums
+        BLAS may then order otherwise. Bias and ReLU broadcast over the
+        stack, and the softmax runs over its S * B rows at once.
+        """
         logits = self._logits(batch_features, keep=False)[1]
-        return softmax_probs_into(logits, logits)
+        rows = logits.reshape(-1, self.num_classes)  # a view: the logits are C-ordered
+        softmax_probs_into(rows, rows)
+        return logits
 
     def backward(self, cache: ForwardCache, dlogits: np.ndarray,
                  out: "Mlp | None" = None) -> np.ndarray:

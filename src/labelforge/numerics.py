@@ -73,6 +73,7 @@ _TWO_POW_NEG53 = 2.0 ** -53
 
 BLOCK = 1024  # states computed per jump-table pass
 ORDER_CAP = 1 << 20  # epoch-order indices a process keeps, 4 MB as int32 (train.epoch_order)
+STACK_CAP = 1 << 16  # input values one stacked teacher call gathers, 512 KB (train.teacher_targets)
 SEED_LIMIT = 1 << 64  # seeds lie in [0, SEED_LIMIT); derive_seed reads them mod 2**64
 
 

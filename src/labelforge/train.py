@@ -6,13 +6,14 @@ network from the forward cross-entropy gradient, and (when a learnable
 logit table is in play) steps the table from whichever direction the
 configured loss routes to it. Network and table updates within a batch are
 simultaneous: both gradients are computed from pre-step values before
-either parameter set moves. What depends on the labels alone, the epoch's
-label order, a fixed table's target rows and a learned table's gather and
-scatter indices, is computed once per epoch and sliced per batch; ``ols``
-stores an epoch's predictions and adds them to its per-class sums once the
-epoch ends, in step order. An epoch's shuffle depends only on the seed, the
-epoch and the row count, so runs that share a seed share their shuffles:
-`epoch_order` computes each once per process, up to ``ORDER_CAP`` indices.
+either parameter set moves. What depends on the labels alone or on a frozen
+teacher, the epoch's label order, a fixed table's or a teacher network's
+target rows and a learned table's gather and scatter indices, is computed
+once per epoch and sliced per batch; ``ols`` stores an epoch's predictions
+and adds them to its per-class sums once the epoch ends, in step order. An
+epoch's shuffle depends only on the seed, the epoch and the row count, so
+runs that share a seed share their shuffles: `epoch_order` computes each
+once per process, up to ``ORDER_CAP`` indices.
 
 Strategies:
 
@@ -25,7 +26,8 @@ Strategies:
 * ``ols``           targets from the previous epoch's mean predictions
                     mixed with one-hot; epoch 0 uses one-hot.
 * ``distill``       per-sample targets from a teacher network's forward
-                    passes.
+                    passes, one per batch, stacked per epoch
+                    (`teacher_targets`).
 * ``proxy_distill`` per-class targets from a teacher's frozen logit table;
                     never runs a teacher forward pass.
 * ``ablation``      ``lspp`` under the name the ``ablate`` command records.
@@ -82,7 +84,7 @@ from .model import (
     save_checkpoint,
     sgd_step,
 )
-from .numerics import ORDER_CAP, Rng, checked_seed, derive_seed, row_max
+from .numerics import ORDER_CAP, STACK_CAP, Rng, checked_seed, derive_seed, row_max
 
 STRATEGIES = ("onehot", "ls", "lspp", "ols", "distill", "proxy_distill", "ablation")
 ABLATION_LOSSES = ("ce", "sce_original", "sce_ours")
@@ -308,6 +310,29 @@ def epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     return row
 
 
+def teacher_targets(teacher: Mlp, features: np.ndarray, order: np.ndarray,
+                    batch_size: int) -> np.ndarray:
+    """``teacher``'s probabilities for the rows ``order`` of ``features``,
+    each batch of ``batch_size`` rows equal bit for bit to
+    ``teacher.predict`` of that batch alone.
+
+    The full batches go to `Mlp.predict` as (S, B, D) stacks of at most
+    ``STACK_CAP`` gathered values (one batch at least), a partial last batch
+    as one 2-D call, so the teacher counts one forward pass per batch.
+    """
+    n, width = len(order), features.shape[1]
+    full = n - n % batch_size
+    chunk = max(1, STACK_CAP // (batch_size * width)) * batch_size
+    out = np.empty((n, teacher.num_classes), dtype=np.float64)
+    for start in range(0, full, chunk):
+        stop = min(start + chunk, full)
+        stack = features.take(order[start:stop], axis=0).reshape(-1, batch_size, width)
+        out[start:stop] = teacher.predict(stack).reshape(stop - start, -1)
+    if full < n:
+        out[full:] = teacher.predict(features.take(order[full:], axis=0))
+    return out
+
+
 def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
          teacher: Mlp | CMatrix | None) -> TrainOutput:
     started = time.perf_counter()
@@ -322,7 +347,8 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
 
     # the target source: every strategy but distill reads table[labels];
     # a learned table is rebuilt from its logits every step, ols from the
-    # previous epoch's mean predictions every epoch
+    # previous epoch's mean predictions every epoch, and a teacher network
+    # gives an epoch's targets in a few stacked calls
     cmatrix: CMatrix | None = None
     learned: TableTargets | None = None
     table = np.eye(k, dtype=np.float64)  # onehot, and ols in epoch 0
@@ -333,7 +359,6 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
         table = target_table(CMatrix.zeros(k, config.alpha))
     elif strategy == "proxy_distill":
         table = target_table(teacher)
-    fixed_table = learned is None and teacher_model is None
 
     teacher_calls_before = teacher_model.forward_count if teacher_model else 0
     features, labels = train_set.features, train_set.labels
@@ -346,13 +371,15 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
     for epoch in range(config.epochs):
         perm = epoch_order(config.seed, epoch, n)
         loss_sum = 0.0
-        # what depends on the labels alone is gathered once per epoch, and
-        # each step reads its rows as a slice
+        # what depends on the labels alone or on a frozen teacher is gathered
+        # once per epoch, and each step reads its rows as a slice
         y_epoch = labels.take(perm)
-        if fixed_table:
-            targets_epoch = table.take(y_epoch, axis=0)
         if learned is not None:
             cells_epoch, slots_epoch = label_indices(y_epoch, k, batch_size)
+        elif teacher_model is not None:
+            targets_epoch = teacher_targets(teacher_model, features, perm, batch_size)
+        else:
+            targets_epoch = table.take(y_epoch, axis=0)
 
         for batch, start in enumerate(range(0, n, batch_size)):
             stop = start + batch_size
@@ -362,9 +389,7 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
 
             cache = model.forward(xb)
             probs, log_probs = cache.probs, cache.log_probs
-            if teacher_model is not None:
-                targets = teacher_model.predict(xb)
-            elif learned is not None:
+            if learned is not None:
                 targets = learned.update().take(y_epoch[start:stop], axis=0)
             else:
                 targets = targets_epoch[start:stop]

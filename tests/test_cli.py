@@ -39,12 +39,12 @@ def data_csv(tmp_path_factory):
     return path
 
 
-def write_idx(tmp_path, name, labels):
-    """An IDX image/label pair of 1x2 images, one per label."""
+def write_idx(tmp_path, name, labels, cols=2):
+    """An IDX image/label pair of 1 x ``cols`` images, one per label."""
     images = tmp_path / f"{name}-img.idx"
     label_file = tmp_path / f"{name}-lab.idx"
     n = len(labels)
-    images.write_bytes(struct.pack(">IIII", 0x803, n, 1, 2) + bytes(range(2 * n)))
+    images.write_bytes(struct.pack(">IIII", 0x803, n, 1, cols) + bytes(range(cols * n)))
     label_file.write_bytes(struct.pack(">II", 0x801, n) + bytes(labels))
     return images, label_file
 
@@ -543,6 +543,32 @@ class TestTrainCommand:
                 str(test_labels), "--epochs", "1", "--out", str(out)]
         assert main(argv) == 0
         assert (out / "metrics.csv").exists()
+
+    def test_idx_test_set_of_another_width_exits_2(self, tmp_path, capsys):
+        images, labels = write_idx(tmp_path, "train", [0, 1, 2, 0, 1, 2])
+        test_images, test_labels = write_idx(tmp_path, "test", [2, 1, 0], cols=3)
+        out = tmp_path / "run"
+        argv = ["train", "--idx-images", str(images), "--idx-labels", str(labels),
+                "--test-idx-images", str(test_images), "--test-idx-labels",
+                str(test_labels), "--epochs", "1", "--out", str(out)]
+        assert main(argv) == 2
+        assert (f"{test_images}: test data has 3 features, the training data {images} "
+                f"has 2") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_test_data_of_another_width_exits_2(self, tmp_path, capsys):
+        train_csv, test_csv = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["gen-data", "--per-class", "10", "--out", str(train_csv)]) == 0
+        assert main(["gen-data", "--per-class", "10", "--means", "0,0,0;1,0,0;9,9,9;9,9,8",
+                     "--out", str(test_csv)]) == 0
+        capsys.readouterr()
+        before = sorted(tmp_path.iterdir())
+        argv = ["train", "--data", str(train_csv), "--test-data", str(test_csv),
+                "--epochs", "1", "--out", str(tmp_path / "run")]
+        assert main(argv) == 2
+        assert (f"{test_csv}: test data has 3 features, the training data {train_csv} "
+                f"has 2") in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_test_data_labels_follow_training_mapping(self, tmp_path):
         # the test file lists label 9 first, the training file label 5

@@ -118,6 +118,27 @@ class TestPredict:
         assert probs.shape == (rows, sizes[-1])
         assert probs.tobytes() == model.forward(x).probs.tobytes()
 
+    @pytest.mark.parametrize("sizes", [(2, 32, 4), (784, 128, 10), (5, 16, 12, 8, 3)])
+    @pytest.mark.parametrize("stack", [1, 3])
+    def test_stack_equals_each_batch_alone(self, sizes, stack):
+        model = init_model(sizes, seed=len(sizes) + stack)
+        x = 5.0 * np.random.default_rng(stack).normal(size=(stack, 37, sizes[0]))
+        probs = model.predict(x)
+        assert probs.shape == (stack, 37, sizes[-1])
+        assert model.forward_count == stack
+        for s in range(stack):
+            assert probs[s].tobytes() == model.predict(x[s]).tobytes()
+
+    def test_only_predict_takes_a_stack(self):
+        model = init_model([3, 4, 2], seed=1)
+        with pytest.raises(ValueError, match=r"^batch shape \(2, 5, 3\): expected a 2-D batch$"):
+            model.forward(np.zeros((2, 5, 3)))
+        with pytest.raises(ValueError, match="expected a 2-D batch or a 3-D stack"):
+            model.predict(np.zeros((1, 2, 5, 3)))
+        with pytest.raises(ValueError, match="input dimension"):
+            model.predict(np.zeros((2, 5, 4)))
+        assert model.forward_count == 0
+
     def test_nan_weight_rejected(self):
         model = init_model([3, 4, 2], seed=1)
         model.weights[0][1, 2] = np.nan

@@ -551,6 +551,25 @@ class TestDistill:
                       teacher, train_set, test_set)
         assert out.report.teacher_forward_calls == 3 * 5
 
+    @pytest.mark.parametrize("cap", [1, 4 * 24 * 2])  # one batch, then four, per call
+    def test_stacked_teacher_calls_write_the_same_bytes(self, small_task, tmp_path,
+                                                        monkeypatch, cap):
+        # 160 rows in batches of 24: six full batches and a partial one of 16
+        train_set, test_set = small_task
+        teacher = init_model([2, 8, 4], seed=3)
+        config = TrainConfig(epochs=3, seed=2, batch_size=24, layer_sizes=(2, 8, 4))
+
+        def run_bytes(name):
+            out = distill(config, teacher, train_set, test_set)
+            assert out.report.teacher_forward_calls == 3 * 7
+            write_run_artifacts(tmp_path / name, config, out)
+            return [(tmp_path / name / f).read_bytes()
+                    for f in ("metrics.csv", "checkpoint.json")]
+
+        default = run_bytes("default")
+        monkeypatch.setattr(lf_train, "STACK_CAP", cap)
+        assert run_bytes("capped") == default
+
     def test_uniform_teacher_yields_uniform_student(self, small_task):
         train_set, test_set = small_task
         teacher = zero_model([2, 8, 4])  # predicts exactly uniform everywhere
@@ -616,12 +635,14 @@ class TestDivergence:
         train_set, test_set = small_task  # 160 rows: 5 batches per epoch
 
         class NanTeacher(Mlp):
-            """Predicts NaN from its 8th forward pass on: epoch 1, batch 2."""
+            """Predicts NaN for its 8th per-batch forward pass on (epoch 1,
+            batch 2), whether a call holds one batch or a stack of them."""
 
             def predict(self, batch_features):
+                first = self.forward_count
                 probs = super().predict(batch_features)
-                if self.forward_count >= 8:
-                    probs[:] = np.nan
+                stack = probs if probs.ndim == 3 else probs[None]
+                stack[max(0, 7 - first):] = np.nan
                 return probs
 
         base = init_model([2, 8, 4], seed=5)
@@ -629,7 +650,9 @@ class TestDivergence:
         config = TrainConfig(epochs=3, layer_sizes=(2, 8, 4))
         with pytest.raises(ValueError, match=r"loss is nan at epoch 1, batch 2$"):
             distill(config, teacher, train_set, test_set)
-        assert teacher.forward_count == 8
+        # the teacher's targets are made per epoch before its first step, so
+        # the loss of batch 2 fails after the forward passes of all epoch 1
+        assert teacher.forward_count == 2 * 5
 
     def test_nan_parameter_before_final_evaluation_is_rejected(self, small_task,
                                                                 monkeypatch):
