@@ -65,4 +65,4 @@ def c_row_entropy(c: CMatrix) -> np.ndarray:
 def export_matrix_csv(matrix: np.ndarray, path) -> None:
     """Write a K x C matrix as CSV with a class-index header row."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    write_csv(path, [str(i) for i in range(matrix.shape[1])], matrix.tolist())
+    write_csv(path, [str(i) for i in range(matrix.shape[1])], matrix)

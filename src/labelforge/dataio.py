@@ -1,7 +1,12 @@
 """Dataset construction (synthetic Gaussian mixtures, IDX and CSV loaders)
 and the text of the run artifacts: one checked CSV table reader, one CSV
-row writer and one JSON writer (the one-line checkpoint aside), all written
-through one atomic file writer, and one file hash.
+table writer and one JSON writer (the one-line checkpoint aside), all
+written through one atomic file writer, and one file hash.
+
+Every float in a CSV artifact or a checkpoint is spelled as Python's
+``repr`` spells it. One vectorized kernel, `repr_join`, makes that text for
+an array of values at a time, and `write_repr_table` streams a table
+through it in chunks of TEXT_CHUNK values.
 
 All loaders produce the same `Dataset` shape: an N x D float64 feature
 matrix, N integer labels in [0, K), and the class count K. Every class must
@@ -12,6 +17,7 @@ counts.
 from __future__ import annotations
 
 import csv
+import functools
 import gzip
 import hashlib
 import io
@@ -386,14 +392,262 @@ class _Sha256Buffer(io.BufferedWriter):
         return super().write(data)
 
 
-def write_csv(path, header, rows) -> str:
-    """Write a header row and rows of Python ints and floats as CSV, and
+# -- repr-exact float text -----------------------------------------------------
+#
+# repr(x) of a float64 x is the decimal with the fewest significant digits
+# that reads back as x, of those the nearest to x, and of two equally near
+# the one with an even last digit. repr_join finds those digits for a whole
+# array with Giulietti's Schubfach algorithm ("The Schubfach way to render
+# doubles", 2020; Java's Double.toString uses it), which like Ryu (Adams,
+# PLDI 2018) needs only 64-bit integer arithmetic and a table of powers of
+# ten. For x = c * 2**q it picks a scale 10**k at which the interval of
+# reals that read back as x is 1 to 10 units wide, and computes x and the
+# interval's ends in quarter units of that scale, rounded to odd, from one
+# 126-bit approximation g of 10**-k; that rounding keeps every comparison
+# below exact. The answer is the one multiple of 10 units in the interval
+# if there is one, else the nearer of the two units around x. Unlike
+# Java's, no second digit is forced (repr(5e-324) is '5e-324').
+
+# Values per repr_join call in write_repr_table; the kernel's temporaries are
+# a few dozen arrays of this length, so it bounds the memory a write takes.
+TEXT_CHUNK = 1 << 14
+
+_U64 = np.uint64
+_LOW32 = _U64(0xFFFF_FFFF)
+_LOW63 = _U64((1 << 63) - 1)
+_POW10 = _U64(10) ** np.arange(20, dtype=np.uint64)
+_K_MIN, _K_MAX = -324, 292  # the scales 10**k the doubles need
+
+
+def _floor_log10_pow2(q):
+    """floor(log10(2**q)), exact for every double's exponent q."""
+    return (q * 661971961083) >> 41
+
+
+def _floor_log10_three_quarters_pow2(q):
+    """floor(log10(3/4 * 2**q)), exact for every double's exponent q."""
+    return (q * 661971961083 - 274743187321) >> 41
+
+
+def _floor_log2_pow10(e):
+    """floor(log2(10**e)), exact for every scale e the doubles need."""
+    return (e * 913124641741) >> 38
+
+
+def _words(data) -> np.ndarray:
+    """Little-endian uint64 words of ``data``, whose length is a multiple of 8."""
+    return np.frombuffer(bytes(data), dtype="<u8").astype(np.uint64)
+
+
+@functools.cache
+def _repr_tables() -> tuple:
+    """The read-only tables of repr_join, built once per process on its
+    first call:
+
+    - per row (the biased exponent, plus 2047 for a power of two whose
+      interval below is half as wide as above): the scale k, and the shift h
+      and the 32-bit limbs of the two 63-bit halves of
+      g = floor(10**-k * 2**(125 - floor(log2(10**-k)))) + 1;
+    - the text "e+XX" of each decimal exponent from -324 to 308, as a word;
+    - per (place of the point, or 24 for none; length; sign) the amounts to
+      subtract from the 24 bytes of digits and the mask that keeps the text.
+    """
+    g = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        shift = 125 - _floor_log2_pow10(-k)
+        num, den = (10 ** -k, 1) if k <= 0 else (1, 10 ** k)
+        g.append(((num << shift) if shift >= 0 else num // (1 << -shift)) // den + 1)
+    g1 = np.array([v >> 63 for v in g], dtype=np.uint64)
+    g0 = np.array([v & ((1 << 63) - 1) for v in g], dtype=np.uint64)
+    q = np.maximum(np.arange(2047), 1) - 1075
+    k = np.concatenate([_floor_log10_pow2(q), _floor_log10_three_quarters_pow2(q)])
+    h = np.concatenate([q, q]) + _floor_log2_pow10(-k) + 2
+    g1, g0 = g1[k - _K_MIN], g0[k - _K_MIN]
+    scale = np.stack([h.astype(np.uint64), g1 & _LOW32, g1 >> _U64(32),
+                      g0 & _LOW32, g0 >> _U64(32), g1])
+
+    exponent = _words(b"".join(f"e{e:+03d}".encode().ljust(8, b"\0")
+                               for e in range(-324, 309)))
+
+    # axes (point, length, sign, byte), in uint8: '0' - 2 is '.', '0' - 3 is '-'
+    place = np.arange(23, -1, -1, dtype=np.uint8)  # of each of the 24 digit bytes
+    point = np.arange(25, dtype=np.uint8)[:, None, None, None]
+    length = np.arange(25, dtype=np.uint8)[:, None, None]
+    neg = np.arange(2, dtype=np.uint8)[:, None]
+    sub = np.uint8(2) * (place == point) + np.uint8(3) * ((neg == 1) & (place == length))
+    keep = np.broadcast_to(np.uint8(255) * (place < length + neg), sub.shape)
+    fix = [_words(a.tobytes()).reshape(-1, 3).T for a in (sub, np.ascontiguousarray(keep))]
+    return k, scale, exponent, *fix
+
+
+def _mulhi(a0, a1, b0, b1):
+    """The high 64 bits of the products (a1 * 2**32 + a0) * (b1 * 2**32 + b0),
+    for a1 < 2**31 and b1 < 2**28."""
+    t = a0 * b0
+    u = a1 * b0 + (t >> _U64(32))
+    v = a0 * b1 + (u & _LOW32)
+    return a1 * b1 + (u >> _U64(32)) + (v >> _U64(32))
+
+
+def _shortest(bits: np.ndarray) -> tuple:
+    """(digits, k): the decimals digits * 10**k that repr gives the positive,
+    finite, nonzero doubles with these bit patterns, as uint64 digits
+    (fewer than 10**17, maybe with trailing zeros) and int64 scales."""
+    scales, scale, *_ = _repr_tables()
+    biased = (bits >> _U64(52)).astype(np.intp)
+    fraction = bits & _U64((1 << 52) - 1)
+    c = np.where(biased != 0, fraction | _U64(1 << 52), fraction)
+    narrow_below = (fraction == 0) & (biased > 1)
+    row = biased + 2047 * narrow_below
+    h, g1lo, g1hi, g0lo, g0hi, g1 = np.take(scale, row, axis=1)
+
+    def round_to_odd(cp):
+        """floor(g * cp / 2**127), its lowest bit set when that drops a
+        nonzero part of the top 63 bits below the point."""
+        cp0, cp1 = cp & _LOW32, cp >> _U64(32)
+        x1 = _mulhi(g0lo, g0hi, cp0, cp1)
+        y1 = _mulhi(g1lo, g1hi, cp0, cp1)
+        z = ((g1 * cp) >> _U64(1)) + x1
+        return (y1 + (z >> _U64(63))) | (((z & _LOW63) + _LOW63) >> _U64(63))
+
+    cb = c << _U64(2)
+    odd = c & _U64(1)  # an odd c does not own its interval's ends
+    vb = round_to_odd(cb << h)
+    vbl = round_to_odd((cb - _U64(2) + narrow_below.astype(np.uint64)) << h) + odd
+    vbr = round_to_odd((cb + _U64(2)) << h) - odd
+    s = vb >> _U64(2)
+    sp10 = (s // _U64(10)) * _U64(10)
+    tp10 = sp10 + _U64(10)
+    upin = vbl <= sp10 << _U64(2)
+    wpin = tp10 << _U64(2) <= vbr
+    t = s + _U64(1)
+    uin = vbl <= s << _U64(2)
+    win = t << _U64(2) <= vbr
+    mid = (s << _U64(2)) + _U64(2)
+    s_nearer = (vb < mid) | ((vb == mid) & ((s & _U64(1)) == 0))
+    digits = np.where(upin != wpin, np.where(upin, sp10, tp10),
+                      np.where(uin & (~win | s_nearer), s, t))
+    return digits, scales[row]
+
+
+def _ascii8(x: np.ndarray) -> np.ndarray:
+    """The 8 decimal digits of each x < 10**8 as ASCII, the first digit in
+    the lowest byte of the word (SWAR: 4-, 2- and 1-digit lanes)."""
+    hi = x // _U64(10000)
+    v = hi | ((x - hi * _U64(10000)) << _U64(32))
+    q = ((v * _U64(5243)) >> _U64(19)) & _U64(0x0000007F0000007F)  # lane // 100
+    v = q | ((v - q * _U64(100)) << _U64(16))
+    q = ((v * _U64(103)) >> _U64(10)) & _U64(0x000F000F000F000F)  # lane // 10
+    v = q | ((v - q * _U64(10)) << _U64(8))
+    return v + _U64(0x3030303030303030)
+
+
+_NON_FINITE = {name: _words(text.rjust(24, b"\0"))
+               for name, text in (("nan", b"nan"), ("inf", b"inf"), ("-inf", b"-inf"))}
+
+
+def repr_join(values, width: int, first: int = 0, sep: bytes = b",",
+              row_end: bytes = b"\r\n", int_columns=()) -> bytes:
+    """The text of a run of cells of a row-major table ``width`` cells wide,
+    the first in column ``first``: each cell as repr(float(v)) followed by
+    ``sep``, or by ``row_end`` after the last cell of a row.
+
+    A cell in ``int_columns`` is written as repr(int(v)); it must hold an
+    integer below 2**53 in magnitude. NaN and +-Inf are "nan", "inf" and
+    "-inf" as repr spells them. ``sep`` and ``row_end`` hold at most 2
+    bytes and no NUL. One call's temporaries are a few dozen arrays of
+    ``len(values)`` words; write_repr_table streams a table through it.
+    """
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    if len(sep) > 2 or len(row_end) > 2 or b"\0" in sep + row_end:
+        raise ValueError(f"separators {sep!r} and {row_end!r} must be 0-2 bytes and no NUL")
+    _, _, exponent, sub, keep = _repr_tables()
+    column = (first + np.arange(values.size)) % width
+    last = column == width - 1
+    is_int = np.isin(column, int_columns)
+
+    # the digits and scale of each finite nonzero value; 0 and the
+    # non-finite stand in as 1.0 and are spelled apart below
+    bits = values.view(np.uint64)
+    neg = (bits >> _U64(63)).astype(np.intp)
+    finite = np.isfinite(values)
+    zero = values == 0.0
+    neg[zero & is_int] = 0  # repr(int(-0.0)) is '0'
+    one = _U64(0x3FF0_0000_0000_0000)
+    digits, k = _shortest(np.where(zero | ~finite, one, bits & _LOW63))
+    # strip the trailing zeros: n significant digits, the first of them
+    # worth 10**(decpt - 1)
+    trailing = np.zeros(values.size, dtype=np.intp)
+    for step in (16, 8, 4, 2, 1):
+        q = digits // _POW10[step]
+        hit = q * _POW10[step] == digits
+        digits = np.where(hit, q, digits)
+        trailing += hit * step
+    n = np.searchsorted(_POW10[1:17], digits, side="right") + 1
+    decpt = n + trailing + k
+    digits[zero] = 0
+
+    # One integer m whose digits, right-aligned, are the text without sign
+    # and exponent, a 0 standing where the point goes:
+    #   "d.ddd" (scientific), "0.000ddd" (decpt <= 0), "dd.ddd",
+    #   "ddd000.0" (decpt >= n) and "ddd000" (integer columns).
+    sci = ~is_int & ((decpt < -3) | (decpt > 16))
+    fixed_float = ~sci & ~is_int
+    m = digits * _POW10[np.where(~sci & (decpt >= n), decpt - n + fixed_float, 0)]
+    has_point = np.where(sci, n > 1, fixed_float)
+    point = np.where(sci, n - 1, np.maximum(n - decpt, 1))  # digits after it
+    length = has_point + np.where(
+        sci, n, np.maximum(n, decpt + fixed_float) + np.maximum(1 - decpt, 0))
+    below = _POW10[np.minimum(point, 19)]
+    m = np.where(has_point, m + (m // below) * below * _U64(9), m)
+
+    # m < 10**18 as 24 ASCII digits in three words, the point, sign and
+    # leading-zero mask from the table, then "e+XX" and the separator
+    top = m // _U64(10 ** 16)
+    rest = m - top * _U64(10 ** 16)
+    mid = rest // _U64(10 ** 8)
+    tens = (top * _U64(103)) >> _U64(10)
+    cells = np.empty((values.size, 4), dtype=np.uint64)
+    cells[:, 0] = _U64(0x3030303030303030) + (tens << _U64(48)) + (
+        (top - tens * _U64(10)) << _U64(56))
+    cells[:, 1:3] = _ascii8(np.stack([mid, rest - mid * _U64(10 ** 8)])).T
+    fix = (np.where(has_point, point, 24) * 25 + length) * 2 + neg
+    cells[:, :3] -= np.take(sub, fix, axis=1).T
+    cells[:, :3] &= np.take(keep, fix, axis=1).T
+    seps = [_U64(int.from_bytes(s, "little") << 40) for s in (sep, row_end)]
+    cells[:, 3] = np.where(sci, exponent[decpt + 323], _U64(0)) | np.where(last, *seps[::-1])
+    if not finite.all():
+        bad = ~finite
+        cells[bad, :3] = np.where(
+            np.isnan(values[bad])[:, None], _NON_FINITE["nan"],
+            np.where(neg[bad, None] == 1, _NON_FINITE["-inf"], _NON_FINITE["inf"]))
+        cells[bad, 3] = np.where(last[bad], *seps[::-1])
+    # the words hold their first character in the lowest byte
+    text = cells.astype("<u8", copy=False).view(np.uint8).reshape(-1)
+    return text[text != 0].tobytes()
+
+
+def write_repr_table(f, table, sep: bytes, row_end: bytes, int_columns=()) -> None:
+    """Write the cells of a 2-D table to the binary file ``f`` as
+    `repr_join` spells them, TEXT_CHUNK cells per call and per write."""
+    table = np.asarray(table, dtype=np.float64)
+    flat = table.reshape(-1)
+    width = table.shape[1]
+    for start in range(0, flat.size, TEXT_CHUNK):
+        f.write(repr_join(flat[start:start + TEXT_CHUNK], width, start % width,
+                          sep, row_end, int_columns))
+
+
+def write_csv(path, header, table, int_columns=()) -> str:
+    """Write a header row and the rows of a 2-D float64 table as CSV, and
     return the hex sha256 of the bytes written.
 
     The header goes through csv.writer, which quotes names where needed.
-    Each number is written as its repr, which round-trips every float64
-    exactly, and every line ends in "\\r\\n" as csv.writer's do: the bytes
-    equal those of csv.writer given repr(float(v)) cells.
+    Each cell is written as repr(float(v)), which round-trips every float64
+    exactly, or as repr(int(v)) in ``int_columns`` (an epoch, a label);
+    `repr_join` makes that text for TEXT_CHUNK cells at a time, each chunk
+    written and hashed as it is made. Every line ends in "\\r\\n" as
+    csv.writer's do: the bytes equal those of csv.writer given those cells.
 
     Only save_csv uses the hash, as the key of the parsed table it stores;
     hashing while writing ties that key to the bytes written, with no read
@@ -406,7 +660,8 @@ def write_csv(path, header, rows) -> str:
         # the text layer open() would build, over a buffer that hashes
         with io.TextIOWrapper(buffer, newline="") as f:
             csv.writer(f).writerow(header)
-            f.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+            f.flush()
+            write_repr_table(buffer, table, b",", b"\r\n", int_columns)
     return buffer.sha256.hexdigest()
 
 
@@ -474,16 +729,14 @@ def data_header(num_features: int, label_column: str) -> list:
 
 
 def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:
-    """Write a dataset in the format load_csv reads (floats via repr) under
-    `data_header`, and store its table as the file's parsed-table sidecar:
-    repr round-trips every float64, so the parse of the bytes written is
-    that table. A table with NaN or Inf gets no sidecar."""
+    """Write a dataset in the format load_csv reads (floats via repr, the
+    label last as an int) under `data_header`, and store its table as the
+    file's parsed-table sidecar: repr round-trips every float64, so the
+    parse of the bytes written is that table. A table with NaN or Inf gets
+    no sidecar."""
     header = data_header(dataset.num_features, label_column)
-    rows = (
-        x.tolist() + [y] for x, y in zip(dataset.features, dataset.labels.tolist())
-    )
-    sha256 = write_csv(path, header, rows)
     table = np.column_stack((dataset.features, dataset.labels.astype(np.float64)))
+    sha256 = write_csv(path, header, table, int_columns=(dataset.num_features,))
     if np.isfinite(table).all():
         _store_parsed(path, sha256, table)
 

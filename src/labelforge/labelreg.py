@@ -276,7 +276,7 @@ def export_cmatrix(c: CMatrix, csv_path, metadata: dict | None = None) -> None:
     """Write the expanded K x K probabilities as CSV (header = class
     indices, exact 0.0 diagonal) plus a JSON sidecar with alpha and K."""
     k = c.num_classes
-    write_csv(csv_path, [str(i) for i in range(k)], c.expanded_probs().tolist())
+    write_csv(csv_path, [str(i) for i in range(k)], c.expanded_probs())
     write_json(_sidecar_path(csv_path),
                {"alpha": c.alpha, "num_classes": k, "metadata": metadata or {}})
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import atomic_write, exact_int, json_types
+from .dataio import atomic_write, exact_int, json_types, write_repr_table
 from .numerics import Rng, require_finite, softmax_pair, softmax_probs_into
 
 
@@ -291,16 +291,28 @@ def central_difference_error(flat: np.ndarray, analytic: np.ndarray, loss,
 
 
 def save_checkpoint(model: Mlp, path) -> None:
-    doc = {
-        "layer_sizes": model.layer_sizes,
-        "weights": [w.reshape(-1).tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-        "seed": model.seed,
-    }
-    # json.dumps runs the C encoder; json.dump to a file takes the pure-Python
-    # one. Both write the same bytes.
-    with atomic_write(path) as f:
-        f.write(json.dumps(doc) + "\n")
+    """Write ``model`` in the checkpoint format above: the bytes of
+    ``json.dumps(doc) + "\\n"``, each parameter spelled as its repr and
+    streamed through `write_repr_table`. A NaN or Inf parameter, which
+    `load_checkpoint` would reject, raises its ValueError before anything
+    is written."""
+    _check_finite(model, path)
+    with atomic_write(path, "wb") as f:
+        f.write(f'{{"layer_sizes": {json.dumps(model.layer_sizes)}'.encode())
+        for key, layers in (("weights", model.weights), ("biases", model.biases)):
+            f.write(f', "{key}": ['.encode())
+            for i, layer in enumerate(layers):
+                f.write(b", [" if i else b"[")
+                write_repr_table(f, layer.reshape(1, -1), b", ", b"")
+                f.write(b"]")
+            f.write(b"]")
+        f.write(f', "seed": {json.dumps(model.seed)}}}\n'.encode())
+
+
+def _check_finite(model: Mlp, path) -> None:
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError(f"{path}: layer {i} has a NaN or Inf parameter")
 
 
 def load_checkpoint(path) -> Mlp:
@@ -336,7 +348,5 @@ def load_checkpoint(path) -> Mlp:
         params = np.fromiter(values, dtype=np.float64, count=_param_count(sizes))
         seed = exact_int(doc.get("seed", 0), f"{path}: seed")
     model = Mlp(sizes, params, seed)
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise ValueError(f"{path}: layer {i} has a NaN or Inf parameter")
+    _check_finite(model, path)
     return model

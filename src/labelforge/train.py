@@ -577,20 +577,11 @@ def gradient_check(num_classes: int, seed: int, hidden_sizes=(8,),
 
 
 def write_metrics_csv(report: TrainReport, path) -> None:
-    write_csv(
-        path,
-        ["epoch", "train_acc", "test_acc", "train_loss", "mean_max_prob"],
-        (
-            [
-                int(row.epoch),
-                float(row.train_accuracy),
-                float(row.test_accuracy),
-                float(row.train_loss),
-                float(row.mean_max_prob),
-            ]
-            for row in report.epoch_stats
-        ),
-    )
+    table = np.array([[row.epoch, row.train_accuracy, row.test_accuracy, row.train_loss,
+                       row.mean_max_prob] for row in report.epoch_stats],
+                     dtype=np.float64).reshape(-1, 5)
+    write_csv(path, ["epoch", "train_acc", "test_acc", "train_loss", "mean_max_prob"],
+              table, int_columns=(0,))
 
 
 def write_run_artifacts(run_dir, config: TrainConfig, result: TrainOutput) -> None:

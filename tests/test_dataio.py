@@ -18,6 +18,7 @@ from labelforge.dataio import (
     load_csv,
     load_idx,
     read_table,
+    repr_join,
     save_csv,
     split,
     stratified_split_indices,
@@ -444,24 +445,37 @@ class TestSaveCsvSidecar:
         assert os.listdir(tmp_path) == []
 
 
-def rows_that_fail():
-    yield [2.0]
-    raise RuntimeError("the writer failed mid-write")
+def write_csv_failing_after_the_first_chunk(path, monkeypatch):
+    """write_csv of a 4-chunk table whose second chunk's text fails."""
+    calls = []
+
+    def fail_on_second_call(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("the writer failed mid-write")
+        return repr_join(*args)
+
+    monkeypatch.setattr(dataio, "TEXT_CHUNK", 3)
+    monkeypatch.setattr(dataio, "repr_join", fail_on_second_call)
+    try:
+        write_csv(path, ["a", "b"], np.arange(12.0).reshape(6, 2))
+    finally:
+        assert len(calls) == 2
 
 
 @pytest.mark.parametrize("write,write_badly,error", [
     (lambda path: write_csv(path, ["a"], [[1.0]]),
-     lambda path: write_csv(path, ["a"], rows_that_fail()), RuntimeError),
+     write_csv_failing_after_the_first_chunk, RuntimeError),
     (lambda path: write_json(path, {"a": 1.0}),
-     lambda path: write_json(path, {"a": 2.0, "b": object()}), TypeError),
+     lambda path, _: write_json(path, {"a": 2.0, "b": object()}), TypeError),
 ], ids=["write_csv", "write_json"])
-def test_failed_write_keeps_the_old_file_and_leaves_no_temp(tmp_path, write, write_badly,
-                                                            error):
+def test_failed_write_keeps_the_old_file_and_leaves_no_temp(tmp_path, monkeypatch, write,
+                                                            write_badly, error):
     path = tmp_path / "artifact"
     write(path)
     before = path.read_bytes()
     with pytest.raises(error):
-        write_badly(path)
+        write_badly(path, monkeypatch)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["artifact"]
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -457,6 +458,24 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"layer {layer} has a NaN or Inf"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-path", "existing-file"])
+    @pytest.mark.parametrize("part,layer,value", [
+        ("weights", 0, float("nan")),
+        ("weights", 1, float("-inf")),
+        ("biases", 1, float("inf")),
+    ])
+    def test_non_finite_parameter_not_saved(self, tmp_path, part, layer, value, existing):
+        # save_checkpoint once wrote NaN/Infinity, which load_checkpoint rejects
+        path = tmp_path / "ck.json"
+        if existing:
+            save_checkpoint(init_model([2, 3, 2], seed=0), path)
+        before = sorted(os.listdir(tmp_path)), existing and path.read_bytes()
+        model = init_model([2, 3, 2], seed=0)
+        getattr(model, part)[layer].reshape(-1)[1] = value
+        with pytest.raises(ValueError, match=f"ck.json: layer {layer} has a NaN or Inf"):
+            save_checkpoint(model, path)
+        assert (sorted(os.listdir(tmp_path)), existing and path.read_bytes()) == before
 
     @pytest.mark.parametrize("key", ["layer_sizes", "weights", "biases"])
     def test_missing_key_rejected(self, tmp_path, key):

@@ -3,7 +3,8 @@
 Every artifact writer must produce the bytes of the csv-module / json.dump
 code it replaced, and load_csv must return the arrays, labels and mapping of
 the csv.reader + float() loader it replaced, with the same errors. Those
-implementations are kept here as the oracles.
+implementations are kept here as the oracles, and repr itself is the oracle
+of the vectorized float-text kernel, dataio.repr_join.
 """
 
 import csv
@@ -15,12 +16,13 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from labelforge import dataio
 from labelforge.analysis import export_matrix_csv
 from labelforge.dataio import (
-    PARSED_SUFFIX, DataFormatError, Dataset, load_csv, save_csv, write_json,
+    PARSED_SUFFIX, DataFormatError, Dataset, load_csv, repr_join, save_csv, write_json,
 )
 from labelforge.labelreg import CMatrix, export_cmatrix
-from labelforge.model import Mlp, save_checkpoint
+from labelforge.model import Mlp, init_model, save_checkpoint
 from labelforge.train import EpochStats, TrainConfig, TrainReport, write_metrics_csv
 
 EDGE_VALUES = [
@@ -200,6 +202,106 @@ class TestWritersMatchCsvModule:
             json.dump(doc, f)
             f.write("\n")
         assert_same_bytes(tmp_path / "new.json", tmp_path / "old.json")
+
+
+def repr_line(values) -> bytes:
+    """The oracle for one row: repr of each value, "," between, "\\n" after."""
+    return (",".join(map(repr, np.asarray(values, dtype=np.float64).tolist())) + "\n").encode()
+
+
+def with_neighbours(values) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf),
+                           -values])
+
+
+def value_family(name: str) -> np.ndarray:
+    rng = np.random.default_rng(11)
+    if name == "bit-patterns":  # every exponent, subnormals, NaN and Inf included
+        return rng.integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    if name == "normals":
+        return rng.standard_normal(100_000)
+    if name == "normals-rounded":
+        return np.round(rng.standard_normal(100_000), 3)
+    if name == "powers":
+        tens = [float(f"1e{e}") for e in range(-323, 309)]
+        return with_neighbours(np.concatenate([2.0 ** np.arange(-1074, 1024), tens]))
+    if name == "integers":
+        return np.arange(-100_000, 100_001, dtype=np.float64)
+    # the repr notation switches at 1e-4 / 1e-5 and 9.999999999999999e15 / 1e16
+    return with_neighbours([1e-4, 1e-5, 9.999999999999999e15, 1e16, 0.0, 5e-324])
+
+
+class TestReprJoinMatchesRepr:
+    """repr_join against repr itself, value for value."""
+
+    @pytest.mark.parametrize("family", ["bit-patterns", "normals", "normals-rounded",
+                                        "powers", "integers", "notation-switches"])
+    def test_value_families(self, family):
+        values = value_family(family)
+        assert repr_join(values, values.size, sep=b",", row_end=b"\n") == repr_line(values)
+
+    def test_non_finite_and_integer_columns(self):
+        special = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5]
+        table = np.array([[i - 3, v, 10.0 ** i, v] for i, v in enumerate(special)])
+        table[3, 0] = -0.0
+        text = repr_join(table.reshape(-1), 4, int_columns=(0, 2))
+        lines = [",".join([repr(int(a)), repr(b), repr(int(c)), repr(d)])
+                 for a, b, c, d in table.tolist()]
+        assert text == ("\r\n".join(lines) + "\r\n").encode()
+
+    @pytest.mark.parametrize("first", [0, 1, 4])
+    def test_a_run_that_starts_inside_a_row(self, first):
+        values = edge_and_random(23, seed=12)
+        cells = [repr(v) + ("\r\n" if (first + i) % 5 == 4 else ",")
+                 for i, v in enumerate(values.tolist())]
+        assert repr_join(values, 5, first) == "".join(cells).encode()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 7, 785])
+    def test_tables_that_straddle_chunks(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(dataio, "TEXT_CHUNK", chunk)
+        features = edge_and_random(9 * 6, seed=13).reshape(9, 6)
+        features[2, 3], features[4, 0] = np.nan, -np.inf
+        labels = np.arange(9) % 4
+        save_csv(Dataset(features, labels, 4), tmp_path / "new.csv")
+        csv_module_write(
+            tmp_path / "old.csv",
+            [f"f{i}" for i in range(6)] + ["label"],
+            ([repr(float(v)) for v in x] + [int(y)] for x, y in zip(features, labels)),
+        )
+        assert_same_bytes(tmp_path / "new.csv", tmp_path / "old.csv")
+
+    def test_save_checkpoint_larger_than_a_chunk(self, tmp_path):
+        model = init_model([784, 128, 10], seed=3)
+        assert model.weights[0].size > dataio.TEXT_CHUNK
+        save_checkpoint(model, tmp_path / "new.json")
+        doc = {
+            "layer_sizes": [784, 128, 10],
+            "weights": [w.reshape(-1).tolist() for w in model.weights],
+            "biases": [b.tolist() for b in model.biases],
+            "seed": 3,
+        }
+        assert (tmp_path / "new.json").read_text() == json.dumps(doc) + "\n"
+
+    def test_scale_table_is_exact_for_every_double(self):
+        def floor_log10(num, den=1):
+            k = len(str(num)) - len(str(den))  # floor(log10(num / den)) or one more
+            return k - 1 if num * 10 ** max(-k, 0) < den * 10 ** max(k, 0) else k
+
+        q = np.arange(-1074, 972)
+        assert dataio._floor_log10_pow2(q).tolist() == [
+            floor_log10(2**e) if e >= 0 else floor_log10(1, 2**-e) for e in q.tolist()]
+        assert dataio._floor_log10_three_quarters_pow2(q).tolist() == [
+            floor_log10(3 << (e - 2)) if e >= 2 else floor_log10(3, 1 << (2 - e))
+            for e in q.tolist()]
+        e = np.arange(dataio._K_MIN, dataio._K_MAX + 1)
+        assert dataio._floor_log2_pow10(e).tolist() == [
+            (10**v).bit_length() - 1 if v >= 0 else -(10**-v).bit_length() for v in e.tolist()]
+        # what round_to_odd's 32-bit limbs rely on: cb << h < 2**60, g < 2**126
+        _, scale, *_ = dataio._repr_tables()
+        assert 2 <= scale[0].min() and scale[0].max() <= 5
+        assert scale[2].max() < 2**31 and scale[4].max() < 2**31
+        assert (scale[2] >> np.uint64(30)).min() == 1  # g >= 2**125
 
 
 EDGE = [float(v) for v in EDGE_VALUES]
