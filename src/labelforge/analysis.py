@@ -8,15 +8,8 @@ from __future__ import annotations
 import numpy as np
 
 from .dataio import Dataset, write_csv
-from .labelreg import CMatrix, around_diagonal, off_diagonal
+from .labelreg import CMatrix, around_diagonal, off_diagonal, ols_accumulate
 from .model import Mlp
-
-
-def _per_class_mean(values: np.ndarray, dataset: Dataset) -> np.ndarray:
-    """K x C matrix; row c is the mean of the rows of ``values`` whose
-    sample has true class c (a Dataset has at least one of each)."""
-    return np.stack([values[dataset.labels == c].mean(axis=0)
-                     for c in range(dataset.num_classes)])
 
 
 def class_mean_probs(model: Mlp, dataset: Dataset) -> np.ndarray:
@@ -24,14 +17,16 @@ def class_mean_probs(model: Mlp, dataset: Dataset) -> np.ndarray:
     samples whose true class is i."""
     if model.num_classes != dataset.num_classes:
         raise ValueError("model and dataset disagree on the class count")
-    return _per_class_mean(model.predict(dataset.features), dataset)
+    return ols_accumulate(model.predict(dataset.features), dataset.labels,
+                          dataset.num_classes)
 
 
 def class_centers(model: Mlp, dataset: Dataset) -> np.ndarray:
     """K x H matrix of mean last-hidden-layer activations per class."""
     if model.num_layers < 2:
         raise ValueError("model has no hidden layer to take features from")
-    return _per_class_mean(model.forward(dataset.features).hidden_activations[-1], dataset)
+    return ols_accumulate(model.forward(dataset.features).hidden_activations[-1],
+                          dataset.labels, dataset.num_classes)
 
 
 def center_distance_matrix(centers: np.ndarray) -> np.ndarray:

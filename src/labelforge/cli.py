@@ -117,19 +117,24 @@ def _unknown_key_error(key: str, line_no=None) -> UsageError:
 
 
 def parse_config_file(path) -> dict:
-    """Parse a key=value config file (or a JSON object) into config fields."""
+    """Parse a key=value config file (or a JSON object) into config fields;
+    a key set twice is a UsageError naming it."""
     with _usage_errors("cannot read config file: "):
         text = Path(path).read_text()
     values: dict = {}
     if text.lstrip().startswith("{"):
         with _usage_errors(f"config file {path} is not valid JSON: "):
-            doc = json.loads(text)
-        for key, raw in doc.items():
+            # an object as its list of pairs, in which a key set twice shows
+            pairs = json.loads(text, object_pairs_hook=list)
+        for key, raw in pairs:
             if key not in CONFIG_KINDS:
                 raise _unknown_key_error(key)
+            if key in values:
+                raise UsageError(f"config key {key!r} is set twice")
             with _usage_errors():
                 values[key] = config_value(key, raw)
         return values
+    lines: dict = {}  # the line that set each key
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -141,6 +146,10 @@ def parse_config_file(path) -> dict:
         raw = raw.strip()
         if key not in CONFIG_KINDS:
             raise _unknown_key_error(key, line_no)
+        if key in lines:
+            raise UsageError(f"config key {key!r} is set twice: "
+                             f"lines {lines[key]} and {line_no}")
+        lines[key] = line_no
         values[key] = _coerce(key, raw, line_no)
     return values
 
@@ -223,9 +232,7 @@ def _load_datasets(args) -> tuple[Dataset, Dataset, dict]:
                 test = _remap_labels(test.features, test.labels, test_mapping, mapping,
                                      args.test_data, args.data)
                 return full, test, inputs
-            train_set, test_set = split(full, args.train_fraction, args.split_seed)
-            return train_set, test_set, inputs
-        if args.idx_images and args.idx_labels:
+        elif args.idx_images and args.idx_labels:
             inputs["idx_images"] = (args.idx_images, None)
             inputs["idx_labels"] = (args.idx_labels, None)
             full = _require_classes(load_idx(args.idx_images, args.idx_labels),
@@ -243,9 +250,9 @@ def _load_datasets(args) -> tuple[Dataset, Dataset, dict]:
                                      {y: y for y in range(full.num_classes)},
                                      args.test_idx_labels, args.idx_labels)
                 return full, test, inputs
-            train_set, test_set = split(full, args.train_fraction, args.split_seed)
-            return train_set, test_set, inputs
-    raise UsageError("no input data: pass --data or --idx-images/--idx-labels")
+        else:
+            raise UsageError("no input data: pass --data or --idx-images/--idx-labels")
+        return (*split(full, args.train_fraction, args.split_seed), inputs)
 
 
 def _resolve_run_dir(args, subcommand: str, seed: int) -> Path:

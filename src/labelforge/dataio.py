@@ -1,11 +1,11 @@
 """Dataset construction (synthetic Gaussian mixtures, IDX and CSV loaders)
 and the text of the run artifacts: one checked CSV table reader, one CSV
 table writer and one JSON writer (the one-line checkpoint aside), all
-written through one atomic file writer, and one file hash.
+writing bytes through one atomic binary file writer, and one file hash.
 
 Every float in a CSV artifact or a checkpoint is spelled as Python's
 ``repr`` spells it. One vectorized kernel, `repr_join`, makes that text for
-an array of values at a time, and `write_repr_table` streams a table
+an array of values at a time, and `repr_table_chunks` streams a table
 through it in chunks of TEXT_CHUNK values.
 
 All loaders produce the same `Dataset` shape: an N x D float64 feature
@@ -21,7 +21,9 @@ import functools
 import gzip
 import hashlib
 import io
+import itertools
 import json
+import locale
 import math
 import operator
 import os
@@ -152,39 +154,38 @@ def _read_exact(f, n: int, path, what: str) -> bytes:
     return data
 
 
+def _read_idx_file(path, magic: int) -> tuple[tuple, np.ndarray]:
+    """The dimensions and the unsigned-byte payload of the IDX file at
+    ``path`` (gzip accepted transparently): big-endian ``magic``, whose low
+    byte counts the dimensions, then each dimension and the payload."""
+    with _open_maybe_gzip(path) as f:
+        (found,) = struct.unpack(">I", _read_exact(f, 4, path, "magic"))
+        if found != magic:
+            raise DataFormatError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
+        ndim = magic & 0xFF
+        dims = struct.unpack(f">{ndim}I", _read_exact(f, 4 * ndim, path, "dimensions"))
+        raw = _read_exact(f, math.prod(dims), path, "payload")
+    return dims, np.frombuffer(raw, dtype=np.uint8)
+
+
 def read_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
-    """Read an IDX image/label file pair (gzip accepted transparently) into
-    an N x (H*W) float64 feature matrix and N int64 labels.
+    """Read an IDX image/label file pair into an N x (H*W) float64 feature
+    matrix and N int64 labels.
 
-    Images: big-endian magic 0x00000803 then N, H, W and N*H*W unsigned
-    bytes. Labels: magic 0x00000801 then N and N unsigned bytes. Pixels are
-    scaled to [0, 1] by dividing by 255 and flattened row-major to N x (H*W).
+    Images: magic 0x00000803 then N, H, W and N*H*W unsigned bytes. Labels:
+    magic 0x00000801 then N and N unsigned bytes. Pixels are scaled to
+    [0, 1] by dividing by 255 and flattened row-major to N x (H*W). A pair
+    with no images is rejected.
     """
-    with _open_maybe_gzip(images_path) as f:
-        (magic,) = struct.unpack(">I", _read_exact(f, 4, images_path, "magic"))
-        if magic != IDX_IMAGES_MAGIC:
-            raise DataFormatError(
-                f"{images_path}: bad magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}"
-            )
-        n, h, w = struct.unpack(">III", _read_exact(f, 12, images_path, "dimensions"))
-        raw = _read_exact(f, n * h * w, images_path, "pixel payload")
-    pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
-
-    with _open_maybe_gzip(labels_path) as f:
-        (magic,) = struct.unpack(">I", _read_exact(f, 4, labels_path, "magic"))
-        if magic != IDX_LABELS_MAGIC:
-            raise DataFormatError(
-                f"{labels_path}: bad magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}"
-            )
-        (n_labels,) = struct.unpack(">I", _read_exact(f, 4, labels_path, "count"))
-        raw = _read_exact(f, n_labels, labels_path, "label payload")
-    labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-
+    (n, h, w), pixels = _read_idx_file(images_path, IDX_IMAGES_MAGIC)
+    (n_labels,), labels = _read_idx_file(labels_path, IDX_LABELS_MAGIC)
     if n_labels != n:
         raise DataFormatError(
             f"image/label count mismatch: {n} images vs {n_labels} labels"
         )
-    return pixels.reshape(n, h * w), labels
+    if n == 0:
+        raise DataFormatError(f"{labels_path}: no labels")
+    return (pixels.astype(np.float64) / 255.0).reshape(n, h * w), labels.astype(np.int64)
 
 
 def load_idx(images_path, labels_path) -> Dataset:
@@ -306,7 +307,7 @@ def _store_parsed(path, sha256: str, table: np.ndarray) -> None:
     hash to ``sha256``, atomically; an OSError leaves the sidecar as it was
     and only costs a later load its parse."""
     with suppress(OSError):
-        with atomic_write(os.fspath(path) + PARSED_SUFFIX, "wb") as f:
+        with atomic_write(os.fspath(path) + PARSED_SUFFIX) as f:
             np.savez(f, key=np.array(_parsed_key(sha256)), table=table)
 
 
@@ -380,18 +381,6 @@ def _raise_for_bad_line(path, header, label_idx) -> None:
         raise DataFormatError(f"{path}:{first_non_finite}: non-finite cell (NaN or Inf)")
 
 
-class _Sha256Buffer(io.BufferedWriter):
-    """A buffered binary writer that hashes every byte written through it."""
-
-    def __init__(self, raw):
-        super().__init__(raw)
-        self.sha256 = hashlib.sha256()
-
-    def write(self, data):
-        self.sha256.update(data)
-        return super().write(data)
-
-
 # -- repr-exact float text -----------------------------------------------------
 #
 # repr(x) of a float64 x is the decimal with the fewest significant digits
@@ -408,7 +397,7 @@ class _Sha256Buffer(io.BufferedWriter):
 # if there is one, else the nearer of the two units around x. Unlike
 # Java's, no second digit is forced (repr(5e-324) is '5e-324').
 
-# Values per repr_join call in write_repr_table; the kernel's temporaries are
+# Values per repr_join call in repr_table_chunks; the kernel's temporaries are
 # a few dozen arrays of this length, so it bounds the memory a write takes.
 TEXT_CHUNK = 1 << 14
 
@@ -556,7 +545,7 @@ def repr_join(values, width: int, first: int = 0, sep: bytes = b",",
     integer below 2**53 in magnitude. NaN and +-Inf are "nan", "inf" and
     "-inf" as repr spells them. ``sep`` and ``row_end`` hold at most 2
     bytes and no NUL. One call's temporaries are a few dozen arrays of
-    ``len(values)`` words; write_repr_table streams a table through it.
+    ``len(values)`` words; repr_table_chunks streams a table through it.
     """
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     if len(sep) > 2 or len(row_end) > 2 or b"\0" in sep + row_end:
@@ -627,26 +616,27 @@ def repr_join(values, width: int, first: int = 0, sep: bytes = b",",
     return text[text != 0].tobytes()
 
 
-def write_repr_table(f, table, sep: bytes, row_end: bytes, int_columns=()) -> None:
-    """Write the cells of a 2-D table to the binary file ``f`` as
-    `repr_join` spells them, TEXT_CHUNK cells per call and per write."""
+def repr_table_chunks(table, sep: bytes, row_end: bytes, int_columns=()):
+    """Yield the text of the cells of a 2-D table as `repr_join` spells
+    them, TEXT_CHUNK cells per call and per chunk."""
     table = np.asarray(table, dtype=np.float64)
     flat = table.reshape(-1)
     width = table.shape[1]
     for start in range(0, flat.size, TEXT_CHUNK):
-        f.write(repr_join(flat[start:start + TEXT_CHUNK], width, start % width,
-                          sep, row_end, int_columns))
+        yield repr_join(flat[start:start + TEXT_CHUNK], width, start % width,
+                        sep, row_end, int_columns)
 
 
 def write_csv(path, header, table, int_columns=()) -> str:
     """Write a header row and the rows of a 2-D float64 table as CSV, and
     return the hex sha256 of the bytes written.
 
-    The header goes through csv.writer, which quotes names where needed.
-    Each cell is written as repr(float(v)), which round-trips every float64
-    exactly, or as repr(int(v)) in ``int_columns`` (an epoch, a label);
-    `repr_join` makes that text for TEXT_CHUNK cells at a time, each chunk
-    written and hashed as it is made. Every line ends in "\\r\\n" as
+    The header goes through csv.writer, which quotes names where needed,
+    and is encoded as open() encodes text, in the encoding read_table reads
+    it with. Each cell is written as repr(float(v)), which round-trips every
+    float64 exactly, or as repr(int(v)) in ``int_columns`` (an epoch, a
+    label); `repr_join` makes that text for TEXT_CHUNK cells at a time, each
+    chunk written and hashed as it is made. Every line ends in "\\r\\n" as
     csv.writer's do: the bytes equal those of csv.writer given those cells.
 
     Only save_csv uses the hash, as the key of the parsed table it stores;
@@ -655,34 +645,35 @@ def write_csv(path, header, table, int_columns=()) -> str:
     metrics row per epoch), so they share the one path for the cost of
     hashing those bytes.
     """
-    with atomic_write(path, "wb", buffering=0) as raw:
-        buffer = _Sha256Buffer(raw)
-        # the text layer open() would build, over a buffer that hashes
-        with io.TextIOWrapper(buffer, newline="") as f:
-            csv.writer(f).writerow(header)
-            f.flush()
-            write_repr_table(buffer, table, b",", b"\r\n", int_columns)
-    return buffer.sha256.hexdigest()
+    line = io.StringIO(newline="")
+    csv.writer(line).writerow(header)
+    chunks = itertools.chain([line.getvalue().encode(locale.getpreferredencoding(False))],
+                             repr_table_chunks(table, b",", b"\r\n", int_columns))
+    digest = hashlib.sha256()
+    with atomic_write(path) as f:
+        for chunk in chunks:
+            digest.update(chunk)
+            f.write(chunk)
+    return digest.hexdigest()
 
 
 def write_json(path, doc) -> None:
     """Write ``doc`` (tuples as lists) indented by 2 with sorted keys and a
     final newline: every JSON artifact but the one-line checkpoint."""
     with atomic_write(path) as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write((json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
 
 
 @contextmanager
-def atomic_write(path, mode: str = "w", **open_args):
-    """Open a new hidden file beside ``path`` (`open` with ``mode`` and
-    ``open_args``) and, when the block ends without an error, rename it onto
-    ``path``: a reader finds the old file or the whole new one. After an
-    error the new file is removed and ``path`` is as it was."""
+def atomic_write(path):
+    """Open a new hidden file beside ``path`` for binary writing and, when
+    the block ends without an error, rename it onto ``path``: a reader finds
+    the old file or the whole new one. After an error the new file is
+    removed and ``path`` is as it was."""
     head, name = os.path.split(os.fspath(path))
     temp = os.path.join(head, f".{name}.{secrets.token_hex(4)}.tmp")
     try:
-        with open(temp, mode.replace("w", "x"), **open_args) as f:
+        with open(temp, "xb") as f:
             yield f
         os.replace(temp, path)
     except BaseException:
@@ -692,11 +683,17 @@ def atomic_write(path, mode: str = "w", **open_args):
 
 
 @contextmanager
-def json_types(path):
-    """Report a JSON value read from ``path`` that has the wrong type for its
-    use (the TypeError it raises) as a ValueError naming the file."""
+def json_document(path, keys):
+    """Read the JSON document at ``path``, reject it as a ValueError naming
+    the file when it lacks one of ``keys``, and report a value of the wrong
+    type for its use in the block (the TypeError it raises) the same way."""
+    with open(path) as f:
+        doc = json.load(f)
     try:
-        yield
+        missing = [key for key in keys if key not in doc]
+        if missing:
+            raise ValueError(f"{path}: missing keys {missing}")
+        yield doc
     except TypeError as exc:
         raise ValueError(f"{path}: a value has the wrong type: {exc}") from None
 

@@ -32,12 +32,11 @@ and a learned table keeps one, with its buffers, for the whole run.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import exact_int, json_types, read_table, write_csv, write_json
+from .dataio import exact_int, json_document, read_table, write_csv, write_json
 from .numerics import require_finite, row_sum, softmax_probs_into, softmax_rows
 
 LOG_CLAMP = 1e-12
@@ -236,12 +235,12 @@ def table_logit_grad(row_probs: np.ndarray, alpha: float, cells: np.ndarray,
 
 
 def ols_accumulate(probs: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """The K x K mean prediction per class of B x K ``probs`` with B
-    ``labels``: row y sums the rows of class y from zero in row order, as a
-    loop over them would, and divides by their count. A class with no rows
-    keeps an all-zero row. A training run passes an epoch's predictions,
-    stored in step order, in one call."""
-    means = np.zeros((k, k), dtype=np.float64)
+    """The K x C mean row per class of B x C ``probs`` with B ``labels``:
+    row y sums the rows of class y from zero in row order, as a loop over
+    them would, and divides by their count. A class with no rows keeps an
+    all-zero row. A training run passes an epoch's predictions, stored in
+    step order, in one call; `analysis` passes predictions or features."""
+    means = np.zeros((k, probs.shape[1]), dtype=np.float64)
     np.add.at(means, labels, probs)
     counts = np.bincount(labels, minlength=k)
     seen = counts > 0
@@ -298,12 +297,7 @@ def load_cmatrix(csv_path) -> CMatrix:
     is not K x K for the sidecar's K.
     """
     sidecar_path = _sidecar_path(csv_path)
-    with open(sidecar_path) as f:
-        sidecar = json.load(f)
-    with json_types(sidecar_path):
-        missing = [key for key in ("alpha", "num_classes") if key not in sidecar]
-        if missing:
-            raise ValueError(f"{sidecar_path}: missing keys {missing}")
+    with json_document(sidecar_path, ("alpha", "num_classes")) as sidecar:
         alpha, k = sidecar["alpha"], sidecar["num_classes"]
         numbers = all(isinstance(v, (int, float)) for v in (alpha, k))
         if isinstance(alpha, bool) or not numbers:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import atomic_write, exact_int, json_types, write_repr_table
+from .dataio import atomic_write, exact_int, json_document, repr_table_chunks
 from .numerics import Rng, require_finite, softmax_pair, softmax_probs_into
 
 
@@ -85,12 +85,6 @@ def _checked_sizes(layer_sizes, name: str = "layer sizes") -> list:
     if any(s <= 0 for s in sizes):
         raise ValueError(f"{name} must be positive, got {sizes}")
     return sizes
-
-
-def _param_count(layer_sizes) -> int:
-    return sum(
-        fan_in * fan_out + fan_out for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:])
-    )
 
 
 class Mlp:
@@ -214,7 +208,7 @@ def init_model(layer_sizes, seed: int) -> Mlp:
     """Glorot-uniform weights (row-major draw order), zero biases."""
     sizes = _checked_sizes(layer_sizes)
     rng = Rng(seed)
-    model = Mlp(sizes, np.zeros(_param_count(sizes)), seed)
+    model = Mlp(sizes, np.zeros(_layout(sizes)[-1][1]), seed)
     for w in model.weights:
         fan_in, fan_out = w.shape
         limit = math.sqrt(6.0 / (fan_in + fan_out))
@@ -293,17 +287,17 @@ def central_difference_error(flat: np.ndarray, analytic: np.ndarray, loss,
 def save_checkpoint(model: Mlp, path) -> None:
     """Write ``model`` in the checkpoint format above: the bytes of
     ``json.dumps(doc) + "\\n"``, each parameter spelled as its repr and
-    streamed through `write_repr_table`. A NaN or Inf parameter, which
+    streamed through `repr_table_chunks`. A NaN or Inf parameter, which
     `load_checkpoint` would reject, raises its ValueError before anything
     is written."""
     _check_finite(model, path)
-    with atomic_write(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(f'{{"layer_sizes": {json.dumps(model.layer_sizes)}'.encode())
         for key, layers in (("weights", model.weights), ("biases", model.biases)):
             f.write(f', "{key}": ['.encode())
             for i, layer in enumerate(layers):
                 f.write(b", [" if i else b"[")
-                write_repr_table(f, layer.reshape(1, -1), b", ", b"")
+                f.writelines(repr_table_chunks(layer.reshape(1, -1), b", ", b""))
                 f.write(b"]")
             f.write(b"]")
         f.write(f', "seed": {json.dumps(model.seed)}}}\n'.encode())
@@ -320,12 +314,7 @@ def load_checkpoint(path) -> Mlp:
     key, holds a value of the wrong type, a size or seed that fails
     `exact_int`, the wrong number or size of layers, or a NaN/Inf parameter
     (all as ValueError naming the file)."""
-    with open(path) as f:
-        doc = json.load(f)
-    with json_types(path):
-        missing = [key for key in ("layer_sizes", "weights", "biases") if key not in doc]
-        if missing:
-            raise ValueError(f"{path}: missing keys {missing}")
+    with json_document(path, ("layer_sizes", "weights", "biases")) as doc:
         sizes = _checked_sizes(doc["layer_sizes"], f"{path}: layer_sizes")
         layers = len(sizes) - 1
         if len(doc["weights"]) != layers or len(doc["biases"]) != layers:
@@ -345,7 +334,7 @@ def load_checkpoint(path) -> Mlp:
         values = itertools.chain.from_iterable(
             itertools.chain(w, b) for w, b in zip(doc["weights"], doc["biases"])
         )
-        params = np.fromiter(values, dtype=np.float64, count=_param_count(sizes))
+        params = np.fromiter(values, dtype=np.float64, count=_layout(sizes)[-1][1])
         seed = exact_int(doc.get("seed", 0), f"{path}: seed")
     model = Mlp(sizes, params, seed)
     _check_finite(model, path)

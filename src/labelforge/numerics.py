@@ -38,22 +38,23 @@ xorshift64* (the draw stream; state is never zero)::
 Derived quantities:
 
 * float in [0, 1): top 53 bits of the output, ``(u64 >> 11) * 2**-53``.
-* bounded int in [0, n): Lemire multiply-shift, ``(u64 * n) >> 64``.
+* bounded int in [0, n), n <= 2**32: Lemire's ``(u64 * n) >> 64``.
 * standard normal: Box-Muller on two floats (the first resampled until
   nonzero), ``r = sqrt(-2 ln u1)``, returning ``r*cos(2 pi u2)`` and caching
-  ``r*sin(2 pi u2)`` for the next call.
+  ``r*sin(2 pi u2)`` for the next draw.
 * permutation of n: Fisher-Yates, swapping index i (descending from n-1)
-  with ``next_below(i + 1)``.
+  with the bounded int in [0, i + 1).
 
-Block draws. The state update is linear over GF(2), so the state k steps
-after s is the XOR of the k-step images of the basis vectors e_j at the set
-bits j of s. ``uniforms``, ``normals`` and ``permutation`` use this to
-produce up to ``BLOCK`` states at once from a (64, BLOCK) jump table, then
-apply the multiply and the derived transforms above elementwise in uint64
-and float64 arithmetic. The stream, the final state and the cached normal
-are bit-identical to drawing one value at a time: ``(u * n) >> 64`` is
-formed from 32-bit halves without overflow, and Box-Muller keeps the
-platform's libm (``math.log``, ``math.cos``, ``math.sin``) per element,
+Block draws. Every draw runs through one path (``next_below`` is a block of
+one). The state update is linear over GF(2), so the state k steps after s
+is the XOR of the k-step images of the basis vectors e_j at the set bits j
+of s. A draw uses this to produce up to ``BLOCK`` states at once from a
+(64, BLOCK) jump table, then applies the multiply and the derived
+transforms above elementwise in uint64 and float64 arithmetic. The stream,
+the final state and the cached normal are bit-identical to the recurrence
+read one value at a time: ``(u * n) >> 64`` is formed from 32-bit halves
+without overflow, a zero u1 ends its block's pairs, and Box-Muller keeps
+the platform's libm (``math.log``, ``math.cos``, ``math.sin``) per element,
 because NumPy's own log and trigonometry may round differently. Box-Muller
 runs at most ``BLOCK`` pairs at a time, so its temporaries stay small
 however large the draw.
@@ -143,41 +144,14 @@ class Rng:
         self._state = state if state != 0 else _GOLDEN
         self._spare_normal: float | None = None
 
-    def next_uint64(self) -> int:
-        x = self._state
-        x ^= x >> 12
-        x = (x ^ (x << 25)) & _MASK64
-        x ^= x >> 27
-        self._state = x
-        return (x * _XORSHIFT_MULT) & _MASK64
-
-    def next_float(self) -> float:
-        """Uniform draw in [0, 1) with 53 bits of resolution."""
-        return (self.next_uint64() >> 11) * _TWO_POW_NEG53
-
     def next_below(self, n: int) -> int:
-        """Uniform integer in [0, n) via the multiply-shift reduction."""
-        if n <= 0:
-            raise ValueError(f"bound must be positive, got {n}")
-        return (self.next_uint64() * n) >> 64
-
-    def normal(self) -> float:
-        """Standard normal via Box-Muller; draws two uniforms per pair."""
-        if self._spare_normal is not None:
-            value = self._spare_normal
-            self._spare_normal = None
-            return value
-        u1 = self.next_float()
-        while u1 == 0.0:
-            u1 = self.next_float()
-        u2 = self.next_float()
-        radius = math.sqrt(-2.0 * math.log(u1))
-        theta = 2.0 * math.pi * u2
-        self._spare_normal = radius * math.sin(theta)
-        return radius * math.cos(theta)
+        """Uniform integer in [0, n), for n in (0, 2**32] (`_below`)."""
+        if not 0 < n <= 1 << 32:
+            raise ValueError(f"bound must be in (0, 2**32], got {n}")
+        return int(_below(self._next_block(1), np.uint64(n))[0])
 
     def _next_block(self, count: int) -> np.ndarray:
-        """The next ``count`` outputs as uint64, as ``next_uint64`` would give."""
+        """The next ``count`` outputs of the xorshift64* recurrence, as uint64."""
         table = _jump_table()
         states = np.empty(count, dtype=np.uint64)
         state = self._state
@@ -189,7 +163,7 @@ class Rng:
         return states * np.uint64(_XORSHIFT_MULT)
 
     def _next_floats(self, count: int) -> np.ndarray:
-        """The next ``count`` values of ``next_float``."""
+        """The next ``count`` floats in [0, 1), one per output."""
         return (self._next_block(count) >> np.uint64(11)).astype(np.float64) * _TWO_POW_NEG53
 
     def normals(self, shape: tuple[int, ...]) -> np.ndarray:
@@ -206,10 +180,12 @@ class Rng:
             u = self._next_floats(2 * pairs)
             u1, u2 = u[0::2], u[1::2]
             if not u1.all():
-                # the scalar loop resamples a zero u1, shifting the pairing
+                # a zero u1 is resampled: keep the pairs before the first
+                # (argmin, as u1 >= 0) and go on from the draw after it
+                pairs = int(u1.argmin())
                 self._state = state
-                flat[done:] = [self.normal() for _ in range(size - done)]
-                break
+                self._next_block(2 * pairs + 1)
+                u1, u2 = u1[:pairs], u2[:pairs]
             radius = np.sqrt(-2.0 * np.array(list(map(math.log, u1.tolist()))))
             theta = (2.0 * math.pi * u2).tolist()
             values = np.empty(2 * pairs, dtype=np.float64)

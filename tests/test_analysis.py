@@ -23,6 +23,14 @@ def zero_model(sizes):
                                       for a in pair]))
 
 
+def dead_unit_model(sizes, seed):
+    """`init_model` with the first hidden unit's bias pushed far below zero,
+    so that its ReLU gives exact zeros for every input in [-1, 1]**D."""
+    model = init_model(sizes, seed)
+    model.biases[0][0] = -100.0
+    return model
+
+
 def random_dataset(seed, n_per_class=6, classes=3, dim=2):
     rng = Rng(seed)
     features = rng.uniforms((n_per_class * classes, dim), -1.0, 1.0)
@@ -44,10 +52,11 @@ class TestClassMeanProbs:
         assert np.abs(out - probs).max() == 0.0
 
     def test_matches_accumulation_oracle(self):
-        model = init_model([2, 6, 3], seed=3)
+        model = dead_unit_model([2, 6, 3], seed=3)
         data = random_dataset(4, n_per_class=11)
         out = class_mean_probs(model, data)
         probs = model.forward(data.features).probs
+        expected = np.empty_like(out)
         for c in range(3):
             total = np.zeros(3)
             count = 0
@@ -55,7 +64,8 @@ class TestClassMeanProbs:
                 if data.labels[i] == c:
                     total += probs[i]
                     count += 1
-            assert np.abs(out[c] - total / count).max() < 1e-10
+            expected[c] = total / count
+        assert out.tobytes() == expected.tobytes()
 
     def test_rows_sum_to_one(self):
         out = class_mean_probs(init_model([2, 4, 3], seed=5), random_dataset(6))
@@ -75,13 +85,13 @@ class TestClassCenters:
         assert np.array_equal(class_centers(model, data), class_centers(model, data))
 
     def test_matches_manual_oracle(self):
-        model = init_model([2, 5, 3], seed=9)
+        model = dead_unit_model([2, 5, 3], seed=9)
         data = random_dataset(10, n_per_class=7)
         centers = class_centers(model, data)
         hidden = model.forward(data.features).hidden_activations[-1]
-        for c in range(3):
-            manual = hidden[data.labels == c].mean(axis=0)
-            assert np.abs(centers[c] - manual).max() < 1e-10
+        assert (hidden[:, 0] == 0.0).all()
+        manual = np.stack([hidden[data.labels == c].mean(axis=0) for c in range(3)])
+        assert centers.tobytes() == manual.tobytes()
 
     def test_uses_last_hidden_layer(self):
         model = init_model([2, 5, 4, 3], seed=11)

@@ -118,6 +118,22 @@ class TestConfigFile:
         assert error in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name,text,error", [
+        ("c.cfg", "epochs=1\nalpha=0.2\n# again\nepochs = 2\n",
+         "config key 'epochs' is set twice: lines 1 and 4"),
+        ("c.json", '{"epochs": 1, "alpha": 0.2, "epochs": 2}',
+         "config key 'epochs' is set twice"),
+    ], ids=["key-value", "json"])
+    def test_key_set_twice_exits_2_without_a_run_directory(self, data_csv, tmp_path,
+                                                           capsys, name, text, error):
+        # the last value would otherwise win silently
+        path = tmp_path / name
+        path.write_text(text)
+        out = tmp_path / "run"
+        assert run_train(data_csv, out, "--config", str(path)) == 2
+        assert error in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("doc,key", [
     ({"layer_sizes": [2, 8.7, 4]}, "layer_sizes"),
@@ -513,6 +529,19 @@ class TestTrainCommand:
                 "--out", str(tmp_path / "run")]
         assert main(argv) == 2
         assert "lab.idx: data has 1 class" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("empty", ["train", "test"])
+    def test_idx_pair_without_images_exits_2(self, tmp_path, capsys, empty):
+        pairs = {name: write_idx(tmp_path, name, [] if name == empty else [0, 1, 0, 1])
+                 for name in ("train", "test")}
+        out = tmp_path / "run"
+        argv = ["train", "--idx-images", str(pairs["train"][0]), "--idx-labels",
+                str(pairs["train"][1]), "--test-idx-images", str(pairs["test"][0]),
+                "--test-idx-labels", str(pairs["test"][1]), "--epochs", "1",
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert f"{pairs[empty][1]}: no labels" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("train_labels, test_labels, message", [
         ([0, 0, 1, 1, 2, 2], [0, 1, 0, 1],

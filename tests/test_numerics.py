@@ -233,16 +233,20 @@ class TestRng:
     def test_same_seed_same_stream(self):
         a = Rng(123)
         b = Rng(123)
-        assert [a.next_uint64() for _ in range(50)] == [
-            b.next_uint64() for _ in range(50)
-        ]
+        assert a._next_block(50).tolist() == b._next_block(50).tolist()
+        assert_same_bits(a.normals((7,)), b.normals((7,)))
+        assert a.next_below(1000) == b.next_below(1000)
 
     def test_stream_matches_documented_recurrence(self):
         seed = 99
         state = reference_mix64((seed + 0x9E3779B97F4A7C15) & M64)
-        expected = reference_xorshift_star(state, 20)
+        expected = reference_xorshift_star(state, 40)
         rng = Rng(seed)
-        assert [rng.next_uint64() for _ in range(20)] == expected
+        ref = ScalarReference(rng)
+        assert [ref.next_uint64() for _ in range(20)] == expected[:20]
+        assert rng._next_block(20).tolist() == expected[:20]
+        assert_same_bits(rng.uniforms((20,), 0.0, 1.0),
+                         [(u >> 11) * 2.0 ** -53 for u in expected[20:]])
 
     def test_derive_seed_matches_splitmix_stream(self):
         seed = 7
@@ -252,19 +256,37 @@ class TestRng:
         assert mix64(0) == reference_mix64(0)
 
     def test_floats_in_unit_interval(self):
-        rng = Rng(4)
-        draws = [rng.next_float() for _ in range(1000)]
-        assert all(0.0 <= u < 1.0 for u in draws)
-        assert abs(sum(draws) / len(draws) - 0.5) < 0.05
+        draws = Rng(4).uniforms((1000,), 0.0, 1.0)
+        assert ((0.0 <= draws) & (draws < 1.0)).all()
+        assert abs(draws.mean() - 0.5) < 0.05
+        # the outputs 1 and 2**64 - 1 give the interval's ends
+        rng = Rng(0)
+        inverse = pow(0x2545F4914F6CDD1D, -1, 1 << 64)  # the state whose output is 1
+        rng._state = previous_state(inverse)
+        assert rng.uniforms((1,), 0.0, 1.0)[0] == 0.0
+        rng._state = previous_state(M64 * inverse & M64)
+        assert rng.uniforms((1,), 0.0, 1.0)[0] == 1.0 - 2.0 ** -53
 
     def test_next_below_bounds_and_reach(self):
         rng = Rng(5)
         draws = [rng.next_below(7) for _ in range(2000)]
         assert set(draws) == set(range(7))
 
-    def test_next_below_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            Rng(0).next_below(0)
+    @pytest.mark.parametrize("bound", (0, -1, 2**32 + 1))
+    def test_next_below_rejects_bounds_outside_range(self, bound):
+        rng = Rng(0)
+        state = rng._state
+        with pytest.raises(ValueError, match=r"bound must be in \(0, 2\*\*32\]"):
+            rng.next_below(bound)
+        assert rng._state == state
+
+    @pytest.mark.parametrize("bound", (1, 3, 2**31 + 11, 2**32))
+    def test_next_below_matches_oracle_up_to_two_pow_32(self, bound):
+        rng = Rng(6)
+        ref = ScalarReference(rng)
+        for _ in range(5):
+            assert rng.next_below(bound) == (ref.next_uint64() * bound) >> 64
+        assert_same_generator(rng, ref)
 
     def test_normals_mean_and_scale(self):
         draws = Rng(6).normals((4000,))
@@ -281,7 +303,9 @@ class TestRng:
         assert not np.array_equal(perm, np.arange(100))
 
     def test_different_seeds_differ(self):
-        assert Rng(1).next_uint64() != Rng(2).next_uint64()
+        assert Rng(1)._next_block(1)[0] != Rng(2)._next_block(1)[0]
+        assert not np.array_equal(Rng(1).uniforms((4,), 0.0, 1.0),
+                                  Rng(2).uniforms((4,), 0.0, 1.0))
 
     def test_checked_seed_keeps_seeds_that_derive_seed_reads_one_to_one(self):
         assert derive_seed(SEED_LIMIT + 5, 1) == derive_seed(5, 1)  # why the range
@@ -381,7 +405,7 @@ class TestBlockDraws:
     def test_normals_match_oracle(self, seed, n, spare_in):
         rng = Rng(seed)
         if spare_in:
-            rng.normal()
+            rng.normals((1,))  # leaves the pair's sine cached
         ref = ScalarReference(rng)
         assert_same_bits(rng.normals((n,)), ref.normals(n))
         assert_same_generator(rng, ref)
@@ -416,13 +440,14 @@ class TestBlockDraws:
         assert_same_generator(rng, ref)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_block_draws_mixed_with_scalar_draws(self, seed):
+    def test_block_draws_mixed_with_next_below(self, seed):
         rng = Rng(seed)
         ref = ScalarReference(rng)
-        assert rng.next_uint64() == ref.next_uint64()
+        assert rng.next_below(2**32) == ref.next_uint64() >> 32
         assert_same_bits(rng.normals((BLOCK + 1,)), ref.normals(BLOCK + 1))
-        assert rng.normal() == ref.normal()  # the spare left by the odd block
-        assert rng.next_float() == ref.next_float()
+        assert rng.normals((1,))[0] == ref.normal()  # the spare left by the odd block
+        assert rng.next_below(7) == (ref.next_uint64() * 7) >> 64
+        assert_same_bits(rng.uniforms((1,), 0.0, 1.0), ref.uniforms(1, 0.0, 1.0))
         assert_same_bits(rng.normals((33,)), ref.normals(33))
         assert_same_bits(rng.uniforms((2 * BLOCK + 3,), -1.0, 1.0),
                          ref.uniforms(2 * BLOCK + 3, -1.0, 1.0))
@@ -432,8 +457,13 @@ class TestBlockDraws:
         assert rng.next_below(10) == (ref.next_uint64() * 10) >> 64
         assert_same_generator(rng, ref)
 
-    @pytest.mark.parametrize("position", (0, 4, 2 * BLOCK + 2, 2 * BLOCK + 1))
-    def test_zero_u1_resampled_like_the_scalar_loop(self, position):
+    # the first u1, one inside the first block, the last of a full block
+    # (2 * BLOCK - 2), one inside the short final block and its last (of
+    # 2 * BLOCK + 8 normals), and a u2
+    @pytest.mark.parametrize("position", (0, 4, 2 * BLOCK - 2, 2 * BLOCK + 2,
+                                          2 * BLOCK + 6, 2 * BLOCK + 1))
+    @pytest.mark.parametrize("spare_in", (False, True))
+    def test_zero_u1_resampled_like_the_scalar_loop(self, position, spare_in):
         # choose the state so that draw number `position` is exactly 0.0: an
         # even position is a u1, which is resampled; an odd one is a u2
         target = pow(0x2545F4914F6CDD1D, -1, 1 << 64)  # the state whose output is 1
@@ -442,6 +472,8 @@ class TestBlockDraws:
             state = previous_state(state)
         rng = Rng(0)
         rng._state = state
+        if spare_in:
+            rng._spare_normal = 0.25  # taken first; the draws are as above
         probe = ScalarReference(rng)
         assert [probe.next_float() for _ in range(position + 1)][-1] == 0.0
         ref = ScalarReference(rng)
@@ -449,21 +481,6 @@ class TestBlockDraws:
         got = rng.normals((n,))
         expected = ref.normals(n)
         assert_same_bits(got, expected)
-        assert_same_generator(rng, ref)
-
-    def test_zero_u1_falls_back_with_state_restored(self, monkeypatch):
-        rng = Rng(11)
-        rng.normal()
-        ref = ScalarReference(rng)
-        real = Rng._next_floats
-
-        def with_zero(self, count):
-            u = real(self, count)
-            u[0] = 0.0
-            return u
-
-        monkeypatch.setattr(Rng, "_next_floats", with_zero)
-        assert_same_bits(rng.normals((34,)), ref.normals(34))
         assert_same_generator(rng, ref)
 
     def test_bounded_draws_match_python_integers(self):

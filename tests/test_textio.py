@@ -131,12 +131,12 @@ def assert_loads_like_oracle(path, label_column="label"):
 
 
 class TestWritersMatchCsvModule:
-    def test_save_csv(self, tmp_path):
+    # a label name csv.writer has to quote, and one that is not ASCII
+    @pytest.mark.parametrize("name", ['class "y", raw', "étiquette_ß_λ"])
+    def test_save_csv(self, tmp_path, name):
         features = edge_and_random(40 * 7, seed=1).reshape(40, 7)
         labels = np.arange(40) % 3
         data = Dataset(features, labels, 3)
-        # a label name csv.writer has to quote
-        name = 'class "y", raw'
         save_csv(data, tmp_path / "new.csv", name)
         csv_module_write(
             tmp_path / "old.csv",
