@@ -283,12 +283,8 @@ def _write_manifest(run_dir: Path, subcommand: str, config_doc: dict,
 
 
 def _parse_means(text: str) -> np.ndarray:
-    try:
-        rows = [
-            [float(v) for v in chunk.split(",")]
-            for chunk in text.split(";")
-            if chunk.strip()
-        ]
+    try:  # every row: an empty one fails float("") instead of dropping a class
+        rows = [[float(v) for v in chunk.split(",")] for chunk in text.split(";")]
         means = np.asarray(rows, dtype=np.float64)
     except ValueError:
         raise UsageError(f"cannot parse --means {text!r}; expected 'x,y;x,y;...'") from None
@@ -299,11 +295,13 @@ def _parse_means(text: str) -> np.ndarray:
 
 def _cmd_gen_data(args) -> int:
     means = _parse_means(args.means)
+    out = Path(args.out)
     with _usage_errors():
         spec = GaussianSpec(means, args.std, args.per_class, args.seed)
         data_header(means.shape[1], args.label_column)  # before any work or write
+        if out.is_dir():  # else the final rename fails after every draw
+            raise UsageError(f"--out {str(out)!r} is a directory")
         dataset = generate_gaussian(spec)
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_csv(dataset, out, args.label_column)
     print(

@@ -54,14 +54,19 @@ transforms above elementwise in uint64 and float64 arithmetic. The stream,
 the final state and the cached normal are bit-identical to the recurrence
 read one value at a time: ``(u * n) >> 64`` is formed from 32-bit halves
 without overflow, a zero u1 ends its block's pairs, and Box-Muller keeps
-the platform's libm (``math.log``, ``math.cos``, ``math.sin``) per element,
-because NumPy's own log and trigonometry may round differently. Box-Muller
+the platform's libm, because NumPy's own log and trigonometry may round
+differently. It calls ``math.log`` per u1 and ``cmath.rect(r, theta)`` per
+pair, which CPython computes as ``r*cos(theta)`` and ``r*sin(theta)`` with
+the same C functions that ``math.cos`` and ``math.sin`` call (at theta 0.0
+it returns ``r`` and ``r*0.0``, the same values), so one call gives both
+normals of a pair bit for bit, already interleaved as complex128. Box-Muller
 runs at most ``BLOCK`` pairs at a time, so its temporaries stay small
 however large the draw.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 
@@ -186,11 +191,12 @@ class Rng:
                 self._state = state
                 self._next_block(2 * pairs + 1)
                 u1, u2 = u1[:pairs], u2[:pairs]
-            radius = np.sqrt(-2.0 * np.array(list(map(math.log, u1.tolist()))))
+            logs = np.fromiter(map(math.log, u1.tolist()), np.float64, pairs)
+            radius = np.sqrt(-2.0 * logs).tolist()
             theta = (2.0 * math.pi * u2).tolist()
-            values = np.empty(2 * pairs, dtype=np.float64)
-            values[0::2] = radius * np.array(list(map(math.cos, theta)))
-            values[1::2] = radius * np.array(list(map(math.sin, theta)))
+            # (r cos θ, r sin θ) per pair, already interleaved
+            values = np.fromiter(map(cmath.rect, radius, theta), np.complex128,
+                                 pairs).view(np.float64)
             take = min(2 * pairs, size - done)
             flat[done : done + take] = values[:take]
             if take < 2 * pairs:

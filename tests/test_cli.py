@@ -254,6 +254,26 @@ class TestGenData:
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("means", ["0,0;;1,1", "0,0;1,1;", " ;0,0;1,1"])
+    def test_empty_means_row_exits_2_before_any_draw(self, tmp_path, capsys,
+                                                     monkeypatch, means):
+        monkeypatch.setattr(cli, "generate_gaussian", None)  # a draw fails the test
+        out = tmp_path / "sub" / "x.csv"
+        assert main(["gen-data", "--per-class", "5", "--means", means,
+                     "--out", str(out)]) == 2
+        assert "--means" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_naming_a_directory_exits_2_before_any_draw(self, tmp_path, capsys,
+                                                             monkeypatch):
+        monkeypatch.setattr(cli, "generate_gaussian", None)
+        out = tmp_path / "x.csv"
+        out.mkdir()
+        assert main(["gen-data", "--per-class", "5", "--out", str(out)]) == 2
+        assert "is a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [out]
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("name", ["f0", "f1", " label,x", "label "])
     def test_label_column_that_would_not_read_back_exits_2_before_writing(
             self, tmp_path, capsys, name):

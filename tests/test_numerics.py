@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -314,6 +315,46 @@ class TestRng:
         for seed in (-1, SEED_LIMIT, SEED_LIMIT + 5):
             with pytest.raises(ValueError, match=r"^split seed must be in \[0, 2\*\*64\)"):
                 checked_seed(seed, "split seed")
+
+
+# Box-Muller's radii, at the largest and the smallest u1
+BOX_MULLER_R_MIN = math.sqrt(-2.0 * math.log(1.0 - 2.0 ** -53))
+BOX_MULLER_R_MAX = math.sqrt(-2.0 * math.log(2.0 ** -53))
+
+
+def assert_rect_is_cos_sin(r, theta):
+    """``cmath.rect(r, theta)`` is ``complex(r*cos(theta), r*sin(theta))``
+    bit for bit, the sign of a zero included."""
+    got = cmath.rect(r, theta)
+    expected = complex(r * math.cos(theta), r * math.sin(theta))
+    assert_same_bits([got.real, got.imag], [expected.real, expected.imag])
+
+
+class TestRectIdentity:
+    """Rng.normals takes both normals of a Box-Muller pair from one
+    cmath.rect call; ScalarReference.normal takes them from math.cos and
+    math.sin."""
+
+    # 5e-324 rounds r*cos(3 pi / 2) to -0.0
+    @pytest.mark.parametrize("r", (5e-324, BOX_MULLER_R_MIN, 0.5, 1.0, 3.0,
+                                   BOX_MULLER_R_MAX))
+    @pytest.mark.parametrize("theta", (0.0, math.pi / 2, math.pi, 3 * math.pi / 2))
+    def test_zero_and_multiples_of_half_pi(self, r, theta):
+        assert_rect_is_cos_sin(r, theta)
+
+    def test_box_muller_range(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=500, deadline=None, database=None)
+        @hypothesis.given(
+            st.floats(0.0, BOX_MULLER_R_MAX, exclude_min=True),
+            st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+        )
+        def check(r, theta):
+            assert_rect_is_cos_sin(r, theta)
+
+        check()
 
 
 class ScalarReference:
