@@ -438,8 +438,12 @@ def _repr_tables() -> tuple:
       and the 32-bit limbs of the two 63-bit halves of
       g = floor(10**-k * 2**(125 - floor(log2(10**-k)))) + 1;
     - the text "e+XX" of each decimal exponent from -324 to 308, as a word;
-    - per (place of the point, or 24 for none; length; sign) the amounts to
-      subtract from the 24 bytes of digits and the mask that keeps the text.
+    - per (place of the point, or 24 for none; length; sign) a row-major
+      (1250, 4) table of the amounts to subtract from a cell's 4 words, and
+      one of the masks that keep its text. A cell is 24 bytes of digits and
+      a 4th word of exponent and separator, which the 4th column (0 and all
+      ones) leaves alone, so one gather and one in-place op on the
+      contiguous (N, 4) cells apply each table.
     """
     g = []
     for k in range(_K_MIN, _K_MAX + 1):
@@ -465,17 +469,38 @@ def _repr_tables() -> tuple:
     neg = np.arange(2, dtype=np.uint8)[:, None]
     sub = np.uint8(2) * (place == point) + np.uint8(3) * ((neg == 1) & (place == length))
     keep = np.broadcast_to(np.uint8(255) * (place < length + neg), sub.shape)
-    fix = [_words(a.tobytes()).reshape(-1, 3).T for a in (sub, np.ascontiguousarray(keep))]
-    return k, scale, exponent, *fix
+
+    def rows(table, fourth):
+        """One row of 4 words per (point, length, sign): the 24 bytes, then
+        ``fourth``, which leaves a cell's 4th word as it is."""
+        words = _words(np.ascontiguousarray(table).tobytes()).reshape(-1, 3)
+        return np.column_stack([words, np.full(len(words), fourth, dtype=np.uint64)])
+
+    return k, scale, exponent, rows(sub, 0), rows(keep, ~_U64(0))
+
+
+def _digit_count(x: np.ndarray) -> np.ndarray:
+    """The number of decimal digits of each 0 < x < 10**17: that of the
+    power of two at or below float(x), or one more. Where float(x) rounds x
+    up to a power of two, no power of ten lies between the two."""
+    binade = (x.astype(np.float64).view(np.uint64) >> _U64(52)).astype(np.intp) - 1023
+    n = _floor_log10_pow2(binade) + 1
+    return n + (x >= _POW10[n])
 
 
 def _mulhi(a0, a1, b0, b1):
     """The high 64 bits of the products (a1 * 2**32 + a0) * (b1 * 2**32 + b0),
-    for a1 < 2**31 and b1 < 2**28."""
-    t = a0 * b0
-    u = a1 * b0 + (t >> _U64(32))
-    v = a0 * b1 + (u & _LOW32)
-    return a1 * b1 + (u >> _U64(32)) + (v >> _U64(32))
+    for a1 < 2**31 and b1 < 2**28, computed in place where it can be."""
+    u = a0 * b0
+    u >>= _U64(32)
+    u += a1 * b0
+    v = a0 * b1
+    v += u & _LOW32
+    u >>= _U64(32)
+    v >>= _U64(32)
+    u += v
+    u += a1 * b1
+    return u
 
 
 def _shortest(bits: np.ndarray) -> tuple:
@@ -485,7 +510,7 @@ def _shortest(bits: np.ndarray) -> tuple:
     scales, scale, *_ = _repr_tables()
     biased = (bits >> _U64(52)).astype(np.intp)
     fraction = bits & _U64((1 << 52) - 1)
-    c = np.where(biased != 0, fraction | _U64(1 << 52), fraction)
+    c = fraction | (biased != 0) * _U64(1 << 52)
     narrow_below = (fraction == 0) & (biased > 1)
     row = biased + 2047 * narrow_below
     h, g1lo, g1hi, g0lo, g0hi, g1 = np.take(scale, row, axis=1)
@@ -494,10 +519,16 @@ def _shortest(bits: np.ndarray) -> tuple:
         """floor(g * cp / 2**127), its lowest bit set when that drops a
         nonzero part of the top 63 bits below the point."""
         cp0, cp1 = cp & _LOW32, cp >> _U64(32)
-        x1 = _mulhi(g0lo, g0hi, cp0, cp1)
         y1 = _mulhi(g1lo, g1hi, cp0, cp1)
-        z = ((g1 * cp) >> _U64(1)) + x1
-        return (y1 + (z >> _U64(63))) | (((z & _LOW63) + _LOW63) >> _U64(63))
+        z = g1 * cp
+        z >>= _U64(1)
+        z += _mulhi(g0lo, g0hi, cp0, cp1)
+        y1 += z >> _U64(63)
+        z &= _LOW63
+        z += _LOW63
+        z >>= _U64(63)
+        y1 |= z
+        return y1
 
     cb = c << _U64(2)
     odd = c & _U64(1)  # an odd c does not own its interval's ends
@@ -514,8 +545,12 @@ def _shortest(bits: np.ndarray) -> tuple:
     win = t << _U64(2) <= vbr
     mid = (s << _U64(2)) + _U64(2)
     s_nearer = (vb < mid) | ((vb == mid) & ((s & _U64(1)) == 0))
-    digits = np.where(upin != wpin, np.where(upin, sp10, tp10),
-                      np.where(uin & (~win | s_nearer), s, t))
+    # the one multiple of 10 in the interval if there is one, sp10 or tp10,
+    # else the nearer of s and t; picked by arithmetic, as np.where
+    # branches per element and these choices are not predictable
+    multiple = sp10 + ~upin * _U64(10)
+    digits = s + ~(uin & (~win | s_nearer))
+    digits += (upin != wpin) * (multiple - digits)
     return digits, scales[row]
 
 
@@ -542,7 +577,8 @@ def repr_join(values, width: int, first: int = 0, sep: bytes = b",",
     ``sep``, or by ``row_end`` after the last cell of a row.
 
     A cell in ``int_columns`` is written as repr(int(v)); it must hold an
-    integer below 2**53 in magnitude. NaN and +-Inf are "nan", "inf" and
+    integer below 2**53 in magnitude, else a ValueError names its column
+    before any text is made. NaN and +-Inf are "nan", "inf" and
     "-inf" as repr spells them. ``sep`` and ``row_end`` hold at most 2
     bytes and no NUL. One call's temporaries are a few dozen arrays of
     ``len(values)`` words; repr_table_chunks streams a table through it.
@@ -551,47 +587,70 @@ def repr_join(values, width: int, first: int = 0, sep: bytes = b",",
     if len(sep) > 2 or len(row_end) > 2 or b"\0" in sep + row_end:
         raise ValueError(f"separators {sep!r} and {row_end!r} must be 0-2 bytes and no NUL")
     _, _, exponent, sub, keep = _repr_tables()
-    column = (first + np.arange(values.size)) % width
-    last = column == width - 1
-    is_int = np.isin(column, int_columns)
+    # cell i is in column (first + i) % width: a column's cells are a slice
+    int_slices = []
+    for column in int_columns:
+        if not 0 <= column < width:
+            raise ValueError(f"integer column {column} is outside a table {width} wide")
+        part = slice((column - first) % width, None, width)
+        ints = values[part]
+        exact = (np.abs(ints) < 2.0 ** 53) & (np.trunc(ints) == ints)
+        if not exact.all():
+            raise ValueError(f"integer column {column} holds {float(ints[~exact][0])!r}, "
+                             "not an integer below 2**53 in magnitude")
+        int_slices.append(part)
 
     # the digits and scale of each finite nonzero value; 0 and the
     # non-finite stand in as 1.0 and are spelled apart below
     bits = values.view(np.uint64)
     neg = (bits >> _U64(63)).astype(np.intp)
+    for part in int_slices:
+        neg[part] = values[part] < 0  # repr(int(-0.0)) is '0'
     finite = np.isfinite(values)
     zero = values == 0.0
-    neg[zero & is_int] = 0  # repr(int(-0.0)) is '0'
-    one = _U64(0x3FF0_0000_0000_0000)
-    digits, k = _shortest(np.where(zero | ~finite, one, bits & _LOW63))
-    # strip the trailing zeros: n significant digits, the first of them
-    # worth 10**(decpt - 1)
-    trailing = np.zeros(values.size, dtype=np.intp)
-    for step in (16, 8, 4, 2, 1):
-        q = digits // _POW10[step]
-        hit = q * _POW10[step] == digits
-        digits = np.where(hit, q, digits)
+    positive = bits & _LOW63
+    positive[zero | ~finite] = 0x3FF0_0000_0000_0000
+    digits, k = _shortest(positive)
+    # strip the trailing zeros of the digits that end in 0: n significant
+    # digits, the first of them worth 10**(decpt - 1)
+    tenth = digits // _U64(10)
+    tail = np.flatnonzero(tenth * _U64(10) == digits)
+    stripped, trailing = tenth[tail], np.ones(tail.size, dtype=np.intp)
+    for step in (8, 4, 2, 1):  # digits < 10**17 end in at most 16 zeros
+        q = stripped // _POW10[step]
+        hit = q * _POW10[step] == stripped
+        stripped += hit * (q - stripped)
         trailing += hit * step
-    n = np.searchsorted(_POW10[1:17], digits, side="right") + 1
-    decpt = n + trailing + k
+    digits[tail] = stripped
+    n = _digit_count(digits)
+    decpt = n + k
+    decpt[tail] += trailing
     digits[zero] = 0
 
     # One integer m whose digits, right-aligned, are the text without sign
-    # and exponent, a 0 standing where the point goes:
-    #   "d.ddd" (scientific), "0.000ddd" (decpt <= 0), "dd.ddd",
-    #   "ddd000.0" (decpt >= n) and "ddd000" (integer columns).
-    sci = ~is_int & ((decpt < -3) | (decpt > 16))
-    fixed_float = ~sci & ~is_int
-    m = digits * _POW10[np.where(~sci & (decpt >= n), decpt - n + fixed_float, 0)]
-    has_point = np.where(sci, n > 1, fixed_float)
-    point = np.where(sci, n - 1, np.maximum(n - decpt, 1))  # digits after it
-    length = has_point + np.where(
-        sci, n, np.maximum(n, decpt + fixed_float) + np.maximum(1 - decpt, 0))
+    # and exponent, a 0 standing where the point goes, and the point's place
+    # (24 for none) and the text's length: every cell spelled as
+    #   "0.000ddd" (decpt <= 0), "dd.ddd" or "ddd000.0" (decpt >= n),
+    # then the scientific cells as "d.ddd" and the integer cells as "ddd000".
+    fixed = np.clip(decpt, -3, 16)
+    m = digits * _POW10[np.maximum(fixed - n + 1, 0)]
+    point = np.maximum(n - fixed, 1)  # digits after it
+    length = 1 + np.maximum(n, fixed + 1) + np.maximum(1 - fixed, 0)
+    sci = np.flatnonzero(decpt != fixed)  # integers below 2**53 have decpt <= 16
+    m[sci], places = digits[sci], n[sci]
+    point[sci] = np.where(places > 1, places - 1, 24)
+    length[sci] = places + (places > 1)
+    for part in int_slices:
+        m[part] = digits[part] * _POW10[decpt[part] - n[part]]
+        point[part] = 24
+        length[part] = decpt[part]
     below = _POW10[np.minimum(point, 19)]
-    m = np.where(has_point, m + (m // below) * below * _U64(9), m)
+    m += (m // below) * below * _U64(9)
 
-    # m < 10**18 as 24 ASCII digits in three words, the point, sign and
-    # leading-zero mask from the table, then "e+XX" and the separator
+    # m < 10**18 as 24 ASCII digits in three words, then "e+XX" and the
+    # separator in the 4th; then the point, sign and leading-zero mask from
+    # the table, whose 4th word leaves the 4th alone. Each cell's text is
+    # one run of nonzero bytes, which the final compress copies fastest.
     top = m // _U64(10 ** 16)
     rest = m - top * _U64(10 ** 16)
     mid = rest // _U64(10 ** 8)
@@ -599,18 +658,21 @@ def repr_join(values, width: int, first: int = 0, sep: bytes = b",",
     cells = np.empty((values.size, 4), dtype=np.uint64)
     cells[:, 0] = _U64(0x3030303030303030) + (tens << _U64(48)) + (
         (top - tens * _U64(10)) << _U64(56))
-    cells[:, 1:3] = _ascii8(np.stack([mid, rest - mid * _U64(10 ** 8)])).T
-    fix = (np.where(has_point, point, 24) * 25 + length) * 2 + neg
-    cells[:, :3] -= np.take(sub, fix, axis=1).T
-    cells[:, :3] &= np.take(keep, fix, axis=1).T
-    seps = [_U64(int.from_bytes(s, "little") << 40) for s in (sep, row_end)]
-    cells[:, 3] = np.where(sci, exponent[decpt + 323], _U64(0)) | np.where(last, *seps[::-1])
+    cells[:, 1] = _ascii8(mid)
+    cells[:, 2] = _ascii8(rest - mid * _U64(10 ** 8))
+    cells[:, 3] = int.from_bytes(sep, "little")
+    cells[width - 1 - first::width, 3] = int.from_bytes(row_end, "little")
+    e = decpt[sci] - 1  # "e+XX" or "e+XXX", then the separator
+    cells[sci, 3] = exponent[e + 324] | cells[sci, 3] << (
+        _U64(32) + _U64(8) * (np.abs(e) >= 100))
+    fix = (point * 25 + length) * 2 + neg
+    cells -= np.take(sub, fix, axis=0)
+    cells &= np.take(keep, fix, axis=0)
     if not finite.all():
         bad = ~finite
         cells[bad, :3] = np.where(
             np.isnan(values[bad])[:, None], _NON_FINITE["nan"],
             np.where(neg[bad, None] == 1, _NON_FINITE["-inf"], _NON_FINITE["inf"]))
-        cells[bad, 3] = np.where(last[bad], *seps[::-1])
     # the words hold their first character in the lowest byte
     text = cells.astype("<u8", copy=False).view(np.uint8).reshape(-1)
     return text[text != 0].tobytes()

@@ -10,6 +10,7 @@ of the vectorized float-text kernel, dataio.repr_join.
 import csv
 import json
 import math
+import struct
 import warnings
 from dataclasses import asdict
 
@@ -257,6 +258,54 @@ class TestReprJoinMatchesRepr:
                  for i, v in enumerate(values.tolist())]
         assert repr_join(values, 5, first) == "".join(cells).encode()
 
+    def test_any_run_of_any_table(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        separators = st.sampled_from([b"", b",", b", ", b"\n", b"\r\n"])
+        floats = st.one_of(
+            st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]),
+            st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
+        ints = st.one_of(st.integers(-(2**53 - 1), 2**53 - 1).map(float), st.just(-0.0))
+
+        @st.composite
+        def runs(draw):
+            """A run of cells of a table, the integer columns among those
+            it touches."""
+            width = draw(st.one_of(st.integers(1, 9), st.just(dataio.TEXT_CHUNK + 3)))
+            first = draw(st.integers(0, width - 1))
+            columns = [(first + i) % width for i in range(draw(st.integers(0, 30)))]
+            int_columns = draw(st.sets(st.sampled_from(sorted(set(columns))))) if columns else set()
+            values = [draw(ints if c in int_columns else floats) for c in columns]
+            return values, width, first, draw(separators), draw(separators), int_columns
+
+        @hypothesis.settings(max_examples=500, deadline=None, database=None)
+        @hypothesis.given(runs())
+        def check(run):
+            values, width, first, sep, row_end, int_columns = run
+            cells = [(repr(int(v)) if (first + i) % width in int_columns else repr(v)).encode()
+                     + (row_end if (first + i) % width == width - 1 else sep)
+                     for i, v in enumerate(values)]
+            text = repr_join(values, width, first, sep, row_end, tuple(int_columns))
+            assert text == b"".join(cells)
+
+        check()
+
+    @pytest.mark.parametrize("value", [1.5, 0.25, 2.0 ** 60, np.nan, 1e21, 2.0 ** 53,
+                                       -(2.0 ** 53), -np.inf])
+    def test_integer_column_holds_only_integers_below_2_53(self, value):
+        with pytest.raises(ValueError, match="integer column 1 holds"):
+            repr_join([7.0, 3.0, 0.5, value, 1.0, 2.0], 3, 1, int_columns=(1, 2))
+
+    @pytest.mark.parametrize("column", [-1, 3])
+    def test_integer_column_outside_the_table(self, column):
+        with pytest.raises(ValueError, match=f"integer column {column} is outside"):
+            repr_join([1.0, 2.0, 3.0], 3, int_columns=(column,))
+
+    def test_integer_column_edges(self):
+        big = 2.0 ** 53 - 1
+        assert repr_join([-0.0, big, -big, 0.0], 1, int_columns=(0,)) == (
+            b"0\r\n9007199254740991\r\n-9007199254740991\r\n0\r\n")
+
     @pytest.mark.parametrize("chunk", [1, 2, 5, 7, 785])
     def test_tables_that_straddle_chunks(self, tmp_path, monkeypatch, chunk):
         monkeypatch.setattr(dataio, "TEXT_CHUNK", chunk)
@@ -302,6 +351,15 @@ class TestReprJoinMatchesRepr:
         assert 2 <= scale[0].min() and scale[0].max() <= 5
         assert scale[2].max() < 2**31 and scale[4].max() < 2**31
         assert (scale[2] >> np.uint64(30)).min() == 1  # g >= 2**125
+
+    def test_digit_count_at_every_power_of_two_and_of_ten(self):
+        # float(x) rounds x up to 2**b within 2**(b - 54) below it
+        powers = [2**b for b in range(57)] + [10**j for j in range(18)]
+        x = sorted({p + d for p in powers
+                    for d in (-1, 0, 1, -(p >> 54), -(p >> 53), -(p >> 52))
+                    if 0 < p + d < 10**17})
+        assert dataio._digit_count(np.array(x, dtype=np.uint64)).tolist() == [
+            len(str(v)) for v in x]
 
 
 EDGE = [float(v) for v in EDGE_VALUES]
