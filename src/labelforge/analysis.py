@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataio import Dataset, write_csv
+from .dataio import Dataset
 from .labelreg import CMatrix, around_diagonal, off_diagonal, ols_accumulate
 from .model import Mlp
 
@@ -55,9 +55,3 @@ def c_row_entropy(c: CMatrix) -> np.ndarray:
     probs = c.all_row_probs()
     logp = np.log(np.maximum(probs, 1e-300))
     return -(probs * logp).sum(axis=1)
-
-
-def export_matrix_csv(matrix: np.ndarray, path) -> None:
-    """Write a K x C matrix as CSV with a class-index header row."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    write_csv(path, [str(i) for i in range(matrix.shape[1])], matrix)

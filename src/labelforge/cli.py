@@ -27,17 +27,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    c_row_entropy,
-    center_distance_matrix,
-    class_centers,
-    class_mean_probs,
-    export_matrix_csv,
-)
+from .analysis import c_row_entropy, center_distance_matrix, class_centers, class_mean_probs
 from .dataio import (
     Dataset,
     GaussianSpec,
     data_header,
+    export_matrix_csv,
     file_sha256,
     generate_gaussian,
     load_csv,
@@ -60,6 +55,7 @@ from .train import (
     config_value,
     evaluate,
     gradient_check,
+    teacher_strategy,
     train,
     write_run_artifacts,
 )
@@ -255,24 +251,20 @@ def _load_datasets(args) -> tuple[Dataset, Dataset, dict]:
         return (*split(full, args.train_fraction, args.split_seed), inputs)
 
 
-def _resolve_run_dir(args, subcommand: str, seed: int) -> Path:
+def _start_run(args, seed: int, config_doc: dict, inputs: dict) -> Path:
+    """Make the run directory of ``args.subcommand`` and write its
+    manifest.json: the run's config and its inputs (name -> (path, sha256
+    or None)), hashing each input that was not hashed as it was loaded."""
     if args.out:
         run_dir = Path(args.out)
     else:
         root = Path(os.environ.get("LABELFORGE_OUT", "."))
-        run_dir = root / f"{subcommand}-{seed}-{int(time.time())}"
+        run_dir = root / f"{args.subcommand}-{seed}-{int(time.time())}"
     if run_dir.exists() and any(run_dir.iterdir()):
         raise UsageError(f"output directory {run_dir} already exists and is not empty")
     run_dir.mkdir(parents=True, exist_ok=True)
-    return run_dir
-
-
-def _write_manifest(run_dir: Path, subcommand: str, config_doc: dict,
-                    inputs: dict) -> None:
-    """Record the run's config and its inputs (name -> (path, sha256 or
-    None)), hashing each input that was not hashed as it was loaded."""
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "config": config_doc,
         "inputs": {name: {"path": str(p), "sha256": sha256 or file_sha256(p)}
                    for name, (p, sha256) in inputs.items()},
@@ -280,6 +272,7 @@ def _write_manifest(run_dir: Path, subcommand: str, config_doc: dict,
         "tool_version": __version__,
     }
     write_json(run_dir / "manifest.json", manifest)
+    return run_dir
 
 
 def _parse_means(text: str) -> np.ndarray:
@@ -311,33 +304,34 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _finish_training_command(args, subcommand, strategy_override=None,
-                             teacher=None, teacher_inputs=None):
-    if strategy_override and args.strategy is not None:
+def _cmd_train(args, teacher=None) -> int:
+    """train, ablate and distill: train the strategy that ablate or the
+    teacher's kind (`teacher_strategy`) fixes, else the configured one."""
+    subcommand = args.subcommand
+    fixed = "ablation" if subcommand == "ablate" else teacher_strategy(teacher)
+    if fixed and args.strategy is not None:
         # a config file's strategy is replaced, so a run's config.json is reusable
-        raise UsageError(f"{subcommand} trains strategy {strategy_override!r}; "
+        raise UsageError(f"{subcommand} trains strategy {fixed!r}; "
                          f"--strategy {args.strategy!r} cannot change it")
     train_set, test_set, inputs = _load_datasets(args)
-    if args.config:
-        inputs["config"] = (args.config, None)
-    if teacher_inputs:
-        inputs.update(teacher_inputs)
+    for key in ("config", "teacher_checkpoint", "teacher_cmatrix"):
+        if getattr(args, key, None):
+            inputs[key] = (getattr(args, key), None)
     overrides = _config_overrides(args)
-    if strategy_override:
-        overrides["strategy"] = strategy_override
+    if fixed:
+        overrides["strategy"] = fixed
     # a teacher table's alpha is the student's unless the file or a flag sets
     # one, which check_teacher then holds to the table's
     base = {"alpha": teacher.alpha} if isinstance(teacher, CMatrix) else {}
     config = load_config(args.config, overrides, base)
-    if subcommand == "train" and config.strategy in TEACHERS:
+    if not fixed and config.strategy in TEACHERS:
         raise UsageError(
             f"strategy {config.strategy!r} needs a teacher; use the distill subcommand"
         )
     with _usage_errors():
         resolved = config.resolved(train_set.num_features, train_set.num_classes)
         check_teacher(resolved, teacher, train_set)
-    run_dir = _resolve_run_dir(args, subcommand, resolved.seed)
-    _write_manifest(run_dir, subcommand, asdict(resolved), inputs)
+    run_dir = _start_run(args, resolved.seed, asdict(resolved), inputs)
     result = train(resolved, train_set, test_set, teacher)
     write_run_artifacts(run_dir, resolved, result)
     print(
@@ -347,26 +341,13 @@ def _finish_training_command(args, subcommand, strategy_override=None,
     return 0
 
 
-def _cmd_train(args) -> int:
-    return _finish_training_command(args, "train")
-
-
-def _cmd_ablate(args) -> int:
-    return _finish_training_command(args, "ablate", "ablation")
-
-
 def _cmd_distill(args) -> int:
     if bool(args.teacher_checkpoint) == bool(args.teacher_cmatrix):
         raise UsageError("pass exactly one of --teacher-checkpoint / --teacher-cmatrix")
-    if args.teacher_checkpoint:
-        key, loader, strategy = "teacher_checkpoint", load_checkpoint, "distill"
-    else:
-        key, loader, strategy = "teacher_cmatrix", load_cmatrix, "proxy_distill"
-    path = getattr(args, key)
     with _usage_errors("cannot load teacher: "):
-        teacher = loader(path)
-    return _finish_training_command(args, "distill", strategy, teacher,
-                                    {key: (path, None)})
+        teacher = (load_checkpoint(args.teacher_checkpoint) if args.teacher_checkpoint
+                   else load_cmatrix(args.teacher_cmatrix))
+    return _cmd_train(args, teacher)
 
 
 def _cmd_gradcheck(args) -> int:
@@ -416,8 +397,7 @@ def _cmd_analyze(args) -> int:
         check_fit(model, train_set, "checkpoint")
         if cmatrix is not None:
             check_fit(cmatrix, train_set, "cmatrix")
-    run_dir = _resolve_run_dir(args, "analyze", 0)
-    _write_manifest(run_dir, "analyze", {}, inputs)
+    run_dir = _start_run(args, 0, {}, inputs)
 
     doc = {}
     for tag, dataset in (("train", train_set), ("test", test_set)):
@@ -500,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     _add_config_flags(p)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_ablate)
+    p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--k", type=int, default=5, help="number of classes")

@@ -719,6 +719,13 @@ def write_csv(path, header, table, int_columns=()) -> str:
     return digest.hexdigest()
 
 
+def export_matrix_csv(matrix, path) -> None:
+    """Write a K x C class-indexed matrix (a `cmatrix.csv`, an `analyze`
+    table) as CSV with the class indices 0..C-1 as its header row."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    write_csv(path, [str(i) for i in range(matrix.shape[1])], matrix)
+
+
 def write_json(path, doc) -> None:
     """Write ``doc`` (tuples as lists) indented by 2 with sorted keys and a
     final newline: every JSON artifact but the one-line checkpoint."""

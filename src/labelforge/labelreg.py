@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import exact_int, json_document, read_table, write_csv, write_json
+from .dataio import exact_int, export_matrix_csv, json_document, read_table, write_json
 from .numerics import require_finite, row_sum, softmax_probs_into, softmax_rows
 
 LOG_CLAMP = 1e-12
@@ -274,10 +274,9 @@ def ols_table(class_means: np.ndarray, mix: float) -> tuple[np.ndarray, int]:
 def export_cmatrix(c: CMatrix, csv_path, metadata: dict | None = None) -> None:
     """Write the expanded K x K probabilities as CSV (header = class
     indices, exact 0.0 diagonal) plus a JSON sidecar with alpha and K."""
-    k = c.num_classes
-    write_csv(csv_path, [str(i) for i in range(k)], c.expanded_probs())
+    export_matrix_csv(c.expanded_probs(), csv_path)
     write_json(_sidecar_path(csv_path),
-               {"alpha": c.alpha, "num_classes": k, "metadata": metadata or {}})
+               {"alpha": c.alpha, "num_classes": c.num_classes, "metadata": metadata or {}})
 
 
 def _sidecar_path(csv_path):

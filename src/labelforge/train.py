@@ -424,11 +424,10 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
             )
 
         if ols_probs is not None:
-            if config.ols_correct_only:
-                hits = np.argmax(ols_probs, axis=1) == y_epoch
-                means = ols_accumulate(ols_probs[hits], y_epoch[hits], k)
-            else:
-                means = ols_accumulate(ols_probs, y_epoch, k)
+            # the rows that make the class means: all, or the correct ones
+            kept = (np.argmax(ols_probs, axis=1) == y_epoch if config.ols_correct_only
+                    else slice(None))
+            means = ols_accumulate(ols_probs[kept], y_epoch[kept], k)
             table, fallbacks = ols_table(means, config.ols_mix)
             report.ols_fallbacks += fallbacks
 
@@ -470,6 +469,11 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset,
         raise ValueError("train and test sets disagree on the class count")
     check_teacher(config, teacher, train_set)
     return _run(config, train_set, test_set, teacher)
+
+
+def teacher_strategy(teacher) -> str | None:
+    """The strategy `TEACHERS` gives a teacher of ``teacher``'s kind, else None."""
+    return next((s for s, kind in TEACHERS.items() if isinstance(teacher, kind)), None)
 
 
 def check_teacher(config: TrainConfig, teacher, train_set: Dataset) -> None:
@@ -522,7 +526,7 @@ def distill(student_config: TrainConfig, teacher, train_set: Dataset,
     """Distill a student from a teacher network (``distill``) or a frozen
     logit table (``proxy_distill``): the teacher's kind picks the strategy,
     and a table its alpha, whatever ``student_config`` names."""
-    strategy = next((s for s, kind in TEACHERS.items() if isinstance(teacher, kind)), None)
+    strategy = teacher_strategy(teacher)
     if strategy is None:
         raise ValueError(f"teacher must be an Mlp or a CMatrix, got {type(teacher)}")
     alpha = teacher.alpha if strategy == "proxy_distill" else student_config.alpha

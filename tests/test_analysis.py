@@ -8,9 +8,8 @@ from labelforge.analysis import (
     center_distance_matrix,
     class_centers,
     class_mean_probs,
-    export_matrix_csv,
 )
-from labelforge.dataio import Dataset
+from labelforge.dataio import Dataset, export_matrix_csv
 from labelforge.labelreg import CMatrix
 from labelforge.model import Mlp, init_model
 from labelforge.numerics import Rng

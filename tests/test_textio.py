@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 
 from labelforge import dataio
-from labelforge.analysis import export_matrix_csv
 from labelforge.dataio import (
-    PARSED_SUFFIX, DataFormatError, Dataset, load_csv, repr_join, save_csv, write_json,
+    PARSED_SUFFIX, DataFormatError, Dataset, export_matrix_csv, load_csv, repr_join, save_csv,
+    write_json,
 )
 from labelforge.labelreg import CMatrix, export_cmatrix
 from labelforge.model import Mlp, init_model, save_checkpoint
