@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import itertools
 import json
 import math
 import os
@@ -254,15 +255,30 @@ def _load_datasets(args) -> tuple[Dataset, Dataset, dict]:
 def _start_run(args, seed: int, config_doc: dict, inputs: dict) -> Path:
     """Make the run directory of ``args.subcommand`` and write its
     manifest.json: the run's config and its inputs (name -> (path, sha256
-    or None)), hashing each input that was not hashed as it was loaded."""
+    or None)), hashing each input that was not hashed as it was loaded.
+
+    ``--out`` must name an absent or empty directory. A default name is
+    claimed by one exclusive mkdir, which a second run of the same name
+    loses and retries with a suffix -1, -2, ...; so runs that start in the
+    same second, in one process or several, each get their own directory."""
     if args.out:
         run_dir = Path(args.out)
+        if run_dir.exists() and not run_dir.is_dir():
+            raise UsageError(f"--out {str(run_dir)!r} is not a directory")
+        if run_dir.exists() and any(run_dir.iterdir()):
+            raise UsageError(f"output directory {run_dir} already exists and is not empty")
+        run_dir.mkdir(parents=True, exist_ok=True)
     else:
         root = Path(os.environ.get("LABELFORGE_OUT", "."))
-        run_dir = root / f"{args.subcommand}-{seed}-{int(time.time())}"
-    if run_dir.exists() and any(run_dir.iterdir()):
-        raise UsageError(f"output directory {run_dir} already exists and is not empty")
-    run_dir.mkdir(parents=True, exist_ok=True)
+        root.mkdir(parents=True, exist_ok=True)
+        stem = f"{args.subcommand}-{seed}-{int(time.time())}"
+        for clash in itertools.count():
+            run_dir = root / (f"{stem}-{clash}" if clash else stem)
+            try:
+                run_dir.mkdir()
+                break
+            except FileExistsError:
+                pass
     manifest = {
         "subcommand": args.subcommand,
         "config": config_doc,

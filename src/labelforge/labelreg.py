@@ -36,7 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import exact_int, export_matrix_csv, json_document, read_table, write_json
+from .dataio import (
+    DataFormatError,
+    exact_int,
+    export_matrix_csv,
+    json_document,
+    read_table,
+    write_json,
+)
 from .numerics import require_finite, row_sum, softmax_probs_into, softmax_rows
 
 LOG_CLAMP = 1e-12
@@ -293,7 +300,10 @@ def load_cmatrix(csv_path) -> CMatrix:
     lacks a key, holds a value of the wrong type (a boolean or text alpha
     among them) or a class count that fails `dataio.exact_int`, when the CSV
     fails `dataio.read_table` (the data CSV's grammar and checks), or when it
-    is not K x K for the sidecar's K.
+    is not K x K for the sidecar's K; and a `DataFormatError` naming the
+    first class row that `export_cmatrix` could not have written: one with a
+    nonzero diagonal cell, a negative cell, or other cells whose sum is
+    more than 1e-9 from 1.
     """
     sidecar_path = _sidecar_path(csv_path)
     with json_document(sidecar_path, ("alpha", "num_classes")) as sidecar:
@@ -308,5 +318,14 @@ def load_cmatrix(csv_path) -> CMatrix:
             f"{csv_path}: sidecar says {k} classes, but the CSV has a "
             f"{expanded.shape[1]}-column header and {expanded.shape[0]} rows"
         )
-    logits = np.log(np.maximum(off_diagonal(expanded), 1e-300))
-    return CMatrix(logits, alpha)
+    off = off_diagonal(expanded)
+    sums = off.sum(axis=1)
+    bad = (np.diagonal(expanded) != 0.0) | (off.min(axis=1) < 0.0) | (abs(sums - 1.0) > 1e-9)
+    if bad.any():
+        y = int(np.argmax(bad))
+        raise DataFormatError(
+            f"{csv_path}: class row {y} is not a probability row around a zero "
+            f"diagonal: diagonal {float(expanded[y, y])!r}, smallest other cell "
+            f"{float(off[y].min())!r}, other cells summing to {float(sums[y])!r}"
+        )
+    return CMatrix(np.log(np.maximum(off, 1e-300)), alpha)

@@ -424,7 +424,6 @@ def _run(config: TrainConfig, train_set: Dataset, test_set: Dataset,
             )
 
         if ols_probs is not None:
-            # the rows that make the class means: all, or the correct ones
             kept = (np.argmax(ols_probs, axis=1) == y_epoch if config.ols_correct_only
                     else slice(None))
             means = ols_accumulate(ols_probs[kept], y_epoch[kept], k)

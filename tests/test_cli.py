@@ -1,7 +1,7 @@
 import hashlib
 import json
 import struct
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -14,13 +14,14 @@ from labelforge.cli import (
     main,
     parse_config_file,
 )
-from labelforge import cli, dataio
+from labelforge import __version__, cli, dataio
 from labelforge import train as train_module
 from labelforge.dataio import (
     PARSED_SUFFIX,
     DataFormatError,
     Dataset,
     GaussianSpec,
+    export_matrix_csv,
     file_sha256,
     generate_gaussian,
     read_table,
@@ -875,6 +876,110 @@ def test_strategy_flag_of_a_command_that_picks_it_exits_2_without_a_run_director
     assert (f"{command} trains strategy {strategy!r}; --strategy {given!r} cannot "
             "change it") in capsys.readouterr().err
     assert not out.exists()
+
+
+
+@pytest.fixture
+def teachers(tmp_path):
+    """A [2, 8, 4] checkpoint and a zero-logit K = 4 table at alpha 0.2, with
+    its sidecar, that fit the data_csv task."""
+    checkpoint, table = tmp_path / "checkpoint.json", tmp_path / "cmatrix.csv"
+    save_checkpoint(init_model([2, 8, 4], seed=0), checkpoint)
+    export_cmatrix(CMatrix.zeros(4, 0.2), table)
+    return checkpoint, table
+
+
+def resolved_doc(**fields):
+    """The manifest's config: a resolved TrainConfig for the data_csv task,
+    as JSON reads it back."""
+    return json.loads(json.dumps(asdict(TrainConfig(**fields).resolved(2, 4))))
+
+
+@pytest.mark.parametrize("command", [
+    "train --config", "ablate", "distill --teacher-checkpoint",
+    "distill --teacher-cmatrix", "analyze --cmatrix",
+])
+def test_manifest_records_the_subcommand_config_and_inputs(data_csv, tmp_path, teachers,
+                                                           command):
+    checkpoint, table = teachers
+    config_file = tmp_path / "run.cfg"
+    config_file.write_text("strategy=ols\nepochs=2\nols_mix=0.3\n")
+    argv, config, inputs = {
+        "train --config": (
+            ["train", "--config", str(config_file), "--seed", "1"],
+            resolved_doc(strategy="ols", epochs=2, ols_mix=0.3, seed=1),
+            {"config": config_file}),
+        "ablate": (
+            ["ablate", "--epochs", "1", "--ablation-loss", "ce"],
+            resolved_doc(strategy="ablation", epochs=1, ablation_loss="ce"), {}),
+        "distill --teacher-checkpoint": (
+            ["distill", "--teacher-checkpoint", str(checkpoint), "--epochs", "1"],
+            resolved_doc(strategy="distill", epochs=1), {"teacher_checkpoint": checkpoint}),
+        "distill --teacher-cmatrix": (
+            ["distill", "--teacher-cmatrix", str(table), "--epochs", "1"],
+            resolved_doc(strategy="proxy_distill", alpha=0.2, epochs=1),
+            {"teacher_cmatrix": table}),
+        "analyze --cmatrix": (
+            ["analyze", "--checkpoint", str(checkpoint), "--cmatrix", str(table)],
+            {}, {"checkpoint": checkpoint, "cmatrix": table}),
+    }[command]
+    out = tmp_path / "run"
+    assert main([*argv, "--data", str(data_csv), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text()) == {
+        "subcommand": argv[0],
+        "config": config,
+        "inputs": {name: {"path": str(path), "sha256": file_sha256(path)}
+                   for name, path in {"data": data_csv, **inputs}.items()},
+        "output_dir": str(out),
+        "tool_version": __version__,
+    }
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "distill", "analyze"])
+def test_out_naming_a_file_exits_2_naming_it_before_any_write(data_csv, tmp_path, capsys,
+                                                              teachers, command):
+    checkpoint, _ = teachers
+    flags = {"train": ["--epochs", "1"], "ablate": ["--epochs", "1"],
+             "distill": ["--teacher-checkpoint", str(checkpoint), "--epochs", "1"],
+             "analyze": ["--checkpoint", str(checkpoint)]}[command]
+    out = tmp_path / "taken"
+    out.write_text("keep\n")
+    before = sorted(tmp_path.iterdir())
+    assert main([command, "--data", str(data_csv), *flags, "--out", str(out)]) == 2
+    assert f"--out {str(out)!r} is not a directory" in capsys.readouterr().err
+    assert out.read_text() == "keep\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["distill", "analyze"])
+def test_cmatrix_export_cmatrix_could_not_write_exits_2_without_a_run_directory(
+        data_csv, tmp_path, capsys, teachers, command):
+    # a table of class-mean probabilities, as analyze writes: mass on the diagonal
+    checkpoint, table = teachers
+    export_matrix_csv(np.full((4, 4), 0.25), table)
+    flags = {"distill": ["--teacher-cmatrix", str(table), "--epochs", "1"],
+             "analyze": ["--checkpoint", str(checkpoint), "--cmatrix", str(table)]}[command]
+    out = tmp_path / "run"
+    assert main([command, "--data", str(data_csv), *flags, "--out", str(out)]) == 2
+    assert (f"{table}: class row 0 is not a probability row around a zero diagonal: "
+            "diagonal 0.25") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_default_names_in_one_second_get_their_own_directories(data_csv, tmp_path,
+                                                               monkeypatch):
+    root = tmp_path / "root"
+    monkeypatch.setenv("LABELFORGE_OUT", str(root))
+    monkeypatch.setattr(cli.time, "time", lambda: 1700000000.75)
+    argv = ["train", "--data", str(data_csv), "--epochs", "0", "--seed", "4"]
+    assert main(argv) == 0
+    assert main(argv) == 0
+    runs = sorted(root.iterdir())
+    assert [run.name for run in runs] == ["train-4-1700000000", "train-4-1700000000-1"]
+    for run in runs:
+        assert sorted(f.name for f in run.iterdir()) == [
+            "checkpoint.json", "config.json", "manifest.json", "metrics.csv", "report.json"]
+        assert json.loads((run / "manifest.json").read_text())["output_dir"] == str(run)
 
 
 class TestGradcheckCommand:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from labelforge.dataio import DataFormatError, export_matrix_csv
 from labelforge.labelreg import (
     CMatrix,
     TableTargets,
@@ -522,6 +523,43 @@ class TestExport:
         sidecar.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=r"missing keys \['alpha'\]"):
             load_cmatrix(path)
+
+    # cells of the K = 3 table cm.csv is rewritten with, as (row, column): value
+    @pytest.mark.parametrize("cells,row,error", [
+        ({(0, 0): 5.0, (1, 0): -0.5, (2, 0): 7.5}, 0, r"diagonal 5\.0"),
+        ({(1, 1): 1e-300}, 1, r"diagonal 1e-300"),
+        ({(2, 0): 1.5, (2, 1): -0.5}, 2, r"smallest other cell -0\.5, other cells summing to 1\.0"),
+        ({(1, 0): 0.5, (1, 2): 0.5 + 2e-9}, 1, r"other cells summing to 1\.000000002"),
+        ({(0, 1): 0.0, (0, 2): 0.0}, 0, r"other cells summing to 0\.0"),
+    ], ids=["probe-table", "nonzero-diagonal", "negative-cell", "sum-above-1", "sum-0"])
+    def test_table_export_cmatrix_could_not_write_rejected(self, tmp_path, cells, row,
+                                                            error):
+        # a table with the export's sidecar, valid in every row but those set
+        path, _ = self._exported_lines(tmp_path)
+        table = load_cmatrix(path).expanded_probs()
+        for cell, value in cells.items():
+            table[cell] = value
+        export_matrix_csv(table, path)
+        with pytest.raises(DataFormatError,
+                           match=rf"cm\.csv: class row {row} is not a probability row "
+                                 rf"around a zero diagonal: .*{error}"):
+            load_cmatrix(path)
+
+    def test_row_sum_within_1e_9_loads(self, tmp_path):
+        path, _ = self._exported_lines(tmp_path)
+        table = np.array([[0.0, 0.5, 0.5 + 5e-10], [0.25, 0.0, 0.75], [1.0, 0.0, 0.0]])
+        export_matrix_csv(table, path)
+        assert np.abs(load_cmatrix(path).expanded_probs()[1:] - table[1:]).max() < 1e-12
+
+    def test_export_with_underflowed_cells_loads(self, tmp_path):
+        # logits 800 apart: the smaller softmax cells are exactly 0.0 in the file
+        c = CMatrix(np.array([[0.0, -800.0], [800.0, 0.0], [0.0, 0.0]]), 0.2)
+        path = tmp_path / "cm.csv"
+        export_cmatrix(c, path)
+        assert (c.expanded_probs() == 0.0).sum() == 5
+        loaded = load_cmatrix(path)
+        assert loaded.alpha == 0.2
+        assert np.abs(loaded.expanded_probs() - c.expanded_probs()).max() < 1e-12
 
 
 class TestBufferedTableStep:
