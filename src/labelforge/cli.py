@@ -252,21 +252,32 @@ def _load_datasets(args) -> tuple[Dataset, Dataset, dict]:
         return (*split(full, args.train_fraction, args.split_seed), inputs)
 
 
-def _start_run(args, seed: int, config_doc: dict, inputs: dict) -> Path:
-    """Make the run directory of ``args.subcommand`` and write its
-    manifest.json: the run's config and its inputs (name -> (path, sha256
-    or None)), hashing each input that was not hashed as it was loaded.
+def _check_out(args) -> None:
+    """Reject an output location that cannot take a new run directory before
+    any input is loaded, since a load may store a sidecar: an ``--out`` that
+    is not an absent or empty directory, or an ``--out`` or
+    ``$LABELFORGE_OUT`` at or below a file."""
+    where, path = (("--out", Path(args.out)) if args.out
+                   else ("LABELFORGE_OUT", Path(os.environ.get("LABELFORGE_OUT", "."))))
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        below = "" if existing == path else f" lies below {str(existing)!r}, which"
+        raise UsageError(f"{where} {str(path)!r}{below} is not a directory")
+    if args.out and existing == path and any(path.iterdir()):
+        raise UsageError(f"output directory {path} already exists and is not empty")
 
-    ``--out`` must name an absent or empty directory. A default name is
-    claimed by one exclusive mkdir, which a second run of the same name
-    loses and retries with a suffix -1, -2, ...; so runs that start in the
-    same second, in one process or several, each get their own directory."""
+
+def _start_run(args, seed: int, config_doc: dict, inputs: dict) -> Path:
+    """Make the run directory of ``args.subcommand`` (see `_check_out`) and
+    write its manifest.json: the run's config and its inputs (name -> (path,
+    sha256 or None)), hashing each input that was not hashed as it was loaded.
+
+    A default name is claimed by one exclusive mkdir, which a second run of
+    the same name loses and retries with a suffix -1, -2, ...; so runs that
+    start in the same second, in one process or several, each get their own
+    directory."""
     if args.out:
         run_dir = Path(args.out)
-        if run_dir.exists() and not run_dir.is_dir():
-            raise UsageError(f"--out {str(run_dir)!r} is not a directory")
-        if run_dir.exists() and any(run_dir.iterdir()):
-            raise UsageError(f"output directory {run_dir} already exists and is not empty")
         run_dir.mkdir(parents=True, exist_ok=True)
     else:
         root = Path(os.environ.get("LABELFORGE_OUT", "."))
@@ -320,19 +331,21 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _cmd_train(args, teacher=None) -> int:
+def _cmd_train(args) -> int:
     """train, ablate and distill: train the strategy that ablate or the
     teacher's kind (`teacher_strategy`) fixes, else the configured one."""
     subcommand = args.subcommand
+    _check_out(args)
+    teacher, inputs = _load_teacher(args) if subcommand == "distill" else (None, {})
     fixed = "ablation" if subcommand == "ablate" else teacher_strategy(teacher)
     if fixed and args.strategy is not None:
         # a config file's strategy is replaced, so a run's config.json is reusable
         raise UsageError(f"{subcommand} trains strategy {fixed!r}; "
                          f"--strategy {args.strategy!r} cannot change it")
-    train_set, test_set, inputs = _load_datasets(args)
-    for key in ("config", "teacher_checkpoint", "teacher_cmatrix"):
-        if getattr(args, key, None):
-            inputs[key] = (getattr(args, key), None)
+    train_set, test_set, data_inputs = _load_datasets(args)
+    inputs.update(data_inputs)
+    if args.config:
+        inputs["config"] = (args.config, None)
     overrides = _config_overrides(args)
     if fixed:
         overrides["strategy"] = fixed
@@ -357,13 +370,17 @@ def _cmd_train(args, teacher=None) -> int:
     return 0
 
 
-def _cmd_distill(args) -> int:
+def _load_teacher(args) -> tuple:
+    """distill's teacher, a checkpoint or a class table, and its manifest
+    input (name -> (path, sha256 or None))."""
     if bool(args.teacher_checkpoint) == bool(args.teacher_cmatrix):
         raise UsageError("pass exactly one of --teacher-checkpoint / --teacher-cmatrix")
     with _usage_errors("cannot load teacher: "):
-        teacher = (load_checkpoint(args.teacher_checkpoint) if args.teacher_checkpoint
-                   else load_cmatrix(args.teacher_cmatrix))
-    return _cmd_train(args, teacher)
+        if args.teacher_checkpoint:
+            teacher, sha256 = load_checkpoint(args.teacher_checkpoint)
+            return teacher, {"teacher_checkpoint": (args.teacher_checkpoint, sha256)}
+        return (load_cmatrix(args.teacher_cmatrix),
+                {"teacher_cmatrix": (args.teacher_cmatrix, None)})
 
 
 def _cmd_gradcheck(args) -> int:
@@ -400,10 +417,11 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    _check_out(args)
     train_set, test_set, inputs = _load_datasets(args)
     with _usage_errors("cannot load checkpoint: "):
-        model = load_checkpoint(args.checkpoint)
-    inputs["checkpoint"] = (args.checkpoint, None)
+        model, sha256 = load_checkpoint(args.checkpoint)
+    inputs["checkpoint"] = (args.checkpoint, sha256)
     cmatrix = None
     if args.cmatrix:
         with _usage_errors("cannot load cmatrix: "):
@@ -490,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--teacher-checkpoint", help="teacher model checkpoint.json")
     p.add_argument("--teacher-cmatrix", help="teacher cmatrix.csv (with sidecar)")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_distill)
+    p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("ablate", help="train with a loss-routing variant")
     _add_data_flags(p)

@@ -1,7 +1,8 @@
 """Dataset construction (synthetic Gaussian mixtures, IDX and CSV loaders)
 and the text of the run artifacts: one checked CSV table reader, one CSV
 table writer and one JSON writer (the one-line checkpoint aside), all
-writing bytes through one atomic binary file writer, and one file hash.
+writing bytes through one atomic binary file writer, one file hash and one
+parse-once sidecar (`parse_once`).
 
 Every float in a CSV artifact or a checkpoint is spelled as Python's
 ``repr`` spells it. One vectorized kernel, `repr_join`, makes that text for
@@ -41,10 +42,10 @@ from .numerics import Rng, checked_seed
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
-# save_csv and load_csv keep a data CSV's parsed table beside it, in the
-# CSV's name plus PARSED_SUFFIX, keyed by PARSED_VERSION and the sha256 of
-# the CSV's bytes.
-# Raise the version whenever read_table's grammar or its table changes.
+# save_csv and load_csv keep a data CSV's parsed table beside it, and
+# save_checkpoint and load_checkpoint a checkpoint's layer sizes, parameters
+# and seed: a sidecar in the file's name plus PARSED_SUFFIX (`parse_once`).
+# Raise the version whenever a parse or the arrays stored for it change.
 PARSED_SUFFIX = ".parsed.npz"
 PARSED_VERSION = 1
 
@@ -254,9 +255,23 @@ def load_csv(path, label_column: str) -> tuple[Dataset, dict, str]:
     Labels are remapped to dense 0..K-1 in first-appearance order; the
     returned dict maps each original label value to its dense index, and the
     str is the hex sha256 of the bytes loaded. The table comes from the
-    file's sidecar (`_parsed_table`) when it holds the parse of these bytes.
+    file's sidecar (`parse_once`) when it holds the parse of these bytes: a
+    hit still reads the header from the CSV and checks ``label_column`` in
+    it, and a stored table that is not a finite 2-D float64 table with a row
+    and one column per header name is a miss.
     """
-    header, table, sha256 = _parsed_table(path, label_column)
+    def from_arrays(arrays):
+        with open(path, newline="") as f:
+            header = _read_header(f, path, label_column)
+        table = arrays.get("table")
+        if (table is not None and table.ndim == 2 and table.dtype == np.float64
+                and table.shape[0] >= 1 and table.shape[1] == len(header)
+                and np.isfinite(table).all()):
+            return header, table
+        return None
+
+    (header, table), sha256 = parse_once(path, lambda: read_table(path, label_column),
+                                         lambda parsed: {"table": parsed[1]}, from_arrays)
     label_idx = header.index(label_column)
     mapping: dict = {}
     labels = np.empty(table.shape[0], dtype=np.int64)
@@ -269,32 +284,25 @@ def load_csv(path, label_column: str) -> tuple[Dataset, dict, str]:
     return Dataset(features, labels, len(mapping)), mapping, sha256
 
 
-def _parsed_table(path, label_column: str) -> tuple[list, np.ndarray, str]:
-    """`read_table(path, label_column)` and the hex sha256 of the file,
-    reading the table from the sidecar ``path`` + PARSED_SUFFIX when that
-    holds the parse of these bytes.
-
-    A hit still reads the header from the CSV and checks ``label_column``
-    in it; a sidecar that cannot be read, is keyed to other bytes or holds
-    anything but a finite 2-D float64 table with a row and one column per
-    header name is a miss. A miss parses the CSV and, if the file did not
-    change meanwhile, stores the sidecar anew (`_store_parsed`). A parse
-    error is never stored.
+def parse_once(path, parse, to_arrays, from_arrays) -> tuple:
+    """``parse()`` and the hex sha256 of the file at ``path``, which is
+    parsed at most once per content. A parse stores ``to_arrays(result)``
+    in the sidecar ``path`` + PARSED_SUFFIX under that sha256 (`store_parsed`)
+    unless the file changed meanwhile; a later load of the same bytes returns
+    ``from_arrays(arrays)`` instead. A sidecar that cannot be read, is keyed
+    to other bytes or that ``from_arrays`` refuses (returns None: arrays that
+    fail a check the parse makes) is a miss. A parse error is never stored.
     """
     before = _identity(path)
     sha256 = file_sha256(path)
-    table = _read_parsed(os.fspath(path) + PARSED_SUFFIX, _parsed_key(sha256))
-    if table is not None:
-        with open(path, newline="") as f:
-            header = _read_header(f, path, label_column)
-        if (table.ndim == 2 and table.dtype == np.float64 and table.shape[0] >= 1
-                and table.shape[1] == len(header) and np.isfinite(table).all()):
-            return header, table, sha256
-    header, table = read_table(path, label_column)
-    with suppress(OSError):
-        if _identity(path) == before:
-            _store_parsed(path, sha256, table)
-    return header, table, sha256
+    arrays = _read_parsed(path, sha256)
+    result = None if arrays is None else from_arrays(arrays)
+    if result is None:
+        result = parse()
+        with suppress(OSError):
+            if _identity(path) == before:
+                store_parsed(path, sha256, to_arrays(result))
+    return result, sha256
 
 
 def _parsed_key(sha256: str) -> str:
@@ -302,13 +310,13 @@ def _parsed_key(sha256: str) -> str:
     return f"{PARSED_VERSION}:{sha256}"
 
 
-def _store_parsed(path, sha256: str, table: np.ndarray) -> None:
-    """Store ``table`` as the parse of the data CSV at ``path`` whose bytes
-    hash to ``sha256``, atomically; an OSError leaves the sidecar as it was
-    and only costs a later load its parse."""
-    with suppress(OSError):
-        with atomic_write(os.fspath(path) + PARSED_SUFFIX) as f:
-            np.savez(f, key=np.array(_parsed_key(sha256)), table=table)
+def store_parsed(path, sha256: str, arrays: dict | None) -> None:
+    """Store ``arrays`` (None: nothing) as the parse of the file at ``path``
+    whose bytes hash to ``sha256``, atomically; an OSError leaves the
+    sidecar as it was and only costs a later load its parse."""
+    if arrays is not None:
+        with suppress(OSError), atomic_write(os.fspath(path) + PARSED_SUFFIX) as f:
+            np.savez(f, key=np.array(_parsed_key(sha256)), **arrays)
 
 
 def _identity(path) -> tuple:
@@ -317,19 +325,20 @@ def _identity(path) -> tuple:
     return st.st_ino, st.st_size, st.st_mtime_ns
 
 
-def _read_parsed(sidecar: str, key: str) -> np.ndarray | None:
-    """The table a sidecar stores under ``key``; None when it is missing,
-    unreadable, not an archive of arrays or stored under another key."""
+def _read_parsed(path, sha256: str) -> dict | None:
+    """The arrays, by name, that the sidecar of ``path`` stores for bytes
+    hashing to ``sha256``; None when it is missing, unreadable, not an
+    archive of arrays or stored under another key."""
     try:
         # the handle is ours: np.load leaks the one it opens on a bad archive
-        with open(sidecar, "rb") as f:
+        with open(os.fspath(path) + PARSED_SUFFIX, "rb") as f:
             parsed = np.load(f, allow_pickle=False)
             if not isinstance(parsed, np.lib.npyio.NpzFile):
                 return None
             with parsed:
-                if parsed["key"].item() != key:
+                if parsed["key"].item() != _parsed_key(sha256):
                     return None
-                return parsed["table"]
+                return {name: parsed[name] for name in parsed.files}
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
         return None
 
@@ -711,6 +720,12 @@ def write_csv(path, header, table, int_columns=()) -> str:
     csv.writer(line).writerow(header)
     chunks = itertools.chain([line.getvalue().encode(locale.getpreferredencoding(False))],
                              repr_table_chunks(table, b",", b"\r\n", int_columns))
+    return write_hashed(path, chunks)
+
+
+def write_hashed(path, chunks) -> str:
+    """Write byte ``chunks`` to ``path`` (`atomic_write`), hashing each as
+    it is written, and return the hex sha256 of the bytes written."""
     digest = hashlib.sha256()
     with atomic_write(path) as f:
         for chunk in chunks:
@@ -804,7 +819,7 @@ def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:
     table = np.column_stack((dataset.features, dataset.labels.astype(np.float64)))
     sha256 = write_csv(path, header, table, int_columns=(dataset.num_features,))
     if np.isfinite(table).all():
-        _store_parsed(path, sha256, table)
+        store_parsed(path, sha256, {"table": table})
 
 
 def stratified_split_indices(

@@ -31,6 +31,9 @@ Checkpoint format (JSON, one object):
       "biases":  [[...], ...],   // one list per layer
       "seed": <int used at init>
     }
+
+Beside it, ``checkpoint.json.parsed.npz`` holds its layer sizes, parameter
+buffer and seed, which `load_checkpoint` reads instead (`parse_once`).
 """
 
 from __future__ import annotations
@@ -42,8 +45,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import atomic_write, exact_int, json_document, repr_table_chunks
-from .numerics import Rng, require_finite, softmax_pair, softmax_probs_into
+from .dataio import (exact_int, json_document, parse_once, repr_table_chunks, store_parsed,
+                     write_hashed)
+from .numerics import SEED_LIMIT, Rng, require_finite, softmax_pair, softmax_probs_into
 
 
 @dataclass
@@ -287,20 +291,45 @@ def central_difference_error(flat: np.ndarray, analytic: np.ndarray, loss,
 def save_checkpoint(model: Mlp, path) -> None:
     """Write ``model`` in the checkpoint format above: the bytes of
     ``json.dumps(doc) + "\\n"``, each parameter spelled as its repr and
-    streamed through `repr_table_chunks`. A NaN or Inf parameter, which
-    `load_checkpoint` would reject, raises its ValueError before anything
-    is written."""
+    streamed through `repr_table_chunks`, hashed as they are written; then
+    store the model as the file's parsed sidecar (`parse_once`). A NaN or
+    Inf parameter, which `load_checkpoint` would reject, raises its
+    ValueError before anything is written."""
     _check_finite(model, path)
-    with atomic_write(path) as f:
-        f.write(f'{{"layer_sizes": {json.dumps(model.layer_sizes)}'.encode())
-        for key, layers in (("weights", model.weights), ("biases", model.biases)):
-            f.write(f', "{key}": ['.encode())
-            for i, layer in enumerate(layers):
-                f.write(b", [" if i else b"[")
-                f.writelines(repr_table_chunks(layer.reshape(1, -1), b", ", b""))
-                f.write(b"]")
-            f.write(b"]")
-        f.write(f', "seed": {json.dumps(model.seed)}}}\n'.encode())
+    store_parsed(path, write_hashed(path, _checkpoint_chunks(model)), _parsed_arrays(model))
+
+
+def _checkpoint_chunks(model: Mlp):
+    yield f'{{"layer_sizes": {json.dumps(model.layer_sizes)}'.encode()
+    for key, layers in (("weights", model.weights), ("biases", model.biases)):
+        yield f', "{key}": ['.encode()
+        for i, layer in enumerate(layers):
+            yield b", [" if i else b"["
+            yield from repr_table_chunks(layer.reshape(1, -1), b", ", b"")
+            yield b"]"
+        yield b"]"
+    yield f', "seed": {json.dumps(model.seed)}}}\n'.encode()
+
+
+def _parsed_arrays(model: Mlp) -> dict | None:
+    """What a checkpoint's sidecar stores for ``model``; nothing for a seed
+    that a uint64 does not hold exactly (training seeds all fit)."""
+    if not 0 <= model.seed < SEED_LIMIT:
+        return None
+    return {"layer_sizes": np.array(model.layer_sizes), "params": model.params,
+            "seed": np.array(model.seed, dtype=np.uint64)}
+
+
+def _from_parsed(arrays: dict, path) -> Mlp | None:
+    """The model a sidecar's arrays hold, if they pass every check a
+    checkpoint's parse makes; else None."""
+    try:
+        seed = exact_int(arrays["seed"][()], "seed")
+        model = Mlp(arrays["layer_sizes"].tolist(), arrays["params"], seed)
+        _check_finite(model, path)
+    except (KeyError, TypeError, ValueError):
+        return None
+    return model
 
 
 def _check_finite(model: Mlp, path) -> None:
@@ -309,11 +338,20 @@ def _check_finite(model: Mlp, path) -> None:
             raise ValueError(f"{path}: layer {i} has a NaN or Inf parameter")
 
 
-def load_checkpoint(path) -> Mlp:
-    """Rebuild an Mlp from a checkpoint, rejecting a document that lacks a
+def load_checkpoint(path) -> tuple[Mlp, str]:
+    """Rebuild an Mlp from a checkpoint and return it with the hex sha256 of
+    the file, read from the file's sidecar when that holds the parse of
+    these bytes (`parse_once`). The parse rejects a document that lacks a
     key, holds a value of the wrong type, a size or seed that fails
     `exact_int`, the wrong number or size of layers, or a NaN/Inf parameter
     (all as ValueError naming the file)."""
+    return parse_once(path, lambda: _parse_checkpoint(path), _parsed_arrays,
+                      lambda arrays: _from_parsed(arrays, path))
+
+
+def _parse_checkpoint(path) -> Mlp:
+    """The model the JSON document at ``path`` holds, checked as
+    `load_checkpoint` says."""
     with json_document(path, ("layer_sizes", "weights", "biases")) as doc:
         sizes = _checked_sizes(doc["layer_sizes"], f"{path}: layer_sizes")
         layers = len(sizes) - 1

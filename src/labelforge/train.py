@@ -46,7 +46,8 @@ run away, though every number is still finite.
 
 Run directory layout: config.json, metrics.csv (epoch, train_acc, test_acc,
 train_loss, mean_max_prob), cmatrix.csv (+ .json sidecar) when a table was
-learned, checkpoint.json, report.json.
+learned, checkpoint.json with its parsed sidecar checkpoint.json.parsed.npz,
+report.json.
 """
 
 from __future__ import annotations

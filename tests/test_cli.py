@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import struct
 from dataclasses import asdict, fields
 
@@ -951,6 +952,47 @@ def test_out_naming_a_file_exits_2_naming_it_before_any_write(data_csv, tmp_path
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("command", ["train", "distill", "analyze"])
+@pytest.mark.parametrize("where", ["out-file", "out-below-a-file", "out-not-empty",
+                                   "env-file", "env-below-a-file"])
+def test_unusable_output_location_exits_2_before_any_load_writes(tmp_path, monkeypatch,
+                                                                 capsys, where, command):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    data, checkpoint = inputs / "data.csv", inputs / "checkpoint.json"
+    assert main(["gen-data", "--per-class", "10", "--out", str(data)]) == 0
+    save_checkpoint(init_model([2, 8, 4], seed=0), checkpoint)
+    for path in (data, checkpoint):  # so that a load would store them again
+        (inputs / (path.name + PARSED_SUFFIX)).unlink()
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    location = taken / "run" if where.endswith("below-a-file") else taken
+    if where == "out-not-empty":
+        location = tmp_path / "full"
+        location.mkdir()
+        (location / "other.txt").write_text("keep\n")
+    if where.startswith("env"):
+        monkeypatch.setenv("LABELFORGE_OUT", str(location))
+        out = []
+    else:
+        out = ["--out", str(location)]
+    flags = {"train": ["--epochs", "1"],
+             "distill": ["--teacher-checkpoint", str(checkpoint), "--epochs", "1"],
+             "analyze": ["--checkpoint", str(checkpoint)]}[command]
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, "--data", str(data), *flags, *out]) == 2
+    err = capsys.readouterr().err
+    flag = "LABELFORGE_OUT" if where.startswith("env") else "--out"
+    assert {
+        "out-not-empty": f"output directory {location} already exists and is not empty",
+        "out-file": f"{flag} {str(taken)!r} is not a directory",
+        "env-file": f"{flag} {str(taken)!r} is not a directory",
+    }.get(where, f"{flag} {str(location)!r} lies below {str(taken)!r}, which is not "
+                 f"a directory") in err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert sorted(os.listdir(inputs)) == ["checkpoint.json", "data.csv"]
+
+
 @pytest.mark.parametrize("command", ["distill", "analyze"])
 def test_cmatrix_export_cmatrix_could_not_write_exits_2_without_a_run_directory(
         data_csv, tmp_path, capsys, teachers, command):
@@ -978,7 +1020,8 @@ def test_default_names_in_one_second_get_their_own_directories(data_csv, tmp_pat
     assert [run.name for run in runs] == ["train-4-1700000000", "train-4-1700000000-1"]
     for run in runs:
         assert sorted(f.name for f in run.iterdir()) == [
-            "checkpoint.json", "config.json", "manifest.json", "metrics.csv", "report.json"]
+            "checkpoint.json", "checkpoint.json.parsed.npz", "config.json", "manifest.json",
+            "metrics.csv", "report.json"]
         assert json.loads((run / "manifest.json").read_text())["output_dir"] == str(run)
 
 

@@ -259,8 +259,8 @@ class TestLoadCsv:
         path = tmp_path / "twice.csv"
         path.write_bytes(b"f0,f1,f0\r\n1.0,2.0,0\r\n3.0,4.0,1\r\n")
         if hit:  # a sidecar that holds this file's table
-            dataio._store_parsed(path, hashlib.sha256(path.read_bytes()).hexdigest(),
-                                 np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 1.0]]))
+            dataio.store_parsed(path, hashlib.sha256(path.read_bytes()).hexdigest(),
+                                {"table": np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 1.0]])})
             assert sidecar_of(path).is_file()
             monkeypatch.setattr(dataio, "read_table", no_parse)
         with pytest.raises(DataFormatError, match="more than one column named 'f0'"):

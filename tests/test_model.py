@@ -1,10 +1,16 @@
+import functools
+import hashlib
 import json
 import math
+import operator
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+from labelforge import dataio, model as model_module
+from labelforge.dataio import PARSED_SUFFIX
 from labelforge.labelreg import cross_entropy, network_dlogits
 from labelforge.model import (
     Mlp,
@@ -432,7 +438,8 @@ class TestCheckpoint:
         model = init_model([4, 7, 3], seed=14)
         path = tmp_path / "ck.json"
         save_checkpoint(model, path)
-        loaded = load_checkpoint(path)
+        loaded, sha256 = load_checkpoint(path)
+        assert sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
         assert loaded.layer_sizes == model.layer_sizes
         assert loaded.seed == model.seed
         for a, b in zip(loaded.weights, model.weights):
@@ -494,7 +501,7 @@ class TestCheckpoint:
 
     def test_loaded_model_owns_one_buffer(self, tmp_path):
         path, doc = self._saved_doc(tmp_path)
-        model = load_checkpoint(path)
+        model, _ = load_checkpoint(path)
         flat = [v for w, b in zip(doc["weights"], doc["biases"]) for v in w + b]
         assert model.params.tolist() == flat
         assert all(np.shares_memory(w, model.params) for w in model.weights)
@@ -505,3 +512,174 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="need 2 weight and bias lists, got 1 and 2"):
             load_checkpoint(path)
+
+
+def sidecar_of(path):
+    return path.with_name(path.name + PARSED_SUFFIX)
+
+
+def no_json(*_):
+    raise AssertionError("parsed the checkpoint's JSON")
+
+
+def parse_only(path, tmp_path):
+    """load_checkpoint of a copy of ``path`` with no sidecar beside it: the
+    JSON parse of the same bytes."""
+    plain = tmp_path / "plain"
+    plain.mkdir(exist_ok=True)
+    copy = shutil.copyfile(path, plain / path.name)
+    sidecar_of(copy).unlink(missing_ok=True)
+    return load_checkpoint(copy)
+
+
+def assert_same_load(got, want):
+    """Two load_checkpoint results hold the same model, bit for bit, and the
+    same file hash."""
+    (model, sha256), (want_model, want_sha256) = got, want
+    assert sha256 == want_sha256
+    assert [(s, type(s)) for s in model.layer_sizes] == [
+        (s, type(s)) for s in want_model.layer_sizes]
+    assert (model.seed, type(model.seed)) == (want_model.seed, type(want_model.seed))
+    assert model.params.dtype == want_model.params.dtype == np.float64
+    assert model.params.tobytes() == want_model.params.tobytes()
+
+
+class TestCheckpointSidecar:
+    """save_checkpoint stores a checkpoint's layer sizes, parameters and seed
+    beside it, and load_checkpoint reads them in place of the JSON while they
+    are the parse of the file's bytes: a speed-up that never changes what a
+    load returns or raises."""
+
+    def saved(self, tmp_path, seed=2 ** 63 + 7):
+        model = init_model([3, 5, 4, 2], seed=seed)
+        # signed zero, the least subnormal, the largest float
+        model.params[:4] = [-0.0, 5e-324, -1.7976931348623157e308, 1e-7]
+        path = tmp_path / "ck.json"
+        save_checkpoint(model, path)
+        assert sidecar_of(path).is_file()
+        return path
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 63, 2 ** 64 - 1])
+    def test_hit_equals_the_parse_bit_for_bit(self, tmp_path, monkeypatch, seed):
+        path = self.saved(tmp_path, seed)
+        parsed = parse_only(path, tmp_path)
+        monkeypatch.setattr(model_module, "json_document", no_json)
+        hit = load_checkpoint(path)
+        assert_same_load(hit, parsed)
+        assert hit[0].seed == seed
+        assert hit[1] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_hit_params_are_writable(self, tmp_path, monkeypatch):
+        path = self.saved(tmp_path)
+        monkeypatch.setattr(model_module, "json_document", no_json)
+        model, _ = load_checkpoint(path)
+        assert model.params.flags.writeable
+        model.weights[0][...] = 1.0
+        assert (model.params[:model.weights[0].size] == 1.0).all()
+
+    def test_edited_checkpoint_is_a_miss_and_stored_again(self, tmp_path, monkeypatch):
+        path = self.saved(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["biases"][0][0] = 0.25
+        path.write_text(json.dumps(doc) + "\n")
+        edited = load_checkpoint(path)
+        assert edited[0].biases[0][0] == 0.25
+        assert_same_load(edited, parse_only(path, tmp_path))
+        monkeypatch.setattr(model_module, "json_document", no_json)  # and was stored
+        assert_same_load(load_checkpoint(path), edited)
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "big-endian",
+                                        "wrong-length", "nan"])
+    def test_bad_sidecar_is_a_miss_and_stored_again(self, tmp_path, monkeypatch, damage):
+        path = self.saved(tmp_path)
+        parsed = parse_only(path, tmp_path)
+        sidecar = sidecar_of(path)
+        if damage == "truncated":
+            sidecar.write_bytes(sidecar.read_bytes()[: sidecar.stat().st_size // 2])
+        elif damage == "garbage":
+            sidecar.write_bytes(b"not an archive of arrays\n" * 8)
+        else:
+            with open(sidecar, "rb") as f, np.load(f) as stored:
+                arrays = {name: stored[name] for name in stored.files}
+            params = arrays["params"]
+            if damage == "nan":
+                params = params.copy()
+                params[-1] = np.nan
+            arrays["params"] = {"big-endian": params.astype(">f8"),
+                                "wrong-length": params[:-1], "nan": params}[damage]
+            with open(sidecar, "wb") as f:
+                np.savez(f, **arrays)
+        assert_same_load(load_checkpoint(path), parsed)
+        monkeypatch.setattr(model_module, "json_document", no_json)
+        assert_same_load(load_checkpoint(path), parsed)
+
+    def test_read_only_directory_loads_and_writes_nothing(self, tmp_path, monkeypatch):
+        path = self.saved(tmp_path)
+        parsed = parse_only(path, tmp_path)
+        sidecar_of(path).unlink()
+        before = sorted(os.listdir(tmp_path))
+        tmp_path.chmod(0o555)
+        try:
+            if os.access(tmp_path, os.W_OK):
+                # a superuser writes through the mode bits; refuse as the
+                # directory would anyone else
+                def refuse(target, *_, **__):
+                    raise PermissionError(13, "Permission denied", str(target))
+                monkeypatch.setattr(dataio, "atomic_write", refuse)
+            assert_same_load(load_checkpoint(path), parsed)
+        finally:
+            tmp_path.chmod(0o755)
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_seed_a_uint64_does_not_hold_gets_no_sidecar(self, tmp_path):
+        model = init_model([3, 4, 2], seed=0)
+        model.seed = -1  # a checkpoint may hold any integer seed
+        path = tmp_path / "ck.json"
+        save_checkpoint(model, path)
+        assert os.listdir(tmp_path) == ["ck.json"]
+        loaded, _ = load_checkpoint(path)
+        assert loaded.seed == -1 and os.listdir(tmp_path) == ["ck.json"]
+
+
+DELETE = object()
+
+# each malformed-checkpoint test above, as the edit it makes to a saved
+# [3, 4, 2] checkpoint: (keys to the value, its new value or DELETE)
+MALFORMED = {
+    "nan-weight": (("weights", 0, 1), float("nan")),
+    "minus-inf-weight": (("weights", 1, 1), float("-inf")),
+    "inf-bias": (("biases", 1, 1), float("inf")),
+    "no-layer_sizes": (("layer_sizes",), DELETE),
+    "no-weights": (("weights",), DELETE),
+    "no-biases": (("biases",), DELETE),
+    "long-bias-list": (("biases", 0), [0.0] * 5),
+    "one-weight-list": (("weights",), [[0.0] * 12]),
+}
+
+
+@pytest.mark.parametrize("keys,value", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_checkpoint_raises_the_same_error_with_a_stale_sidecar(tmp_path, keys,
+                                                                          value):
+    path = tmp_path / "ck.json"
+    save_checkpoint(init_model([3, 4, 2], seed=1), path)
+    stale = sidecar_of(path).read_bytes()
+    doc = json.loads(path.read_text())
+    *parents, last = keys
+    target = functools.reduce(operator.getitem, parents, doc)
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    path.write_text(json.dumps(doc))
+    errors = []
+    for sidecar in (None, stale):
+        if sidecar is None:
+            sidecar_of(path).unlink()
+        else:
+            sidecar_of(path).write_bytes(sidecar)
+        with pytest.raises(ValueError) as error:
+            load_checkpoint(path)
+        errors.append(str(error.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"{path}: ")
+    assert sidecar_of(path).read_bytes() == stale  # a parse error is never stored
