@@ -7,7 +7,8 @@ parse-once sidecar (`parse_once`).
 Every float in a CSV artifact or a checkpoint is spelled as Python's
 ``repr`` spells it. One vectorized kernel, `repr_join`, makes that text for
 an array of values at a time, and `repr_table_chunks` streams a table
-through it in chunks of TEXT_CHUNK values.
+through it in chunks of TEXT_CHUNK values. A `RowBlocks` table is made a
+block of about as many values at a time, for its CSV and its sidecar.
 
 All loaders produce the same `Dataset` shape: an N x D float64 feature
 matrix, N integer labels in [0, K), and the class count K. Every class must
@@ -32,6 +33,7 @@ import secrets
 import struct
 import warnings
 import zipfile
+from collections.abc import Callable
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
@@ -313,10 +315,57 @@ def _parsed_key(sha256: str) -> str:
 def store_parsed(path, sha256: str, arrays: dict | None) -> None:
     """Store ``arrays`` (None: nothing) as the parse of the file at ``path``
     whose bytes hash to ``sha256``, atomically; an OSError leaves the
-    sidecar as it was and only costs a later load its parse."""
+    sidecar as it was and only costs a later load its parse.
+
+    The sidecar is an uncompressed .npz archive, which `np.load` reads,
+    written by `_write_npz` with no copy of a whole array; a `RowBlocks`
+    table is written a block of rows at a time."""
     if arrays is not None:
         with suppress(OSError), atomic_write(os.fspath(path) + PARSED_SUFFIX) as f:
-            np.savez(f, key=np.array(_parsed_key(sha256)), **arrays)
+            _write_npz(f, {"key": np.array(_parsed_key(sha256)), **arrays})
+
+
+def _write_npz(f, arrays: dict) -> None:
+    """Write ``arrays`` by name into ``f`` as the members of an uncompressed
+    .npz archive, byte for byte as NumPy's own npz writer lays them out:
+    each a .npy header (version 1.0, C order), then the array's buffer as
+    it is, or a `RowBlocks` table's blocks one after another. NumPy's
+    writer would first copy each whole array to bytes."""
+    with zipfile.ZipFile(f, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
+        for name, value in arrays.items():
+            with archive.open(name + ".npy", "w", force_zip64=True) as member:
+                if isinstance(value, RowBlocks):
+                    _write_npy_rows(member, name, value)
+                else:
+                    value = np.asarray(value, order="C")
+                    np.lib.format.write_array_header_1_0(
+                        member, np.lib.format.header_data_from_array_1_0(value))
+                    member.write(_buffer(value))
+
+
+def _write_npy_rows(member, name: str, table: RowBlocks) -> None:
+    """Write ``table`` as a .npy: its header, then its blocks' buffers. A
+    block that is not float64 rows of the declared width, or blocks that
+    do not add up to the declared rows, are a ValueError."""
+    shape = table.shape
+    np.lib.format.write_array_header_1_0(member, {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+        "fortran_order": False, "shape": shape})
+    rows = 0
+    for block in table:
+        if block.dtype != np.float64 or block.shape[1:] != shape[1:]:
+            raise ValueError(f"{name}: a {block.dtype} block of shape {block.shape} "
+                             f"in a float64 table {shape}")
+        member.write(_buffer(block))
+        rows += len(block)
+    if rows != shape[0]:
+        raise ValueError(f"{name}: blocks of {rows} rows in a table {shape}")
+
+
+def _buffer(array: np.ndarray) -> np.ndarray:
+    """The bytes of ``array`` in C order, as a flat uint8 view where it can
+    be one."""
+    return np.ascontiguousarray(array).reshape(-1).view(np.uint8)
 
 
 def _identity(path) -> tuple:
@@ -406,8 +455,9 @@ def _raise_for_bad_line(path, header, label_idx) -> None:
 # if there is one, else the nearer of the two units around x. Unlike
 # Java's, no second digit is forced (repr(5e-324) is '5e-324').
 
-# Values per repr_join call in repr_table_chunks; the kernel's temporaries are
-# a few dozen arrays of this length, so it bounds the memory a write takes.
+# Values per repr_join call in repr_table_chunks, and about the values per
+# RowBlocks block; the kernel's temporaries are a few dozen arrays of this
+# length, so it bounds the memory a write takes.
 TEXT_CHUNK = 1 << 14
 
 _U64 = np.uint64
@@ -698,6 +748,26 @@ def repr_table_chunks(table, sep: bytes, row_end: bytes, int_columns=()):
                         sep, row_end, int_columns)
 
 
+@dataclass(frozen=True)
+class RowBlocks:
+    """A 2-D float64 table of ``shape`` that is made a block of whole rows
+    at a time and never whole: ``rows(part)`` is the block of the rows in
+    the slice ``part``. Iterating yields the blocks in order, each of about
+    TEXT_CHUNK values (one row when a row holds more), so that `write_csv`
+    and `store_parsed` hold one block of the table at a time."""
+
+    shape: tuple
+    rows: Callable
+
+    def parts(self):
+        """The slices of the rows of each block, in order."""
+        step = max(1, TEXT_CHUNK // self.shape[1])
+        return (slice(start, start + step) for start in range(0, self.shape[0], step))
+
+    def __iter__(self):
+        return map(self.rows, self.parts())
+
+
 def write_csv(path, header, table, int_columns=()) -> str:
     """Write a header row and the rows of a 2-D float64 table as CSV, and
     return the hex sha256 of the bytes written.
@@ -707,8 +777,10 @@ def write_csv(path, header, table, int_columns=()) -> str:
     it with. Each cell is written as repr(float(v)), which round-trips every
     float64 exactly, or as repr(int(v)) in ``int_columns`` (an epoch, a
     label); `repr_join` makes that text for TEXT_CHUNK cells at a time, each
-    chunk written and hashed as it is made. Every line ends in "\\r\\n" as
-    csv.writer's do: the bytes equal those of csv.writer given those cells.
+    chunk written and hashed as it is made, and a `RowBlocks` table is made
+    a block at a time as the text reaches it. Every line ends in "\\r\\n"
+    as csv.writer's do: the bytes equal those of csv.writer given those
+    cells.
 
     Only save_csv uses the hash, as the key of the parsed table it stores;
     hashing while writing ties that key to the bytes written, with no read
@@ -718,8 +790,11 @@ def write_csv(path, header, table, int_columns=()) -> str:
     """
     line = io.StringIO(newline="")
     csv.writer(line).writerow(header)
-    chunks = itertools.chain([line.getvalue().encode(locale.getpreferredencoding(False))],
-                             repr_table_chunks(table, b",", b"\r\n", int_columns))
+    blocks = table if isinstance(table, RowBlocks) else (table,)
+    text = (chunk for block in blocks
+            for chunk in repr_table_chunks(block, b",", b"\r\n", int_columns))
+    chunks = itertools.chain(
+        [line.getvalue().encode(locale.getpreferredencoding(False))], text)
     return write_hashed(path, chunks)
 
 
@@ -814,11 +889,15 @@ def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:
     label last as an int) under `data_header`, and store its table as the
     file's parsed-table sidecar: repr round-trips every float64, so the
     parse of the bytes written is that table. A table with NaN or Inf gets
-    no sidecar."""
+    no sidecar. Both writes make the table from the features and labels a
+    block of rows at a time (`RowBlocks`), so a save holds no copy of the
+    features."""
     header = data_header(dataset.num_features, label_column)
-    table = np.column_stack((dataset.features, dataset.labels.astype(np.float64)))
+    features, labels = dataset.features, dataset.labels
+    table = RowBlocks((len(dataset), len(header)),
+                      lambda part: np.column_stack((features[part], labels[part])))
     sha256 = write_csv(path, header, table, int_columns=(dataset.num_features,))
-    if np.isfinite(table).all():
+    if all(np.isfinite(features[part]).all() for part in table.parts()):
         store_parsed(path, sha256, {"table": table})
 
 

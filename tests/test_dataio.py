@@ -1,8 +1,11 @@
 import gzip
 import hashlib
+import io
 import os
 import struct
+import tracemalloc
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ from labelforge.dataio import (
     DataFormatError,
     Dataset,
     GaussianSpec,
+    RowBlocks,
+    data_header,
     generate_gaussian,
     load_csv,
     load_idx,
@@ -385,6 +390,28 @@ class TestParsedSidecar:
             tmp_path.chmod(0o755)
         assert os.listdir(tmp_path) == ["d.csv"]
 
+    def test_file_rewritten_during_its_parse_gets_no_sidecar(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_bytes(b"old")
+        parses = []
+
+        def parse():  # the first parse sees the file rewritten under it
+            if not parses:
+                path.write_bytes(b"newer")
+            parses.append(path.read_bytes())
+            return parses[-1]
+
+        def load():
+            return dataio.parse_once(path, parse, lambda text: {"text": np.array(text)},
+                                     lambda arrays: arrays["text"].item())
+
+        assert load() == (b"newer", hashlib.sha256(b"old").hexdigest())
+        assert os.listdir(tmp_path) == ["d.txt"]
+        path.write_bytes(b"old")  # the bytes the first load hashed
+        assert load() == (b"old", hashlib.sha256(b"old").hexdigest())
+        assert parses == [b"newer", b"old"]
+        assert sidecar_of(path).is_file()
+
     def test_cmatrix_load_writes_no_sidecar(self, tmp_path):
         export_cmatrix(CMatrix.zeros(3, 0.1), tmp_path / "cmatrix.csv")
         load_cmatrix(tmp_path / "cmatrix.csv")
@@ -442,6 +469,96 @@ class TestSaveCsvSidecar:
     def test_label_column_that_would_not_read_back_writes_nothing(self, tmp_path, name):
         with pytest.raises(ValueError, match="would not read back"):
             save_csv(special_dataset(), tmp_path / "d.csv", name)
+        assert os.listdir(tmp_path) == []
+
+    def test_save_holds_no_copy_of_the_features(self, tmp_path):
+        data = Dataset(np.random.default_rng(0).standard_normal((2000, 784)),
+                       np.arange(2000) % 10, 10)
+        path = tmp_path / "d.csv"
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            save_csv(data, path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < data.features.nbytes
+        stacked = write_csv(tmp_path / "stacked.csv", data_header(784, "label"),
+                            np.column_stack((data.features, data.labels)), int_columns=(784,))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == stacked
+        with open(sidecar_of(path), "rb") as f, np.load(f, allow_pickle=False) as stored:
+            table = stored["table"]
+        _, parsed = read_table(path, "label")
+        assert table.dtype == parsed.dtype and table.shape == parsed.shape
+        assert table.tobytes() == parsed.tobytes()
+
+
+class TestStoreParsed:
+    """store_parsed writes the archive np.savez would, from each array's
+    own buffer and a RowBlocks table a block at a time."""
+
+    SHA256 = "ab" * 32
+
+    def table(self):
+        values = np.random.default_rng(5).standard_normal((7, 5))
+        values[0, :4] = [-0.0, 5e-324, 1.7976931348623157e308, np.nan]
+        return values
+
+    def blocks(self, table, rows=None):
+        return RowBlocks(table.shape, rows or (lambda part: table[part]))
+
+    def stored(self, path):
+        with open(sidecar_of(path), "rb") as f, np.load(f, allow_pickle=False) as stored:
+            return {name: stored[name] for name in stored.files}
+
+    def test_every_member_reads_back_bit_for_bit(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataio, "TEXT_CHUNK", 10)  # 2 rows a block, the last 1
+        path = tmp_path / "d.csv"
+        table = self.table()
+        arrays = {"seed": np.array(2**64 - 1, dtype=np.uint64),
+                  "params": table[1:].reshape(-1), "table": self.blocks(table)}
+        dataio.store_parsed(path, self.SHA256, arrays)
+        arrays.update(key=np.array(f"{PARSED_VERSION}:{self.SHA256}"), table=table)
+        stored = self.stored(path)
+        assert list(stored) == ["key", "seed", "params", "table"]
+        for name, want in arrays.items():
+            got = stored[name]
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+        with zipfile.ZipFile(sidecar_of(path)) as archive:  # np.save's bytes
+            for name, want in arrays.items():
+                npy = io.BytesIO()
+                np.save(npy, want)
+                assert archive.read(name + ".npy") == npy.getvalue()
+
+    def test_os_error_part_way_keeps_the_previous_sidecar(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataio, "TEXT_CHUNK", 10)
+        path = tmp_path / "d.csv"
+        table = self.table()
+        dataio.store_parsed(path, self.SHA256, {"table": table})
+        before = sidecar_of(path).read_bytes()
+
+        def fail_after_the_first_block(part):
+            if part.start:
+                raise OSError(28, "No space left on device")
+            return table[part] + 1.0
+
+        dataio.store_parsed(path, "cd" * 32,
+                            {"table": self.blocks(table, fail_after_the_first_block)})
+        assert sidecar_of(path).read_bytes() == before
+        assert os.listdir(tmp_path) == [sidecar_of(path).name]
+
+    @pytest.mark.parametrize("rows", [lambda table, part: table[part][:1],
+                                      lambda table, part: np.vstack([table[part]] * 2)],
+                             ids=["fewer", "more"])
+    def test_blocks_that_miss_the_declared_rows_raise(self, tmp_path, monkeypatch, rows):
+        monkeypatch.setattr(dataio, "TEXT_CHUNK", 10)
+        path = tmp_path / "d.csv"
+        table = self.table()
+        with pytest.raises(ValueError, match=r"blocks of \d+ rows in a table \(7, 5\)"):
+            dataio.store_parsed(path, self.SHA256,
+                                {"table": self.blocks(table, lambda part: rows(table, part))})
         assert os.listdir(tmp_path) == []
 
 
