@@ -7,8 +7,7 @@ parse-once sidecar (`parse_once`).
 Every float in a CSV artifact or a checkpoint is spelled as Python's
 ``repr`` spells it. One vectorized kernel, `repr_join`, makes that text for
 an array of values at a time, and `repr_table_chunks` streams a table
-through it in chunks of TEXT_CHUNK values. A `RowBlocks` table is made a
-block of about as many values at a time, for its CSV and its sidecar.
+through it in chunks of TEXT_CHUNK values.
 
 All loaders produce the same `Dataset` shape: an N x D float64 feature
 matrix, N integer labels in [0, K), and the class count K. Every class must
@@ -33,7 +32,7 @@ import secrets
 import struct
 import warnings
 import zipfile
-from collections.abc import Callable
+from collections.abc import Iterator
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
@@ -49,7 +48,7 @@ IDX_LABELS_MAGIC = 0x00000801
 # and seed: a sidecar in the file's name plus PARSED_SUFFIX (`parse_once`).
 # Raise the version whenever a parse or the arrays stored for it change.
 PARSED_SUFFIX = ".parsed.npz"
-PARSED_VERSION = 1
+PARSED_VERSION = 2
 
 
 class DataFormatError(ValueError):
@@ -256,33 +255,48 @@ def load_csv(path, label_column: str) -> tuple[Dataset, dict, str]:
 
     Labels are remapped to dense 0..K-1 in first-appearance order; the
     returned dict maps each original label value to its dense index, and the
-    str is the hex sha256 of the bytes loaded. The table comes from the
-    file's sidecar (`parse_once`) when it holds the parse of these bytes: a
-    hit still reads the header from the CSV and checks ``label_column`` in
-    it, and a stored table that is not a finite 2-D float64 table with a row
-    and one column per header name is a miss.
+    str is the hex sha256 of the bytes loaded.
+
+    The parsed table is kept as two arrays, ``lead`` (every column but the
+    last) and ``last`` (the last column), so that a label in the last
+    column, where save_csv writes it, leaves ``lead`` as the features with
+    no copy. They come from the file's sidecar (`parse_once`) when it holds
+    the parse of these bytes: a hit still reads the header from the CSV and
+    checks ``label_column`` in it, and stored arrays that are not finite
+    float64, N x (C - 1) and N for a header of C names and N >= 1 rows,
+    are a miss.
     """
+    def parse():
+        header, table = read_table(path, label_column)
+        return header, np.ascontiguousarray(table[:, :-1]), np.ascontiguousarray(table[:, -1])
+
     def from_arrays(arrays):
         with open(path, newline="") as f:
             header = _read_header(f, path, label_column)
-        table = arrays.get("table")
-        if (table is not None and table.ndim == 2 and table.dtype == np.float64
-                and table.shape[0] >= 1 and table.shape[1] == len(header)
-                and np.isfinite(table).all()):
-            return header, table
+        lead, last = arrays.get("lead"), arrays.get("last")
+        if (lead is not None and last is not None
+                and lead.dtype == last.dtype == np.float64 and lead.ndim == 2
+                and lead.shape[0] >= 1 and lead.shape[1] == len(header) - 1
+                and last.shape == lead.shape[:1]
+                and np.isfinite(lead).all() and np.isfinite(last).all()):
+            return header, lead, last
         return None
 
-    (header, table), sha256 = parse_once(path, lambda: read_table(path, label_column),
-                                         lambda parsed: {"table": parsed[1]}, from_arrays)
+    (header, lead, last), sha256 = parse_once(
+        path, parse, lambda parsed: {"lead": parsed[1], "last": parsed[2]}, from_arrays)
     label_idx = header.index(label_column)
+    features, label_values = lead, last
+    if label_idx < lead.shape[1]:
+        features = np.concatenate(
+            (lead[:, :label_idx], lead[:, label_idx + 1:], last[:, None]), axis=1)
+        label_values = lead[:, label_idx]
     mapping: dict = {}
-    labels = np.empty(table.shape[0], dtype=np.int64)
-    for i, value in enumerate(table[:, label_idx].tolist()):
+    labels = np.empty(len(label_values), dtype=np.int64)
+    for i, value in enumerate(label_values.tolist()):
         key = int(value) if value == int(value) else value
         if key not in mapping:
             mapping[key] = len(mapping)
         labels[i] = mapping[key]
-    features = np.delete(table, label_idx, axis=1)
     return Dataset(features, labels, len(mapping)), mapping, sha256
 
 
@@ -318,8 +332,7 @@ def store_parsed(path, sha256: str, arrays: dict | None) -> None:
     sidecar as it was and only costs a later load its parse.
 
     The sidecar is an uncompressed .npz archive, which `np.load` reads,
-    written by `_write_npz` with no copy of a whole array; a `RowBlocks`
-    table is written a block of rows at a time."""
+    written by `_write_npz` with no copy of a C-contiguous array."""
     if arrays is not None:
         with suppress(OSError), atomic_write(os.fspath(path) + PARSED_SUFFIX) as f:
             _write_npz(f, {"key": np.array(_parsed_key(sha256)), **arrays})
@@ -329,43 +342,15 @@ def _write_npz(f, arrays: dict) -> None:
     """Write ``arrays`` by name into ``f`` as the members of an uncompressed
     .npz archive, byte for byte as NumPy's own npz writer lays them out:
     each a .npy header (version 1.0, C order), then the array's buffer as
-    it is, or a `RowBlocks` table's blocks one after another. NumPy's
-    writer would first copy each whole array to bytes."""
+    it is (a C-order copy of one that is not C-contiguous). NumPy's writer
+    would first copy each whole array to bytes."""
     with zipfile.ZipFile(f, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
         for name, value in arrays.items():
+            value = np.asarray(value, order="C")
             with archive.open(name + ".npy", "w", force_zip64=True) as member:
-                if isinstance(value, RowBlocks):
-                    _write_npy_rows(member, name, value)
-                else:
-                    value = np.asarray(value, order="C")
-                    np.lib.format.write_array_header_1_0(
-                        member, np.lib.format.header_data_from_array_1_0(value))
-                    member.write(_buffer(value))
-
-
-def _write_npy_rows(member, name: str, table: RowBlocks) -> None:
-    """Write ``table`` as a .npy: its header, then its blocks' buffers. A
-    block that is not float64 rows of the declared width, or blocks that
-    do not add up to the declared rows, are a ValueError."""
-    shape = table.shape
-    np.lib.format.write_array_header_1_0(member, {
-        "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
-        "fortran_order": False, "shape": shape})
-    rows = 0
-    for block in table:
-        if block.dtype != np.float64 or block.shape[1:] != shape[1:]:
-            raise ValueError(f"{name}: a {block.dtype} block of shape {block.shape} "
-                             f"in a float64 table {shape}")
-        member.write(_buffer(block))
-        rows += len(block)
-    if rows != shape[0]:
-        raise ValueError(f"{name}: blocks of {rows} rows in a table {shape}")
-
-
-def _buffer(array: np.ndarray) -> np.ndarray:
-    """The bytes of ``array`` in C order, as a flat uint8 view where it can
-    be one."""
-    return np.ascontiguousarray(array).reshape(-1).view(np.uint8)
+                np.lib.format.write_array_header_1_0(
+                    member, np.lib.format.header_data_from_array_1_0(value))
+                member.write(value.reshape(-1).view(np.uint8))
 
 
 def _identity(path) -> tuple:
@@ -456,8 +441,9 @@ def _raise_for_bad_line(path, header, label_idx) -> None:
 # Java's, no second digit is forced (repr(5e-324) is '5e-324').
 
 # Values per repr_join call in repr_table_chunks, and about the values per
-# RowBlocks block; the kernel's temporaries are a few dozen arrays of this
-# length, so it bounds the memory a write takes.
+# block of rows that save_csv makes its CSV text from; the kernel's
+# temporaries are a few dozen arrays of this length, so it bounds the memory
+# a write takes.
 TEXT_CHUNK = 1 << 14
 
 _U64 = np.uint64
@@ -748,39 +734,19 @@ def repr_table_chunks(table, sep: bytes, row_end: bytes, int_columns=()):
                         sep, row_end, int_columns)
 
 
-@dataclass(frozen=True)
-class RowBlocks:
-    """A 2-D float64 table of ``shape`` that is made a block of whole rows
-    at a time and never whole: ``rows(part)`` is the block of the rows in
-    the slice ``part``. Iterating yields the blocks in order, each of about
-    TEXT_CHUNK values (one row when a row holds more), so that `write_csv`
-    and `store_parsed` hold one block of the table at a time."""
-
-    shape: tuple
-    rows: Callable
-
-    def parts(self):
-        """The slices of the rows of each block, in order."""
-        step = max(1, TEXT_CHUNK // self.shape[1])
-        return (slice(start, start + step) for start in range(0, self.shape[0], step))
-
-    def __iter__(self):
-        return map(self.rows, self.parts())
-
-
 def write_csv(path, header, table, int_columns=()) -> str:
     """Write a header row and the rows of a 2-D float64 table as CSV, and
-    return the hex sha256 of the bytes written.
+    return the hex sha256 of the bytes written. ``table`` is a 2-D
+    array-like, or an iterator of 2-D blocks of its rows in order, each
+    made as the text reaches it.
 
     The header goes through csv.writer, which quotes names where needed,
     and is encoded as open() encodes text, in the encoding read_table reads
     it with. Each cell is written as repr(float(v)), which round-trips every
     float64 exactly, or as repr(int(v)) in ``int_columns`` (an epoch, a
     label); `repr_join` makes that text for TEXT_CHUNK cells at a time, each
-    chunk written and hashed as it is made, and a `RowBlocks` table is made
-    a block at a time as the text reaches it. Every line ends in "\\r\\n"
-    as csv.writer's do: the bytes equal those of csv.writer given those
-    cells.
+    chunk written and hashed as it is made. Every line ends in "\\r\\n" as
+    csv.writer's do: the bytes equal those of csv.writer given those cells.
 
     Only save_csv uses the hash, as the key of the parsed table it stores;
     hashing while writing ties that key to the bytes written, with no read
@@ -790,7 +756,7 @@ def write_csv(path, header, table, int_columns=()) -> str:
     """
     line = io.StringIO(newline="")
     csv.writer(line).writerow(header)
-    blocks = table if isinstance(table, RowBlocks) else (table,)
+    blocks = table if isinstance(table, Iterator) else (table,)
     text = (chunk for block in blocks
             for chunk in repr_table_chunks(block, b",", b"\r\n", int_columns))
     chunks = itertools.chain(
@@ -888,17 +854,19 @@ def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:
     """Write a dataset in the format load_csv reads (floats via repr, the
     label last as an int) under `data_header`, and store its table as the
     file's parsed-table sidecar: repr round-trips every float64, so the
-    parse of the bytes written is that table. A table with NaN or Inf gets
-    no sidecar. Both writes make the table from the features and labels a
-    block of rows at a time (`RowBlocks`), so a save holds no copy of the
+    parse of the bytes written is that table, stored as load_csv keeps it:
+    the features as ``lead`` and the labels as ``last``. A table with NaN or
+    Inf gets no sidecar. The CSV text is made from blocks of about
+    TEXT_CHUNK values of whole rows, so a save holds no copy of the
     features."""
     header = data_header(dataset.num_features, label_column)
     features, labels = dataset.features, dataset.labels
-    table = RowBlocks((len(dataset), len(header)),
-                      lambda part: np.column_stack((features[part], labels[part])))
-    sha256 = write_csv(path, header, table, int_columns=(dataset.num_features,))
-    if all(np.isfinite(features[part]).all() for part in table.parts()):
-        store_parsed(path, sha256, {"table": table})
+    step = max(1, TEXT_CHUNK // len(header))
+    blocks = (np.column_stack((features[start:start + step], labels[start:start + step]))
+              for start in range(0, len(dataset), step))
+    sha256 = write_csv(path, header, blocks, int_columns=(dataset.num_features,))
+    if np.isfinite(features).all():
+        store_parsed(path, sha256, {"lead": features, "last": labels.astype(np.float64)})
 
 
 def stratified_split_indices(

@@ -17,7 +17,6 @@ from labelforge.dataio import (
     DataFormatError,
     Dataset,
     GaussianSpec,
-    RowBlocks,
     data_header,
     generate_gaussian,
     load_csv,
@@ -263,11 +262,12 @@ class TestLoadCsv:
     def test_label_column_named_twice_is_rejected(self, tmp_path, monkeypatch, hit):
         path = tmp_path / "twice.csv"
         path.write_bytes(b"f0,f1,f0\r\n1.0,2.0,0\r\n3.0,4.0,1\r\n")
-        if hit:  # a sidecar that holds this file's table
+        if hit:  # a sidecar that holds this file's table, and serves "f1"
             dataio.store_parsed(path, hashlib.sha256(path.read_bytes()).hexdigest(),
-                                {"table": np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 1.0]])})
-            assert sidecar_of(path).is_file()
+                                {"lead": np.array([[1.0, 2.0], [3.0, 4.0]]),
+                                 "last": np.array([0.0, 1.0])})
             monkeypatch.setattr(dataio, "read_table", no_parse)
+            assert load_csv(path, "f1")[0].features.tolist() == [[1.0, 0.0], [3.0, 1.0]]
         with pytest.raises(DataFormatError, match="more than one column named 'f0'"):
             load_csv(path, "f0")
 
@@ -307,7 +307,9 @@ class TestParsedSidecar:
     @pytest.mark.parametrize("text", [
         None,  # save_csv's repr floats
         'f0,f1,label\r\n1,2,7\r\n"3", 4 ,2.5\r\n\r\n5,6e-3,7\r\n',
-    ], ids=["save-csv", "quoted-float-labels"])
+        'label,f0,f1\r\n7,1,-0.0\r\n2.5,"3", 4 \r\n7,5,6e-3\r\n',
+        'f0,label,f1,f2\r\n1,7,2,-0.0\r\n3,2.5,4,5e-324\r\n5,7,6e-3,1e16\r\n',
+    ], ids=["save-csv", "quoted-float-labels", "label-first", "label-middle"])
     def test_hit_returns_what_the_parse_does(self, tmp_path, monkeypatch, text):
         path = self.write(tmp_path)
         sidecar_of(path).unlink()  # save_csv's, so that the first load parses
@@ -328,14 +330,14 @@ class TestParsedSidecar:
         monkeypatch.setattr(dataio, "read_table", no_parse)  # and was stored
         assert load_csv(path, "label")[0].features[:, 0].tolist() == [1.0, 3.0]
 
-    @pytest.mark.parametrize("damage", ["truncated", "nan", "shape", "dtype", "other-file",
-                                        "plain-npy"])
+    @pytest.mark.parametrize("damage", ["truncated", "nan", "shape", "dtype", "last-nan",
+                                        "last-rows", "other-file", "plain-npy", "old-layout"])
     def test_bad_sidecar_is_parsed_again_and_rewritten(self, tmp_path, monkeypatch, damage):
         path = self.write(tmp_path)
         parsed = load_csv(path, "label")
         sidecar = sidecar_of(path)
         with open(sidecar, "rb") as f, np.load(f) as stored:
-            key, table = stored["key"], stored["table"]
+            key, lead, last = stored["key"], stored["lead"], stored["last"]
         if damage == "truncated":
             sidecar.write_bytes(sidecar.read_bytes()[: sidecar.stat().st_size // 2])
         elif damage == "other-file":  # same shape, other bytes
@@ -344,14 +346,23 @@ class TestParsedSidecar:
             os.replace(sidecar_of(other), sidecar)
         elif damage == "plain-npy":
             with open(sidecar, "wb") as f:
-                np.save(f, table)
-        else:
-            with_nan = table.copy()
-            with_nan[0, 0] = np.nan
-            bad = {"nan": with_nan, "shape": table[:, 1:], "dtype": table.astype(np.float32)}
+                np.save(f, lead)
+        elif damage == "old-layout":  # version 1: one stacked table
             with open(sidecar, "wb") as f:
-                np.savez(f, key=key, table=bad[damage])
+                np.savez(f, key=np.array("1:" + key.item().partition(":")[2]),
+                         table=np.column_stack((lead, last)))
+        else:
+            with_nan, last_nan = lead.copy(), last.copy()
+            with_nan[0, 0] = last_nan[-1] = np.nan
+            bad = {"nan": (with_nan, last), "shape": (lead[:, 1:], last),
+                   "dtype": (lead.astype(np.float32), last), "last-nan": (lead, last_nan),
+                   "last-rows": (lead, last[1:])}
+            with open(sidecar, "wb") as f:
+                np.savez(f, key=key, lead=bad[damage][0], last=bad[damage][1])
         assert_same_load(load_csv(path, "label"), parsed)
+        with open(sidecar, "rb") as f, np.load(f) as stored:
+            assert sorted(stored.files) == ["key", "last", "lead"]
+            assert stored["key"] == key
         monkeypatch.setattr(dataio, "read_table", no_parse)
         assert_same_load(load_csv(path, "label"), parsed)
 
@@ -446,11 +457,10 @@ class TestSaveCsvSidecar:
         path = tmp_path / "d.csv"
         save_csv(make(), path)
         with open(sidecar_of(path), "rb") as f, np.load(f) as stored:
-            key, table = stored["key"].item(), stored["table"]
+            key, lead, last = stored["key"].item(), stored["lead"], stored["last"]
         _, parsed = read_table(path, "label")
         assert key == f"{PARSED_VERSION}:{hashlib.sha256(path.read_bytes()).hexdigest()}"
-        assert table.dtype == parsed.dtype and table.shape == parsed.shape
-        assert table.tobytes() == parsed.tobytes()
+        assert_stored_parse(lead, last, parsed)
 
     @pytest.mark.parametrize("cell", [np.nan, np.inf])
     def test_non_finite_dataset_gets_no_sidecar_and_loads_with_the_parse_error(
@@ -488,15 +498,40 @@ class TestSaveCsvSidecar:
                             np.column_stack((data.features, data.labels)), int_columns=(784,))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == stacked
         with open(sidecar_of(path), "rb") as f, np.load(f, allow_pickle=False) as stored:
-            table = stored["table"]
+            lead, last = stored["lead"], stored["last"]
         _, parsed = read_table(path, "label")
-        assert table.dtype == parsed.dtype and table.shape == parsed.shape
-        assert table.tobytes() == parsed.tobytes()
+        assert_stored_parse(lead, last, parsed)
+
+    def test_hit_holds_one_copy_of_the_features(self, tmp_path, monkeypatch):
+        data = Dataset(np.random.default_rng(0).standard_normal((2000, 784)),
+                       np.arange(2000) % 10, 10)
+        path = tmp_path / "d.csv"
+        save_csv(data, path)
+        monkeypatch.setattr(dataio, "read_table", no_parse)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            loaded, _, _ = load_csv(path, "label")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * data.features.nbytes
+        assert loaded.features.tobytes() == data.features.tobytes()
+        assert loaded.labels.tobytes() == data.labels.tobytes()
+
+
+def assert_stored_parse(lead, last, parsed):
+    """A sidecar's ``lead`` and ``last`` are the columns of the table
+    ``parsed``, bit for bit."""
+    assert lead.dtype == last.dtype == parsed.dtype == np.float64
+    assert lead.shape == (parsed.shape[0], parsed.shape[1] - 1)
+    assert np.column_stack((lead, last)).tobytes() == parsed.tobytes()
 
 
 class TestStoreParsed:
-    """store_parsed writes the archive np.savez would, from each array's
-    own buffer and a RowBlocks table a block at a time."""
+    """store_parsed writes each array as np.save writes it in C order,
+    from the array's own buffer where it is C-contiguous."""
 
     SHA256 = "ab" * 32
 
@@ -505,23 +540,20 @@ class TestStoreParsed:
         values[0, :4] = [-0.0, 5e-324, 1.7976931348623157e308, np.nan]
         return values
 
-    def blocks(self, table, rows=None):
-        return RowBlocks(table.shape, rows or (lambda part: table[part]))
-
     def stored(self, path):
         with open(sidecar_of(path), "rb") as f, np.load(f, allow_pickle=False) as stored:
             return {name: stored[name] for name in stored.files}
 
-    def test_every_member_reads_back_bit_for_bit(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(dataio, "TEXT_CHUNK", 10)  # 2 rows a block, the last 1
+    def test_every_member_reads_back_bit_for_bit(self, tmp_path):
         path = tmp_path / "d.csv"
         table = self.table()
         arrays = {"seed": np.array(2**64 - 1, dtype=np.uint64),
-                  "params": table[1:].reshape(-1), "table": self.blocks(table)}
+                  "params": table[1:].reshape(-1), "lead": table[:, :-1], "last": table[:, -1],
+                  "empty": table[:, :0], "fortran": np.asfortranarray(table)}
         dataio.store_parsed(path, self.SHA256, arrays)
-        arrays.update(key=np.array(f"{PARSED_VERSION}:{self.SHA256}"), table=table)
+        arrays["key"] = np.array(f"{PARSED_VERSION}:{self.SHA256}")
         stored = self.stored(path)
-        assert list(stored) == ["key", "seed", "params", "table"]
+        assert list(stored) == ["key", "seed", "params", "lead", "last", "empty", "fortran"]
         for name, want in arrays.items():
             got = stored[name]
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
@@ -529,37 +561,26 @@ class TestStoreParsed:
         with zipfile.ZipFile(sidecar_of(path)) as archive:  # np.save's bytes
             for name, want in arrays.items():
                 npy = io.BytesIO()
-                np.save(npy, want)
+                np.save(npy, np.asarray(want, order="C"))
                 assert archive.read(name + ".npy") == npy.getvalue()
 
     def test_os_error_part_way_keeps_the_previous_sidecar(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(dataio, "TEXT_CHUNK", 10)
         path = tmp_path / "d.csv"
         table = self.table()
-        dataio.store_parsed(path, self.SHA256, {"table": table})
+        dataio.store_parsed(path, self.SHA256, {"lead": table[:, :-1], "last": table[:, -1]})
         before = sidecar_of(path).read_bytes()
+        write_header = np.lib.format.write_array_header_1_0
 
-        def fail_after_the_first_block(part):
-            if part.start:
+        def no_space_after_a_1d_header(member, header):
+            """The write of ``last``'s member, after that of ``lead``, fails."""
+            write_header(member, header)
+            if len(header["shape"]) == 1:
                 raise OSError(28, "No space left on device")
-            return table[part] + 1.0
 
-        dataio.store_parsed(path, "cd" * 32,
-                            {"table": self.blocks(table, fail_after_the_first_block)})
+        monkeypatch.setattr(np.lib.format, "write_array_header_1_0", no_space_after_a_1d_header)
+        dataio.store_parsed(path, "cd" * 32, {"lead": table[:, :-1] + 1.0, "last": table[:, -1]})
         assert sidecar_of(path).read_bytes() == before
         assert os.listdir(tmp_path) == [sidecar_of(path).name]
-
-    @pytest.mark.parametrize("rows", [lambda table, part: table[part][:1],
-                                      lambda table, part: np.vstack([table[part]] * 2)],
-                             ids=["fewer", "more"])
-    def test_blocks_that_miss_the_declared_rows_raise(self, tmp_path, monkeypatch, rows):
-        monkeypatch.setattr(dataio, "TEXT_CHUNK", 10)
-        path = tmp_path / "d.csv"
-        table = self.table()
-        with pytest.raises(ValueError, match=r"blocks of \d+ rows in a table \(7, 5\)"):
-            dataio.store_parsed(path, self.SHA256,
-                                {"table": self.blocks(table, lambda part: rows(table, part))})
-        assert os.listdir(tmp_path) == []
 
 
 def write_csv_failing_after_the_first_chunk(path, monkeypatch):
