@@ -38,12 +38,11 @@ from .dataio import (
     generate_gaussian,
     load_csv,
     load_idx,
-    read_idx,
     save_csv,
     split,
     write_json,
 )
-from .labelreg import CMatrix, load_cmatrix
+from .labelreg import CMatrix, cmatrix_sidecar_path, load_cmatrix
 from .model import load_checkpoint
 from .numerics import checked_seed
 from .train import (
@@ -170,86 +169,80 @@ def _config_overrides(args) -> dict:
     }
 
 
-def _require_classes(dataset: Dataset, source) -> Dataset:
-    """Reject data with fewer than 2 classes: nothing to classify."""
-    if dataset.num_classes < 2:
-        raise UsageError(
-            f"{source}: data has {dataset.num_classes} class; at least 2 are needed"
-        )
-    return dataset
+def _data_sources(args) -> list:
+    """The sides of a run's data that the data flags name, checked before
+    any file is read: the training side, then the test side if one is
+    given, each (side, csv, images, labels) with ``side`` "" or "test_".
+    A side is --data or the --idx-images/--idx-labels pair, the test side
+    the same flags with test-. With no test side --train-fraction and
+    --split-seed split the training data; a test side rejects them.
+    --label-column needs a CSV on one side."""
+    sources = []
+    for side in ("", "test_"):
+        csv, images, labels = (getattr(args, side + name)
+                               for name in ("data", "idx_images", "idx_labels"))
+        flag = "--" + side.replace("_", "-")
+        if (images is None) != (labels is None):
+            raise UsageError(f"pass both {flag}idx-images and {flag}idx-labels or neither")
+        if csv is not None and images is not None:
+            raise UsageError(f"pass {flag}data or {flag}idx-images/{flag}idx-labels, not both")
+        if csv is not None or images is not None:
+            sources.append((side, csv, images, labels))
+    if not sources or sources[0][0] == "test_":
+        raise UsageError("no input data: pass --data or --idx-images/--idx-labels")
+    for flag, value in (("--train-fraction", args.train_fraction),
+                        ("--split-seed", args.split_seed)):
+        if len(sources) == 2 and value is not None:
+            raise UsageError(f"{flag} splits the training data, but a test set is given")
+    if args.label_column is not None and all(csv is None for _, csv, _, _ in sources):
+        raise UsageError("--label-column names a CSV column, but no side is a CSV")
+    return sources
 
 
-def _remap_labels(features, labels, test_mapping: dict, mapping: dict,
-                  test_path, train_path) -> Dataset:
-    """Build a test set with the class indices of the training set from test
-    rows whose ``labels`` index the test file's own classes; each mapping
-    takes a label as its file writes it to that set's class index. The test
-    set must hold exactly the training set's labels, since a Dataset has at
-    least one row of every class."""
+def _load_side(args, side: str, csv, images, labels) -> tuple:
+    """One side of a run's data (`_data_sources`): its Dataset, the dict
+    that maps each label as its file writes it to its class, its manifest
+    inputs (name -> (path, sha256 of the bytes loaded or None: not hashed
+    yet)), and the files that hold its features and its labels."""
+    with _usage_errors():
+        if csv is not None:
+            label_column = "label" if args.label_column is None else args.label_column
+            dataset, mapping, sha256 = load_csv(csv, label_column)
+            return dataset, mapping, {side + "data": (csv, sha256)}, csv, csv
+        dataset, mapping = load_idx(images, labels)
+    inputs = {side + "idx_images": (images, None), side + "idx_labels": (labels, None)}
+    return dataset, mapping, inputs, images, labels
+
+
+def _load_datasets(args, sources: list) -> tuple[Dataset, Dataset, dict]:
+    """The training and test sets of ``sources`` (`_data_sources`) and both
+    sides' manifest inputs. With no test side the training data is split.
+    A test side must have the training side's features and hold every label
+    of it and no other; each label keeps the class the training side gave
+    it."""
+    train_set, mapping, inputs, train_features, train_labels = _load_side(args, *sources[0])
+    if train_set.num_classes < 2:
+        raise UsageError(f"{train_labels}: data has {train_set.num_classes} class; "
+                         f"at least 2 are needed")
+    if len(sources) == 1:
+        fraction = 0.8 if args.train_fraction is None else args.train_fraction
+        with _usage_errors():
+            return (*split(train_set, fraction, args.split_seed or 0), inputs)
+    test_set, test_mapping, test_inputs, features, labels = _load_side(args, *sources[1])
+    inputs.update(test_inputs)
+    if test_set.num_features != train_set.num_features:
+        raise UsageError(f"{features}: test data has {test_set.num_features} features, the "
+                         f"training data {train_features} has {train_set.num_features}")
     unknown = [label for label in test_mapping if label not in mapping]
     if unknown:
-        raise UsageError(
-            f"{test_path}: label {unknown[0]!r} does not occur in the "
-            f"training data {train_path}"
-        )
+        raise UsageError(f"{labels}: label {unknown[0]!r} does not occur in the "
+                         f"training data {train_labels}")
     absent = [label for label in mapping if label not in test_mapping]
     if absent:
-        raise UsageError(
-            f"{test_path}: training label {absent[0]!r} of {train_path} "
-            f"has no rows in the test data"
-        )
+        raise UsageError(f"{labels}: training label {absent[0]!r} of {train_labels} "
+                         f"has no rows in the test data")
     to_train = np.array([mapping[label] for label in test_mapping], dtype=np.int64)
-    return Dataset(features, to_train[labels], len(mapping))
-
-
-def _require_width(features, train: Dataset, test_path, train_path) -> None:
-    """Raise UsageError, naming both files, unless the test rows have the
-    training set's features."""
-    if features.shape[1] != train.num_features:
-        raise UsageError(
-            f"{test_path}: test data has {features.shape[1]} features, the training "
-            f"data {train_path} has {train.num_features}"
-        )
-
-
-def _load_datasets(args) -> tuple[Dataset, Dataset, dict]:
-    """Resolve train/test datasets from CSV or IDX flags; returns the inputs
-    for the manifest alongside the datasets, each a name mapped to its path
-    and, for a CSV, the sha256 of the bytes loaded (None: not hashed yet)."""
-    inputs = {}
-    with _usage_errors():
-        if args.data:
-            full, mapping, sha256 = load_csv(args.data, args.label_column)
-            inputs["data"] = (args.data, sha256)
-            _require_classes(full, args.data)
-            if args.test_data:
-                test, test_mapping, sha256 = load_csv(args.test_data, args.label_column)
-                inputs["test_data"] = (args.test_data, sha256)
-                _require_width(test.features, full, args.test_data, args.data)
-                test = _remap_labels(test.features, test.labels, test_mapping, mapping,
-                                     args.test_data, args.data)
-                return full, test, inputs
-        elif args.idx_images and args.idx_labels:
-            inputs["idx_images"] = (args.idx_images, None)
-            inputs["idx_labels"] = (args.idx_labels, None)
-            full = _require_classes(load_idx(args.idx_images, args.idx_labels),
-                                    args.idx_labels)
-            if args.test_idx_images and args.test_idx_labels:
-                inputs["test_idx_images"] = (args.test_idx_images, None)
-                inputs["test_idx_labels"] = (args.test_idx_labels, None)
-                features, labels = read_idx(args.test_idx_images, args.test_idx_labels)
-                _require_width(features, full, args.test_idx_images, args.idx_images)
-                # IDX labels are class indices already; the test file may
-                # lack or add any of them, which _remap_labels names
-                present, dense = np.unique(labels, return_inverse=True)
-                test = _remap_labels(features, dense,
-                                     {int(y): i for i, y in enumerate(present)},
-                                     {y: y for y in range(full.num_classes)},
-                                     args.test_idx_labels, args.idx_labels)
-                return full, test, inputs
-        else:
-            raise UsageError("no input data: pass --data or --idx-images/--idx-labels")
-        return (*split(full, args.train_fraction, args.split_seed), inputs)
+    return train_set, Dataset(test_set.features, to_train[test_set.labels], len(mapping)), inputs
 
 
 def _check_out(args) -> None:
@@ -336,13 +329,14 @@ def _cmd_train(args) -> int:
     teacher's kind (`teacher_strategy`) fixes, else the configured one."""
     subcommand = args.subcommand
     _check_out(args)
+    sources = _data_sources(args)
     teacher, inputs = _load_teacher(args) if subcommand == "distill" else (None, {})
     fixed = "ablation" if subcommand == "ablate" else teacher_strategy(teacher)
     if fixed and args.strategy is not None:
         # a config file's strategy is replaced, so a run's config.json is reusable
         raise UsageError(f"{subcommand} trains strategy {fixed!r}; "
                          f"--strategy {args.strategy!r} cannot change it")
-    train_set, test_set, data_inputs = _load_datasets(args)
+    train_set, test_set, data_inputs = _load_datasets(args, sources)
     inputs.update(data_inputs)
     if args.config:
         inputs["config"] = (args.config, None)
@@ -380,7 +374,13 @@ def _load_teacher(args) -> tuple:
             teacher, sha256 = load_checkpoint(args.teacher_checkpoint)
             return teacher, {"teacher_checkpoint": (args.teacher_checkpoint, sha256)}
         return (load_cmatrix(args.teacher_cmatrix),
-                {"teacher_cmatrix": (args.teacher_cmatrix, None)})
+                _cmatrix_inputs("teacher_cmatrix", args.teacher_cmatrix))
+
+
+def _cmatrix_inputs(name: str, path) -> dict:
+    """The manifest inputs of a class table: its CSV and its JSON sidecar,
+    which holds the alpha and class count its load reads."""
+    return {name: (path, None), name + "_json": (cmatrix_sidecar_path(path), None)}
 
 
 def _cmd_gradcheck(args) -> int:
@@ -418,7 +418,7 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_analyze(args) -> int:
     _check_out(args)
-    train_set, test_set, inputs = _load_datasets(args)
+    train_set, test_set, inputs = _load_datasets(args, _data_sources(args))
     with _usage_errors("cannot load checkpoint: "):
         model, sha256 = load_checkpoint(args.checkpoint)
     inputs["checkpoint"] = (args.checkpoint, sha256)
@@ -426,7 +426,7 @@ def _cmd_analyze(args) -> int:
     if args.cmatrix:
         with _usage_errors("cannot load cmatrix: "):
             cmatrix = load_cmatrix(args.cmatrix)
-        inputs["cmatrix"] = (args.cmatrix, None)
+        inputs.update(_cmatrix_inputs("cmatrix", args.cmatrix))
     with _usage_errors():  # an artifact of another task makes no run directory
         check_fit(model, train_set, "checkpoint")
         if cmatrix is not None:
@@ -453,15 +453,15 @@ def _cmd_analyze(args) -> int:
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", help="training CSV (split unless --test-data given)")
+    p.add_argument("--data", help="training CSV (split unless a test set is given)")
     p.add_argument("--test-data", help="held-out CSV")
-    p.add_argument("--label-column", default="label")
+    p.add_argument("--label-column", help="label column of a CSV (default label)")
     p.add_argument("--idx-images", help="IDX image file (optionally .gz)")
     p.add_argument("--idx-labels", help="IDX label file (optionally .gz)")
     p.add_argument("--test-idx-images")
     p.add_argument("--test-idx-labels")
-    p.add_argument("--train-fraction", type=float, default=0.8)
-    p.add_argument("--split-seed", type=int, default=0)
+    p.add_argument("--train-fraction", type=float, help="split's train share (default 0.8)")
+    p.add_argument("--split-seed", type=int, help="split's seed (default 0)")
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:

@@ -45,10 +45,10 @@ IDX_LABELS_MAGIC = 0x00000801
 
 # save_csv and load_csv keep a data CSV's parsed table beside it, and
 # save_checkpoint and load_checkpoint a checkpoint's layer sizes, parameters
-# and seed: a sidecar in the file's name plus PARSED_SUFFIX (`parse_once`).
-# Raise the version whenever a parse or the arrays stored for it change.
+# and seed: a sidecar in the file's name plus PARSED_SUFFIX (`parse_once`),
+# keyed by its kind's layout version (DATA_PARSED_VERSION,
+# model.CHECKPOINT_PARSED_VERSION) and the sha256 of the file's bytes.
 PARSED_SUFFIX = ".parsed.npz"
-PARSED_VERSION = 2
 
 
 class DataFormatError(ValueError):
@@ -141,14 +141,6 @@ def generate_gaussian(spec: GaussianSpec) -> Dataset:
     return Dataset(features, np.repeat(np.arange(k, dtype=np.int64), n), k)
 
 
-def _open_maybe_gzip(path):
-    with open(path, "rb") as f:
-        head = f.read(2)
-    if head == b"\x1f\x8b":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
-
-
 def _read_exact(f, n: int, path, what: str) -> bytes:
     data = f.read(n)
     if len(data) != n:
@@ -160,24 +152,29 @@ def _read_idx_file(path, magic: int) -> tuple[tuple, np.ndarray]:
     """The dimensions and the unsigned-byte payload of the IDX file at
     ``path`` (gzip accepted transparently): big-endian ``magic``, whose low
     byte counts the dimensions, then each dimension and the payload."""
-    with _open_maybe_gzip(path) as f:
-        (found,) = struct.unpack(">I", _read_exact(f, 4, path, "magic"))
-        if found != magic:
-            raise DataFormatError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
-        ndim = magic & 0xFF
-        dims = struct.unpack(f">{ndim}I", _read_exact(f, 4 * ndim, path, "dimensions"))
-        raw = _read_exact(f, math.prod(dims), path, "payload")
+    with open(path, "rb") as file:
+        gzipped = file.peek(2)[:2] == b"\x1f\x8b"
+        with gzip.open(file) if gzipped else file as f:
+            (found,) = struct.unpack(">I", _read_exact(f, 4, path, "magic"))
+            if found != magic:
+                raise DataFormatError(f"{path}: bad magic 0x{found:08x}, "
+                                      f"expected 0x{magic:08x}")
+            ndim = magic & 0xFF
+            dims = struct.unpack(f">{ndim}I", _read_exact(f, 4 * ndim, path, "dimensions"))
+            raw = _read_exact(f, math.prod(dims), path, "payload")
     return dims, np.frombuffer(raw, dtype=np.uint8)
 
 
-def read_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
-    """Read an IDX image/label file pair into an N x (H*W) float64 feature
-    matrix and N int64 labels.
+def load_idx(images_path, labels_path) -> tuple[Dataset, dict]:
+    """Load an IDX image/label file pair as a Dataset of N x (H*W) float64
+    features, and the dict that maps each label to its class.
 
     Images: magic 0x00000803 then N, H, W and N*H*W unsigned bytes. Labels:
     magic 0x00000801 then N and N unsigned bytes. Pixels are scaled to
     [0, 1] by dividing by 255 and flattened row-major to N x (H*W). A pair
-    with no images is rejected.
+    with no images is rejected. The classes are the labels present, in
+    increasing order, so labels 0..K-1 with none skipped are their own
+    classes.
     """
     (n, h, w), pixels = _read_idx_file(images_path, IDX_IMAGES_MAGIC)
     (n_labels,), labels = _read_idx_file(labels_path, IDX_LABELS_MAGIC)
@@ -187,18 +184,10 @@ def read_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
         )
     if n == 0:
         raise DataFormatError(f"{labels_path}: no labels")
-    return (pixels.astype(np.float64) / 255.0).reshape(n, h * w), labels.astype(np.int64)
-
-
-def load_idx(images_path, labels_path) -> Dataset:
-    """`read_idx` as a Dataset whose class count is the largest label + 1;
-    labels that leave a class below it without rows are rejected, naming
-    the labels file."""
-    features, labels = read_idx(images_path, labels_path)
-    try:
-        return Dataset(features, labels, int(labels.max()) + 1)
-    except ValueError as exc:
-        raise DataFormatError(f"{labels_path}: {exc}") from None
+    present, classes = np.unique(labels, return_inverse=True)
+    features = (pixels.astype(np.float64) / 255.0).reshape(n, h * w)
+    return (Dataset(features, classes, len(present)),
+            {label: c for c, label in enumerate(present.tolist())})
 
 
 def read_table(path, label_column: str | None = None) -> tuple[list, np.ndarray]:
@@ -250,6 +239,11 @@ def _read_header(f, path, label_column: str | None) -> list:
     return header
 
 
+# The layout of a data CSV's sidecar (`load_csv`, `save_csv`): raise it
+# whenever the parse or the arrays stored for it change.
+DATA_PARSED_VERSION = 2
+
+
 def load_csv(path, label_column: str) -> tuple[Dataset, dict, str]:
     """Load a data CSV (the grammar of `read_table`) as a Dataset.
 
@@ -283,59 +277,54 @@ def load_csv(path, label_column: str) -> tuple[Dataset, dict, str]:
         return None
 
     (header, lead, last), sha256 = parse_once(
-        path, parse, lambda parsed: {"lead": parsed[1], "last": parsed[2]}, from_arrays)
+        path, DATA_PARSED_VERSION, parse,
+        lambda parsed: {"lead": parsed[1], "last": parsed[2]}, from_arrays)
     label_idx = header.index(label_column)
     features, label_values = lead, last
     if label_idx < lead.shape[1]:
         features = np.concatenate(
             (lead[:, :label_idx], lead[:, label_idx + 1:], last[:, None]), axis=1)
         label_values = lead[:, label_idx]
-    mapping: dict = {}
-    labels = np.empty(len(label_values), dtype=np.int64)
-    for i, value in enumerate(label_values.tolist()):
-        key = int(value) if value == int(value) else value
-        if key not in mapping:
-            mapping[key] = len(mapping)
-        labels[i] = mapping[key]
+    keys = [int(value) if value == int(value) else value for value in label_values.tolist()]
+    mapping = {key: c for c, key in enumerate(dict.fromkeys(keys))}
+    labels = np.fromiter(map(mapping.__getitem__, keys), dtype=np.int64, count=len(keys))
     return Dataset(features, labels, len(mapping)), mapping, sha256
 
 
-def parse_once(path, parse, to_arrays, from_arrays) -> tuple:
+def parse_once(path, version: int, parse, to_arrays, from_arrays) -> tuple:
     """``parse()`` and the hex sha256 of the file at ``path``, which is
     parsed at most once per content. A parse stores ``to_arrays(result)``
-    in the sidecar ``path`` + PARSED_SUFFIX under that sha256 (`store_parsed`)
+    in the sidecar ``path`` + PARSED_SUFFIX under ``version``, the layout
+    version of the caller's kind of file, and that sha256 (`store_parsed`)
     unless the file changed meanwhile; a later load of the same bytes returns
     ``from_arrays(arrays)`` instead. A sidecar that cannot be read, is keyed
-    to other bytes or that ``from_arrays`` refuses (returns None: arrays that
-    fail a check the parse makes) is a miss. A parse error is never stored.
+    to another version or other bytes or that ``from_arrays`` refuses
+    (returns None: arrays that fail a check the parse makes) is a miss. A
+    parse error is never stored.
     """
     before = _identity(path)
     sha256 = file_sha256(path)
-    arrays = _read_parsed(path, sha256)
+    arrays = _read_parsed(path, version, sha256)
     result = None if arrays is None else from_arrays(arrays)
     if result is None:
         result = parse()
         with suppress(OSError):
             if _identity(path) == before:
-                store_parsed(path, sha256, to_arrays(result))
+                store_parsed(path, version, sha256, to_arrays(result))
     return result, sha256
 
 
-def _parsed_key(sha256: str) -> str:
-    """The key a sidecar stores the parse of bytes with this hash under."""
-    return f"{PARSED_VERSION}:{sha256}"
-
-
-def store_parsed(path, sha256: str, arrays: dict | None) -> None:
-    """Store ``arrays`` (None: nothing) as the parse of the file at ``path``
-    whose bytes hash to ``sha256``, atomically; an OSError leaves the
-    sidecar as it was and only costs a later load its parse.
+def store_parsed(path, version: int, sha256: str, arrays: dict | None) -> None:
+    """Store ``arrays`` (None: nothing) as the parse, in the layout
+    ``version`` of its kind, of the file at ``path`` whose bytes hash to
+    ``sha256``, atomically; an OSError leaves the sidecar as it was and
+    only costs a later load its parse.
 
     The sidecar is an uncompressed .npz archive, which `np.load` reads,
     written by `_write_npz` with no copy of a C-contiguous array."""
     if arrays is not None:
         with suppress(OSError), atomic_write(os.fspath(path) + PARSED_SUFFIX) as f:
-            _write_npz(f, {"key": np.array(_parsed_key(sha256)), **arrays})
+            _write_npz(f, {"key": np.array(f"{version}:{sha256}"), **arrays})
 
 
 def _write_npz(f, arrays: dict) -> None:
@@ -359,10 +348,10 @@ def _identity(path) -> tuple:
     return st.st_ino, st.st_size, st.st_mtime_ns
 
 
-def _read_parsed(path, sha256: str) -> dict | None:
-    """The arrays, by name, that the sidecar of ``path`` stores for bytes
-    hashing to ``sha256``; None when it is missing, unreadable, not an
-    archive of arrays or stored under another key."""
+def _read_parsed(path, version: int, sha256: str) -> dict | None:
+    """The arrays, by name, that the sidecar of ``path`` stores in layout
+    ``version`` for bytes hashing to ``sha256``; None when it is missing,
+    unreadable, not an archive of arrays or stored under another key."""
     try:
         # the handle is ours: np.load leaks the one it opens on a bad archive
         with open(os.fspath(path) + PARSED_SUFFIX, "rb") as f:
@@ -370,7 +359,7 @@ def _read_parsed(path, sha256: str) -> dict | None:
             if not isinstance(parsed, np.lib.npyio.NpzFile):
                 return None
             with parsed:
-                if parsed["key"].item() != _parsed_key(sha256):
+                if parsed["key"].item() != f"{version}:{sha256}":
                     return None
                 return {name: parsed[name] for name in parsed.files}
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
@@ -866,7 +855,8 @@ def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:
               for start in range(0, len(dataset), step))
     sha256 = write_csv(path, header, blocks, int_columns=(dataset.num_features,))
     if np.isfinite(features).all():
-        store_parsed(path, sha256, {"lead": features, "last": labels.astype(np.float64)})
+        store_parsed(path, DATA_PARSED_VERSION, sha256,
+                     {"lead": features, "last": labels.astype(np.float64)})
 
 
 def stratified_split_indices(

@@ -282,11 +282,13 @@ def export_cmatrix(c: CMatrix, csv_path, metadata: dict | None = None) -> None:
     """Write the expanded K x K probabilities as CSV (header = class
     indices, exact 0.0 diagonal) plus a JSON sidecar with alpha and K."""
     export_matrix_csv(c.expanded_probs(), csv_path)
-    write_json(_sidecar_path(csv_path),
+    write_json(cmatrix_sidecar_path(csv_path),
                {"alpha": c.alpha, "num_classes": c.num_classes, "metadata": metadata or {}})
 
 
-def _sidecar_path(csv_path):
+def cmatrix_sidecar_path(csv_path) -> str:
+    """The JSON sidecar of a class table's CSV: its path with ``.csv``
+    replaced by (or else followed by) ``.json``."""
     text = str(csv_path)
     return (text[: -len(".csv")] if text.endswith(".csv") else text) + ".json"
 
@@ -305,7 +307,7 @@ def load_cmatrix(csv_path) -> CMatrix:
     nonzero diagonal cell, a negative cell, or other cells whose sum is
     more than 1e-9 from 1.
     """
-    sidecar_path = _sidecar_path(csv_path)
+    sidecar_path = cmatrix_sidecar_path(csv_path)
     with json_document(sidecar_path, ("alpha", "num_classes")) as sidecar:
         alpha, k = sidecar["alpha"], sidecar["num_classes"]
         numbers = all(isinstance(v, (int, float)) for v in (alpha, k))

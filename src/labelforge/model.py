@@ -296,7 +296,8 @@ def save_checkpoint(model: Mlp, path) -> None:
     Inf parameter, which `load_checkpoint` would reject, raises its
     ValueError before anything is written."""
     _check_finite(model, path)
-    store_parsed(path, write_hashed(path, _checkpoint_chunks(model)), _parsed_arrays(model))
+    store_parsed(path, CHECKPOINT_PARSED_VERSION, write_hashed(path, _checkpoint_chunks(model)),
+                 _parsed_arrays(model))
 
 
 def _checkpoint_chunks(model: Mlp):
@@ -309,6 +310,11 @@ def _checkpoint_chunks(model: Mlp):
             yield b"]"
         yield b"]"
     yield f', "seed": {json.dumps(model.seed)}}}\n'.encode()
+
+
+# The layout of a checkpoint's sidecar (`_parsed_arrays`, `_from_parsed`):
+# raise it whenever the parse or the arrays stored for it change.
+CHECKPOINT_PARSED_VERSION = 2
 
 
 def _parsed_arrays(model: Mlp) -> dict | None:
@@ -345,8 +351,8 @@ def load_checkpoint(path) -> tuple[Mlp, str]:
     key, holds a value of the wrong type, a size or seed that fails
     `exact_int`, the wrong number or size of layers, or a NaN/Inf parameter
     (all as ValueError naming the file)."""
-    return parse_once(path, lambda: _parse_checkpoint(path), _parsed_arrays,
-                      lambda arrays: _from_parsed(arrays, path))
+    return parse_once(path, CHECKPOINT_PARSED_VERSION, lambda: _parse_checkpoint(path),
+                      _parsed_arrays, lambda arrays: _from_parsed(arrays, path))
 
 
 def _parse_checkpoint(path) -> Mlp:

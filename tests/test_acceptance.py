@@ -265,14 +265,15 @@ def test_c11_real_data_smoke():
     # opt-in: a 10k-sample subset, MLP 784-256-10, 20 epochs, 3 seeds. The
     # run must complete; the accuracy comparison is recorded, not enforced.
     root = Path(os.environ[FMNIST_ENV])
-    full = load_idx(
+    full, mapping = load_idx(
         _find_idx(root, "train-images-idx3-ubyte"),
         _find_idx(root, "train-labels-idx1-ubyte"),
     )
-    test_set = load_idx(
+    test_set, test_mapping = load_idx(
         _find_idx(root, "t10k-images-idx3-ubyte"),
         _find_idx(root, "t10k-labels-idx1-ubyte"),
     )
+    assert mapping == test_mapping == {label: label for label in range(10)}
     subset, _ = split(full, 10000 / len(full), seed=0)
     assert len(subset) == 10000
 

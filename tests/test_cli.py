@@ -720,6 +720,117 @@ class TestTrainCommand:
         assert data_csv.read_bytes() == before
 
 
+class TestDataSides:
+    """Each side of a run's data is a CSV or an IDX pair, in either format
+    whatever the other side's; any other use of the data flags exits 2
+    before a file is read or written."""
+
+    REJECTED = {
+        "train-images-alone": (["--idx-images", "{img}"],
+                               "pass both --idx-images and --idx-labels or neither"),
+        "train-labels-alone": (["--idx-labels", "{lab}"],
+                               "pass both --idx-images and --idx-labels or neither"),
+        "test-images-alone": (["--data", "{csv}", "--test-idx-images", "{img}"],
+                              "pass both --test-idx-images and --test-idx-labels or neither"),
+        "test-labels-alone": (["--data", "{csv}", "--test-idx-labels", "{lab}"],
+                              "pass both --test-idx-images and --test-idx-labels or neither"),
+        "train-csv-and-idx": (["--data", "{csv}", "--idx-images", "{img}", "--idx-labels",
+                               "{lab}"],
+                              "pass --data or --idx-images/--idx-labels, not both"),
+        "test-csv-and-idx": (["--data", "{csv}", "--test-data", "{csv}", "--test-idx-images",
+                              "{img}", "--test-idx-labels", "{lab}"],
+                             "pass --test-data or --test-idx-images/--test-idx-labels, not both"),
+        "train-fraction-with-test": (["--data", "{csv}", "--test-data", "{csv}",
+                                      "--train-fraction", "0.5"],
+                                     "--train-fraction splits the training data, but a test "
+                                     "set is given"),
+        "split-seed-with-test": (["--idx-images", "{img}", "--idx-labels", "{lab}",
+                                  "--test-data", "{csv}", "--split-seed", "0"],
+                                 "--split-seed splits the training data, but a test set "
+                                 "is given"),
+        "label-column-without-csv": (["--idx-images", "{img}", "--idx-labels", "{lab}",
+                                      "--label-column", "label"],
+                                     "--label-column names a CSV column, but no side is a CSV"),
+        "test-side-alone": (["--test-data", "{csv}"], "no input data"),
+    }
+
+    @staticmethod
+    def inputs(tmp_path, train_labels=(0, 1, 2, 0, 1, 2)):
+        """A 3-class CSV of 2 features (without its parsed sidecar, so
+        that a load would store one) and an IDX pair of 1 x 2 images."""
+        csv = tmp_path / "d.csv"
+        csv.write_text("f0,f1,label\n" + "".join(
+            f"{i},{i % 3 * 10},{i % 3}\n" for i in range(9)))
+        img, lab = write_idx(tmp_path, "train", list(train_labels))
+        return csv, img, lab
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "distill", "analyze"])
+    @pytest.mark.parametrize("case", list(REJECTED))
+    def test_flags_that_do_not_name_one_source_per_side_exit_2_before_any_read(
+            self, tmp_path, capsys, command, case):
+        csv, img, lab = self.inputs(tmp_path)
+        checkpoint = tmp_path / "checkpoint.json"
+        save_checkpoint(init_model([2, 4, 3], seed=0), checkpoint)
+        (tmp_path / ("checkpoint.json" + PARSED_SUFFIX)).unlink()
+        flags, message = self.REJECTED[case]
+        paths = {"csv": csv, "img": img, "lab": lab}
+        extra = {"distill": ["--teacher-checkpoint", str(checkpoint)],
+                 "analyze": ["--checkpoint", str(checkpoint)]}.get(command, [])
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / "run"
+        argv = [command, *(flag.format(**paths) for flag in flags), *extra, "--out", str(out)]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("train_side, test_side", [("idx", "csv"), ("csv", "idx")])
+    def test_either_format_on_either_side_trains_and_records_both(
+            self, tmp_path, monkeypatch, train_side, test_side):
+        csv, img, lab = self.inputs(tmp_path)
+        flags = {
+            "csv": lambda side: [f"--{side}data", str(csv)],
+            "idx": lambda side: [f"--{side}idx-images", str(img), f"--{side}idx-labels",
+                                 str(lab)],
+        }
+        seen = []
+        monkeypatch.setattr(cli, "train", lambda *a: seen.append(a) or train_module.train(*a))
+        out = tmp_path / "run"
+        argv = ["train", *flags[train_side](""), *flags[test_side]("test-"),
+                "--epochs", "1", "--out", str(out)]
+        assert main(argv) == 0
+        _, train_set, test_set, _ = seen[0]
+        assert (len(train_set), len(test_set)) == ((6, 9) if train_side == "idx" else (9, 6))
+        assert test_set.labels.tolist() == [0, 1, 2] * (len(test_set) // 3)
+        names = {"csv": ["data"], "idx": ["idx_images", "idx_labels"]}
+        paths = {"data": csv, "idx_images": img, "idx_labels": lab}
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        assert inputs == {
+            side + name: {"path": str(paths[name]), "sha256": file_sha256(paths[name])}
+            for side, fmt in (("", train_side), ("test_", test_side)) for name in names[fmt]}
+
+    def test_test_labels_take_the_classes_of_the_training_labels_across_formats(
+            self, tmp_path, monkeypatch):
+        # IDX labels 3, 5, 9 are classes 0, 1, 2; the CSV spells them 9, 3.0, 5
+        csv, img, lab = self.inputs(tmp_path, train_labels=[9, 3, 5, 3, 5, 9])
+        csv.write_text("f0,f1,label\n1,2,9\n3,4,3.0\n5,6,5\n")
+        seen = []
+        monkeypatch.setattr(cli, "train", lambda *a: seen.append(a) or train_module.train(*a))
+        argv = ["train", "--idx-images", str(img), "--idx-labels", str(lab), "--test-data",
+                str(csv), "--epochs", "1", "--out", str(tmp_path / "run")]
+        assert main(argv) == 0
+        _, train_set, test_set, _ = seen[0]
+        assert train_set.labels.tolist() == [2, 0, 1, 0, 1, 2]
+        assert test_set.labels.tolist() == [2, 0, 1]
+
+    def test_idx_labels_that_skip_a_value_train_on_dense_classes(self, tmp_path):
+        images, labels = write_idx(tmp_path, "train", [0, 2, 0, 2, 0, 2, 0, 2])
+        out = tmp_path / "run"
+        argv = ["train", "--idx-images", str(images), "--idx-labels", str(labels),
+                "--epochs", "1", "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads((out / "config.json").read_text())["layer_sizes"][-1] == 2
+
+
 class TestDistillCommand:
     def test_proxy_and_model_teacher(self, data_csv, tmp_path):
         teacher_dir = tmp_path / "teacher"
@@ -903,6 +1014,7 @@ def resolved_doc(**fields):
 def test_manifest_records_the_subcommand_config_and_inputs(data_csv, tmp_path, teachers,
                                                            command):
     checkpoint, table = teachers
+    table_json = table.with_suffix(".json")  # alpha and num_classes, read with the table
     config_file = tmp_path / "run.cfg"
     config_file.write_text("strategy=ols\nepochs=2\nols_mix=0.3\n")
     argv, config, inputs = {
@@ -919,10 +1031,10 @@ def test_manifest_records_the_subcommand_config_and_inputs(data_csv, tmp_path, t
         "distill --teacher-cmatrix": (
             ["distill", "--teacher-cmatrix", str(table), "--epochs", "1"],
             resolved_doc(strategy="proxy_distill", alpha=0.2, epochs=1),
-            {"teacher_cmatrix": table}),
+            {"teacher_cmatrix": table, "teacher_cmatrix_json": table_json}),
         "analyze --cmatrix": (
             ["analyze", "--checkpoint", str(checkpoint), "--cmatrix", str(table)],
-            {}, {"checkpoint": checkpoint, "cmatrix": table}),
+            {}, {"checkpoint": checkpoint, "cmatrix": table, "cmatrix_json": table_json}),
     }[command]
     out = tmp_path / "run"
     assert main([*argv, "--data", str(data_csv), "--out", str(out)]) == 0

@@ -10,10 +10,10 @@ import zipfile
 import numpy as np
 import pytest
 
-from labelforge import dataio
+from labelforge import dataio, model
 from labelforge.dataio import (
+    DATA_PARSED_VERSION,
     PARSED_SUFFIX,
-    PARSED_VERSION,
     DataFormatError,
     Dataset,
     GaussianSpec,
@@ -30,6 +30,7 @@ from labelforge.dataio import (
     write_json,
 )
 from labelforge.labelreg import CMatrix, export_cmatrix, load_cmatrix
+from labelforge.model import init_model, load_checkpoint, save_checkpoint
 from labelforge.numerics import SEED_LIMIT
 
 PAIRED_MEANS = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 10.0], [11.0, 10.0]])
@@ -143,7 +144,7 @@ class TestLoadIdx:
     def test_hand_constructed_pair(self, tmp_path):
         pixels = [0, 51, 102, 255, 10, 20, 30, 40]
         images, labels = write_idx_pair(tmp_path, pixels, [1, 0])
-        data = load_idx(images, labels)
+        data, mapping = load_idx(images, labels)
         assert data.features.shape == (2, 4)
         assert np.allclose(
             data.features[0], [0.0, 51 / 255.0, 102 / 255.0, 1.0], atol=1e-15
@@ -151,15 +152,16 @@ class TestLoadIdx:
         assert np.allclose(data.features[1], [10 / 255, 20 / 255, 30 / 255, 40 / 255])
         assert data.labels.tolist() == [1, 0]
         assert data.num_classes == 2
+        assert mapping == {0: 0, 1: 1}
 
     def test_full_byte_scales_to_one(self, tmp_path):
         images, labels = write_idx_pair(tmp_path, [255] * 8, [0, 1])
-        data = load_idx(images, labels)
+        data, _ = load_idx(images, labels)
         assert data.features.max() == 1.0
 
     def test_gzip_transparent(self, tmp_path):
         images, labels = write_idx_pair(tmp_path, list(range(8)), [0, 1], gz=True)
-        data = load_idx(images, labels)
+        data, _ = load_idx(images, labels)
         assert data.features.shape == (2, 4)
 
     def test_wrong_magic_on_images(self, tmp_path):
@@ -190,11 +192,16 @@ class TestLoadIdx:
         with pytest.raises(DataFormatError, match="count mismatch"):
             load_idx(images, labels3)
 
-
-    def test_skipped_label_names_the_labels_file(self, tmp_path):
-        images, labels = write_idx_pair(tmp_path, [0] * 8, [0, 2])
-        with pytest.raises(DataFormatError, match=r"lab\.idx: classes \[1\] have no samples"):
-            load_idx(images, labels)
+    def test_classes_are_the_labels_present_in_increasing_order(self, tmp_path):
+        pixels = list(range(16))
+        images, labels = write_idx_pair(tmp_path, pixels, [7, 2, 9, 2])
+        data, mapping = load_idx(images, labels)
+        assert mapping == {2: 0, 7: 1, 9: 2}
+        assert all(type(label) is int for label in mapping)
+        assert data.labels.tolist() == [1, 0, 2, 0]
+        assert data.num_classes == 3
+        assert data.features.tolist() == [[v / 255 for v in pixels[i:i + 4]]
+                                          for i in range(0, 16, 4)]
 
 
 class TestLoadCsv:
@@ -263,7 +270,8 @@ class TestLoadCsv:
         path = tmp_path / "twice.csv"
         path.write_bytes(b"f0,f1,f0\r\n1.0,2.0,0\r\n3.0,4.0,1\r\n")
         if hit:  # a sidecar that holds this file's table, and serves "f1"
-            dataio.store_parsed(path, hashlib.sha256(path.read_bytes()).hexdigest(),
+            dataio.store_parsed(path, DATA_PARSED_VERSION,
+                                hashlib.sha256(path.read_bytes()).hexdigest(),
                                 {"lead": np.array([[1.0, 2.0], [3.0, 4.0]]),
                                  "last": np.array([0.0, 1.0])})
             monkeypatch.setattr(dataio, "read_table", no_parse)
@@ -413,7 +421,7 @@ class TestParsedSidecar:
             return parses[-1]
 
         def load():
-            return dataio.parse_once(path, parse, lambda text: {"text": np.array(text)},
+            return dataio.parse_once(path, 1, parse, lambda text: {"text": np.array(text)},
                                      lambda arrays: arrays["text"].item())
 
         assert load() == (b"newer", hashlib.sha256(b"old").hexdigest())
@@ -459,7 +467,7 @@ class TestSaveCsvSidecar:
         with open(sidecar_of(path), "rb") as f, np.load(f) as stored:
             key, lead, last = stored["key"].item(), stored["lead"], stored["last"]
         _, parsed = read_table(path, "label")
-        assert key == f"{PARSED_VERSION}:{hashlib.sha256(path.read_bytes()).hexdigest()}"
+        assert key == f"{DATA_PARSED_VERSION}:{hashlib.sha256(path.read_bytes()).hexdigest()}"
         assert_stored_parse(lead, last, parsed)
 
     @pytest.mark.parametrize("cell", [np.nan, np.inf])
@@ -550,8 +558,8 @@ class TestStoreParsed:
         arrays = {"seed": np.array(2**64 - 1, dtype=np.uint64),
                   "params": table[1:].reshape(-1), "lead": table[:, :-1], "last": table[:, -1],
                   "empty": table[:, :0], "fortran": np.asfortranarray(table)}
-        dataio.store_parsed(path, self.SHA256, arrays)
-        arrays["key"] = np.array(f"{PARSED_VERSION}:{self.SHA256}")
+        dataio.store_parsed(path, 7, self.SHA256, arrays)
+        arrays["key"] = np.array(f"7:{self.SHA256}")
         stored = self.stored(path)
         assert list(stored) == ["key", "seed", "params", "lead", "last", "empty", "fortran"]
         for name, want in arrays.items():
@@ -567,7 +575,7 @@ class TestStoreParsed:
     def test_os_error_part_way_keeps_the_previous_sidecar(self, tmp_path, monkeypatch):
         path = tmp_path / "d.csv"
         table = self.table()
-        dataio.store_parsed(path, self.SHA256, {"lead": table[:, :-1], "last": table[:, -1]})
+        dataio.store_parsed(path, 1, self.SHA256, {"lead": table[:, :-1], "last": table[:, -1]})
         before = sidecar_of(path).read_bytes()
         write_header = np.lib.format.write_array_header_1_0
 
@@ -578,9 +586,34 @@ class TestStoreParsed:
                 raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(np.lib.format, "write_array_header_1_0", no_space_after_a_1d_header)
-        dataio.store_parsed(path, "cd" * 32, {"lead": table[:, :-1] + 1.0, "last": table[:, -1]})
+        dataio.store_parsed(path, 1, "cd" * 32, {"lead": table[:, :-1] + 1.0, "last": table[:, -1]})
         assert sidecar_of(path).read_bytes() == before
         assert os.listdir(tmp_path) == [sidecar_of(path).name]
+
+
+@pytest.mark.parametrize("raised", ["data", "checkpoint"])
+def test_raising_one_kinds_version_keeps_the_other_kinds_sidecars(tmp_path, monkeypatch,
+                                                                   raised):
+    # each kind of sidecar has its own layout version: raising one turns
+    # only that kind's sidecars into misses, which the next load rewrites
+    data, checkpoint = tmp_path / "d.csv", tmp_path / "checkpoint.json"
+    save_csv(gaussian_dataset(0), data)
+    save_checkpoint(init_model([12, 8, 4], seed=0), checkpoint)
+    before = {path: sidecar_of(path).read_bytes() for path in (data, checkpoint)}
+    version = {"data": (dataio, "DATA_PARSED_VERSION"),
+               "checkpoint": (model, "CHECKPOINT_PARSED_VERSION")}
+    module, name = version[raised]
+    monkeypatch.setattr(module, name, getattr(module, name) + 1)
+    raised_path, kept_path = (data, checkpoint) if raised == "data" else (checkpoint, data)
+    kept_parse = (model, "_parse_checkpoint") if raised == "data" else (dataio, "read_table")
+    monkeypatch.setattr(*kept_parse, no_parse)  # the kept kind must be a hit
+    load_csv(data, "label")
+    load_checkpoint(checkpoint)
+    assert sidecar_of(kept_path).read_bytes() == before[kept_path]
+    with open(sidecar_of(raised_path), "rb") as f, np.load(f) as stored:
+        key = stored["key"].item()
+    sha256 = hashlib.sha256(raised_path.read_bytes()).hexdigest()
+    assert key == f"{getattr(module, name)}:{sha256}"
 
 
 def write_csv_failing_after_the_first_chunk(path, monkeypatch):
