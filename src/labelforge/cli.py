@@ -247,9 +247,9 @@ def _load_datasets(args, sources: list) -> tuple[Dataset, Dataset, dict]:
 
 def _check_out(args) -> None:
     """Reject an output location that cannot take a new run directory before
-    any input is loaded, since a load may store a sidecar: an ``--out`` that
-    is not an absent or empty directory, or an ``--out`` or
-    ``$LABELFORGE_OUT`` at or below a file."""
+    any input is loaded, so that no load is spent on a run that cannot
+    start: an ``--out`` that is not an absent or empty directory, or an
+    ``--out`` or ``$LABELFORGE_OUT`` at or below a file."""
     where, path = (("--out", Path(args.out)) if args.out
                    else ("LABELFORGE_OUT", Path(os.environ.get("LABELFORGE_OUT", "."))))
     existing = next(p for p in (path, *path.parents) if p.exists())
@@ -336,10 +336,6 @@ def _cmd_train(args) -> int:
         # a config file's strategy is replaced, so a run's config.json is reusable
         raise UsageError(f"{subcommand} trains strategy {fixed!r}; "
                          f"--strategy {args.strategy!r} cannot change it")
-    train_set, test_set, data_inputs = _load_datasets(args, sources)
-    inputs.update(data_inputs)
-    if args.config:
-        inputs["config"] = (args.config, None)
     overrides = _config_overrides(args)
     if fixed:
         overrides["strategy"] = fixed
@@ -351,6 +347,10 @@ def _cmd_train(args) -> int:
         raise UsageError(
             f"strategy {config.strategy!r} needs a teacher; use the distill subcommand"
         )
+    train_set, test_set, data_inputs = _load_datasets(args, sources)
+    inputs.update(data_inputs)
+    if args.config:
+        inputs["config"] = (args.config, None)
     with _usage_errors():
         resolved = config.resolved(train_set.num_features, train_set.num_classes)
         check_teacher(resolved, teacher, train_set)

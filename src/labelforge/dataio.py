@@ -2,7 +2,7 @@
 and the text of the run artifacts: one checked CSV table reader, one CSV
 table writer and one JSON writer (the one-line checkpoint aside), all
 writing bytes through one atomic binary file writer, one file hash and one
-parse-once sidecar (`parse_once`).
+parsed-table sidecar, which only the file's writer stores (`parse_once`).
 
 Every float in a CSV artifact or a checkpoint is spelled as Python's
 ``repr`` spells it. One vectorized kernel, `repr_join`, makes that text for
@@ -43,11 +43,12 @@ from .numerics import Rng, checked_seed
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
-# save_csv and load_csv keep a data CSV's parsed table beside it, and
-# save_checkpoint and load_checkpoint a checkpoint's layer sizes, parameters
-# and seed: a sidecar in the file's name plus PARSED_SUFFIX (`parse_once`),
-# keyed by its kind's layout version (DATA_PARSED_VERSION,
-# model.CHECKPOINT_PARSED_VERSION) and the sha256 of the file's bytes.
+# save_csv stores a data CSV's parsed table beside it, and save_checkpoint a
+# checkpoint's layer sizes, parameters and seed: a sidecar in the file's
+# name plus PARSED_SUFFIX, keyed by its kind's layout version
+# (DATA_PARSED_VERSION, model.CHECKPOINT_PARSED_VERSION) and the sha256 of
+# the bytes written. load_csv and load_checkpoint read it on a hit and
+# parse on a miss, and never write one (`parse_once`).
 PARSED_SUFFIX = ".parsed.npz"
 
 
@@ -254,8 +255,9 @@ def load_csv(path, label_column: str) -> tuple[Dataset, dict, str]:
     The parsed table is kept as two arrays, ``lead`` (every column but the
     last) and ``last`` (the last column), so that a label in the last
     column, where save_csv writes it, leaves ``lead`` as the features with
-    no copy. They come from the file's sidecar (`parse_once`) when it holds
-    the parse of these bytes: a hit still reads the header from the CSV and
+    no copy. They come from the sidecar save_csv stored (`parse_once`) when
+    it holds the parse of these bytes, else from the parse, and a load
+    writes no sidecar. A hit still reads the header from the CSV and
     checks ``label_column`` in it, and stored arrays that are not finite
     float64, N x (C - 1) and N for a header of C names and N >= 1 rows,
     are a miss.
@@ -276,9 +278,7 @@ def load_csv(path, label_column: str) -> tuple[Dataset, dict, str]:
             return header, lead, last
         return None
 
-    (header, lead, last), sha256 = parse_once(
-        path, DATA_PARSED_VERSION, parse,
-        lambda parsed: {"lead": parsed[1], "last": parsed[2]}, from_arrays)
+    (header, lead, last), sha256 = parse_once(path, DATA_PARSED_VERSION, parse, from_arrays)
     label_idx = header.index(label_column)
     features, label_values = lead, last
     if label_idx < lead.shape[1]:
@@ -291,40 +291,42 @@ def load_csv(path, label_column: str) -> tuple[Dataset, dict, str]:
     return Dataset(features, labels, len(mapping)), mapping, sha256
 
 
-def parse_once(path, version: int, parse, to_arrays, from_arrays) -> tuple:
-    """``parse()`` and the hex sha256 of the file at ``path``, which is
-    parsed at most once per content. A parse stores ``to_arrays(result)``
-    in the sidecar ``path`` + PARSED_SUFFIX under ``version``, the layout
-    version of the caller's kind of file, and that sha256 (`store_parsed`)
-    unless the file changed meanwhile; a later load of the same bytes returns
-    ``from_arrays(arrays)`` instead. A sidecar that cannot be read, is keyed
+def parse_once(path, version: int, parse, from_arrays) -> tuple:
+    """``parse()`` and the hex sha256 of the file at ``path``, or, when the
+    sidecar ``path`` + PARSED_SUFFIX holds the parse of these bytes,
+    ``from_arrays(arrays)`` in its place. Only a writer stores a sidecar
+    (`store_parsed`), keyed by ``version``, the layout version of the
+    caller's kind of file, and the sha256 of the bytes it wrote; a load
+    never writes one. A sidecar that is missing, cannot be read, is keyed
     to another version or other bytes or that ``from_arrays`` refuses
-    (returns None: arrays that fail a check the parse makes) is a miss. A
-    parse error is never stored.
+    (returns None: arrays that fail a check the parse makes) is a miss,
+    which parses the file and leaves the sidecar as it is.
     """
-    before = _identity(path)
     sha256 = file_sha256(path)
-    arrays = _read_parsed(path, version, sha256)
+    arrays = None
+    with suppress(OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        # the handle is ours: np.load leaks the one it opens on a bad archive
+        with open(os.fspath(path) + PARSED_SUFFIX, "rb") as f:
+            parsed = np.load(f, allow_pickle=False)
+            if isinstance(parsed, np.lib.npyio.NpzFile):
+                with parsed:
+                    if parsed["key"].item() == f"{version}:{sha256}":
+                        arrays = {name: parsed[name] for name in parsed.files}
     result = None if arrays is None else from_arrays(arrays)
-    if result is None:
-        result = parse()
-        with suppress(OSError):
-            if _identity(path) == before:
-                store_parsed(path, version, sha256, to_arrays(result))
-    return result, sha256
+    return (parse() if result is None else result), sha256
 
 
-def store_parsed(path, version: int, sha256: str, arrays: dict | None) -> None:
-    """Store ``arrays`` (None: nothing) as the parse, in the layout
-    ``version`` of its kind, of the file at ``path`` whose bytes hash to
-    ``sha256``, atomically; an OSError leaves the sidecar as it was and
-    only costs a later load its parse.
+def store_parsed(path, version: int, sha256: str, arrays: dict) -> None:
+    """Store ``arrays`` as the parse, in the layout ``version`` of its kind,
+    of the file at ``path`` whose bytes hash to ``sha256``, atomically; an
+    OSError leaves the sidecar as it was and only costs a later load its
+    parse. Only the writers of those bytes store one: `save_csv` and
+    `model.save_checkpoint`.
 
     The sidecar is an uncompressed .npz archive, which `np.load` reads,
     written by `_write_npz` with no copy of a C-contiguous array."""
-    if arrays is not None:
-        with suppress(OSError), atomic_write(os.fspath(path) + PARSED_SUFFIX) as f:
-            _write_npz(f, {"key": np.array(f"{version}:{sha256}"), **arrays})
+    with suppress(OSError), atomic_write(os.fspath(path) + PARSED_SUFFIX) as f:
+        _write_npz(f, {"key": np.array(f"{version}:{sha256}"), **arrays})
 
 
 def _write_npz(f, arrays: dict) -> None:
@@ -340,30 +342,6 @@ def _write_npz(f, arrays: dict) -> None:
                 np.lib.format.write_array_header_1_0(
                     member, np.lib.format.header_data_from_array_1_0(value))
                 member.write(value.reshape(-1).view(np.uint8))
-
-
-def _identity(path) -> tuple:
-    """What changes when a file is rewritten or replaced."""
-    st = os.stat(path)
-    return st.st_ino, st.st_size, st.st_mtime_ns
-
-
-def _read_parsed(path, version: int, sha256: str) -> dict | None:
-    """The arrays, by name, that the sidecar of ``path`` stores in layout
-    ``version`` for bytes hashing to ``sha256``; None when it is missing,
-    unreadable, not an archive of arrays or stored under another key."""
-    try:
-        # the handle is ours: np.load leaks the one it opens on a bad archive
-        with open(os.fspath(path) + PARSED_SUFFIX, "rb") as f:
-            parsed = np.load(f, allow_pickle=False)
-            if not isinstance(parsed, np.lib.npyio.NpzFile):
-                return None
-            with parsed:
-                if parsed["key"].item() != f"{version}:{sha256}":
-                    return None
-                return {name: parsed[name] for name in parsed.files}
-    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
-        return None
 
 
 def file_sha256(path) -> str:

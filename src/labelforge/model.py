@@ -32,8 +32,10 @@ Checkpoint format (JSON, one object):
       "seed": <int used at init>
     }
 
-Beside it, ``checkpoint.json.parsed.npz`` holds its layer sizes, parameter
-buffer and seed, which `load_checkpoint` reads instead (`parse_once`).
+Beside it, ``checkpoint.json.parsed.npz``, which only `save_checkpoint`
+writes, holds its layer sizes, parameter buffer and seed; `load_checkpoint`
+reads that instead of the JSON (`parse_once`) and parses a checkpoint that
+has none.
 """
 
 from __future__ import annotations
@@ -292,12 +294,16 @@ def save_checkpoint(model: Mlp, path) -> None:
     """Write ``model`` in the checkpoint format above: the bytes of
     ``json.dumps(doc) + "\\n"``, each parameter spelled as its repr and
     streamed through `repr_table_chunks`, hashed as they are written; then
-    store the model as the file's parsed sidecar (`parse_once`). A NaN or
-    Inf parameter, which `load_checkpoint` would reject, raises its
+    store the model as the file's parsed sidecar (`parse_once`), unless its
+    seed is one a uint64 does not hold exactly (training seeds all fit). A
+    NaN or Inf parameter, which `load_checkpoint` would reject, raises its
     ValueError before anything is written."""
     _check_finite(model, path)
-    store_parsed(path, CHECKPOINT_PARSED_VERSION, write_hashed(path, _checkpoint_chunks(model)),
-                 _parsed_arrays(model))
+    sha256 = write_hashed(path, _checkpoint_chunks(model))
+    if 0 <= model.seed < SEED_LIMIT:
+        store_parsed(path, CHECKPOINT_PARSED_VERSION, sha256,
+                     {"layer_sizes": np.array(model.layer_sizes), "params": model.params,
+                      "seed": np.array(model.seed, dtype=np.uint64)})
 
 
 def _checkpoint_chunks(model: Mlp):
@@ -312,18 +318,9 @@ def _checkpoint_chunks(model: Mlp):
     yield f', "seed": {json.dumps(model.seed)}}}\n'.encode()
 
 
-# The layout of a checkpoint's sidecar (`_parsed_arrays`, `_from_parsed`):
+# The layout of a checkpoint's sidecar (`save_checkpoint`, `_from_parsed`):
 # raise it whenever the parse or the arrays stored for it change.
 CHECKPOINT_PARSED_VERSION = 2
-
-
-def _parsed_arrays(model: Mlp) -> dict | None:
-    """What a checkpoint's sidecar stores for ``model``; nothing for a seed
-    that a uint64 does not hold exactly (training seeds all fit)."""
-    if not 0 <= model.seed < SEED_LIMIT:
-        return None
-    return {"layer_sizes": np.array(model.layer_sizes), "params": model.params,
-            "seed": np.array(model.seed, dtype=np.uint64)}
 
 
 def _from_parsed(arrays: dict, path) -> Mlp | None:
@@ -346,13 +343,14 @@ def _check_finite(model: Mlp, path) -> None:
 
 def load_checkpoint(path) -> tuple[Mlp, str]:
     """Rebuild an Mlp from a checkpoint and return it with the hex sha256 of
-    the file, read from the file's sidecar when that holds the parse of
-    these bytes (`parse_once`). The parse rejects a document that lacks a
+    the file, read from the sidecar `save_checkpoint` stored when that holds
+    the parse of these bytes, else parsed, with no sidecar written
+    (`parse_once`). The parse rejects a document that lacks a
     key, holds a value of the wrong type, a size or seed that fails
     `exact_int`, the wrong number or size of layers, or a NaN/Inf parameter
     (all as ValueError naming the file)."""
     return parse_once(path, CHECKPOINT_PARSED_VERSION, lambda: _parse_checkpoint(path),
-                      _parsed_arrays, lambda arrays: _from_parsed(arrays, path))
+                      lambda arrays: _from_parsed(arrays, path))
 
 
 def _parse_checkpoint(path) -> Mlp:

@@ -3,6 +3,7 @@ import json
 import os
 import struct
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,8 +289,8 @@ class TestGenData:
 
 
 class TestParsedSidecar:
-    """A data CSV's parsed table is kept beside it, so that only a command's
-    first load of those bytes parses the text."""
+    """gen-data keeps a data CSV's parsed table beside it, so that a
+    command's load of those bytes reads it instead of the text."""
 
     def no_parse(self, *_):
         raise AssertionError("parsed the CSV text")
@@ -756,8 +757,8 @@ class TestDataSides:
 
     @staticmethod
     def inputs(tmp_path, train_labels=(0, 1, 2, 0, 1, 2)):
-        """A 3-class CSV of 2 features (without its parsed sidecar, so
-        that a load would store one) and an IDX pair of 1 x 2 images."""
+        """A 3-class CSV of 2 features (without a parsed sidecar, so that
+        a load parses it) and an IDX pair of 1 x 2 images."""
         csv = tmp_path / "d.csv"
         csv.write_text("f0,f1,label\n" + "".join(
             f"{i},{i % 3 * 10},{i % 3}\n" for i in range(9)))
@@ -1074,7 +1075,7 @@ def test_unusable_output_location_exits_2_before_any_load_writes(tmp_path, monke
     data, checkpoint = inputs / "data.csv", inputs / "checkpoint.json"
     assert main(["gen-data", "--per-class", "10", "--out", str(data)]) == 0
     save_checkpoint(init_model([2, 8, 4], seed=0), checkpoint)
-    for path in (data, checkpoint):  # so that a load would store them again
+    for path in (data, checkpoint):  # so that a load would parse them
         (inputs / (path.name + PARSED_SUFFIX)).unlink()
     taken = tmp_path / "taken"
     taken.write_text("keep\n")
@@ -1103,6 +1104,90 @@ def test_unusable_output_location_exits_2_before_any_load_writes(tmp_path, monke
                  f"a directory") in err
     assert sorted(tmp_path.rglob("*")) == before
     assert sorted(os.listdir(inputs)) == ["checkpoint.json", "data.csv"]
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--layer-sizes", "2,0,4"], "layer_sizes must be positive, got [2, 0, 4]"),
+    (["--config", "{config}"], "epochs must be nonnegative, got -1"),
+    (["--strategy", "distill"], "strategy 'distill' needs a teacher"),
+], ids=["layer-sizes", "config-file", "needs-a-teacher"])
+def test_config_is_checked_before_the_data_is_read(tmp_path, monkeypatch, capsys, flags,
+                                                    message):
+    def no_read(*_):
+        raise AssertionError("read the data")
+
+    config = tmp_path / "bad.cfg"
+    config.write_text("epochs=-1\n")
+    monkeypatch.setattr(dataio, "read_table", no_read)
+    monkeypatch.setattr(cli, "load_csv", no_read)
+    out = tmp_path / "run"
+    argv = [flag.format(config=config) for flag in flags]
+    assert main(["train", "--data", str(tmp_path / "d.csv"), *argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def snapshot(root) -> dict:
+    """Every path below ``root``, relative to it, with its bytes (None for a
+    directory)."""
+    return {path.relative_to(root): None if path.is_dir() else path.read_bytes()
+            for path in root.rglob("*")}
+
+
+def test_no_command_writes_outside_its_own_outputs(tmp_path, capsys):
+    # inputs without sidecars: hand-written CSVs of 2 and 3 features and a
+    # teacher directory whose checkpoint's sidecar was deleted
+    data, wide = tmp_path / "data.csv", tmp_path / "wide.csv"
+    data.write_text("f0,f1,label\n" + "".join(
+        f"{c + i / 10},{2 * c - i / 10},{c}\n" for c in range(4) for i in range(5)))
+    wide.write_text("f0,f1,f2,label\n" + "".join(
+        f"{c},{i},{c - i},{c}\n" for c in range(4) for i in range(5)))
+    teacher = tmp_path / "teacher"
+    teacher.mkdir()
+    checkpoint, table = teacher / "checkpoint.json", teacher / "cmatrix.csv"
+    save_checkpoint(init_model([2, 8, 4], seed=0), checkpoint)
+    (teacher / ("checkpoint.json" + PARSED_SUFFIX)).unlink()
+    export_cmatrix(CMatrix.zeros(4, 0.2), table)
+    teacher_files = snapshot(teacher)
+    train = ["--data", str(data), "--epochs", "1"]
+    by_checkpoint = ["--teacher-checkpoint", str(checkpoint)]
+    analyze = ["--checkpoint", str(checkpoint), "--cmatrix", str(table)]
+    # every command once to exit 0 and once to exit 2, after its loads where
+    # the flag allows it
+    runs = [
+        (0, ["train", *train], ""),
+        (2, ["train", *train, "--layer-sizes", "2,0,4"], "layer_sizes must be positive"),
+        (0, ["ablate", *train], ""),
+        (2, ["ablate", *train, "--test-data", str(wide)], "test data has 3 features"),
+        (0, ["distill", *train, *by_checkpoint], ""),
+        (2, ["distill", *train, *by_checkpoint, "--lr", "-1"], "lr must be positive"),
+        (0, ["distill", *train, "--teacher-cmatrix", str(table)], ""),
+        (2, ["distill", *train, "--teacher-cmatrix", str(table), "--alpha", "0.3"],
+         "trains at its teacher table's alpha 0.2"),
+        (0, ["analyze", "--data", str(data), *analyze], ""),
+        (2, ["analyze", "--data", str(wide), *analyze], "the data has 3 features"),
+    ]
+    for i, (code, argv, message) in enumerate(runs):
+        out = tmp_path / "runs" / str(i)
+        before = snapshot(tmp_path)
+        assert main([*argv, "--out", str(out)]) == code, argv
+        assert message in capsys.readouterr().err
+        after = snapshot(tmp_path)
+        assert {path: after.get(path) for path in before} == before, argv
+        new = {tmp_path / path for path in set(after) - set(before)}
+        assert new <= {out.parent, out, *out.rglob("*")}, argv
+        assert out.is_dir() == (code == 0), argv
+    for code, argv in ((0, ["--per-class", "5"]), (2, ["--std", "1e308"])):
+        before = snapshot(tmp_path)
+        assert main(["gen-data", *argv, "--out", str(tmp_path / "gen.csv")]) == code
+        new = set(snapshot(tmp_path)) - set(before)
+        assert new == ({Path("gen.csv"), Path("gen.csv" + PARSED_SUFFIX)} if code == 0
+                       else set())
+    before = snapshot(tmp_path)
+    assert main(["gradcheck", "--k", "3"]) == 0
+    assert main(["gradcheck", "--k", "1"]) == 2
+    assert snapshot(tmp_path) == before
+    assert snapshot(teacher) == teacher_files
 
 
 @pytest.mark.parametrize("command", ["distill", "analyze"])

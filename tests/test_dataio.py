@@ -284,6 +284,14 @@ def sidecar_of(path):
     return path.with_name(path.name + PARSED_SUFFIX)
 
 
+def store_parse(path):
+    """Store read_table's parse of the CSV at ``path`` as its sidecar, as
+    save_csv stores the table it wrote."""
+    _, table = read_table(path)
+    dataio.store_parsed(path, DATA_PARSED_VERSION, hashlib.sha256(path.read_bytes()).hexdigest(),
+                        {"lead": table[:, :-1], "last": table[:, -1]})
+
+
 def no_parse(*_):
     raise AssertionError("parsed the CSV text")
 
@@ -303,9 +311,9 @@ def assert_same_load(got, want):
 
 
 class TestParsedSidecar:
-    """load_csv keeps a data CSV's parsed table beside it, and a later load
+    """save_csv keeps a data CSV's parsed table beside it, and a later load
     of the same bytes reads it instead of the text: a speed-up that never
-    changes what a load returns or raises."""
+    changes what a load returns or raises. A load never writes a sidecar."""
 
     def write(self, tmp_path, name="d.csv", seed=1):
         path = tmp_path / name
@@ -320,27 +328,35 @@ class TestParsedSidecar:
     ], ids=["save-csv", "quoted-float-labels", "label-first", "label-middle"])
     def test_hit_returns_what_the_parse_does(self, tmp_path, monkeypatch, text):
         path = self.write(tmp_path)
+        stored = sidecar_of(path).read_bytes()
         sidecar_of(path).unlink()  # save_csv's, so that the first load parses
         if text is not None:
             path.write_bytes(text.encode())
         parsed = load_csv(path, "label")
-        assert sidecar_of(path).is_file()
+        assert os.listdir(tmp_path) == ["d.csv"]  # the parse stored nothing
+        if text is None:
+            sidecar_of(path).write_bytes(stored)
+        else:
+            store_parse(path)
         monkeypatch.setattr(dataio, "read_table", no_parse)
         assert_same_load(load_csv(path, "label"), parsed)
 
     def test_same_size_edit_is_a_miss(self, tmp_path, monkeypatch):
         path = tmp_path / "d.csv"
         path.write_text("f0,label\n1,0\n2,1\n")
-        load_csv(path, "label")
+        store_parse(path)
+        stale = sidecar_of(path).read_bytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(dataio, "read_table", no_parse)
+            assert load_csv(path, "label")[0].features[:, 0].tolist() == [1.0, 2.0]
         path.write_text("f0,label\n1,0\n3,1\n")  # one byte, same size
         data, _, _ = load_csv(path, "label")
         assert data.features[:, 0].tolist() == [1.0, 3.0]
-        monkeypatch.setattr(dataio, "read_table", no_parse)  # and was stored
-        assert load_csv(path, "label")[0].features[:, 0].tolist() == [1.0, 3.0]
+        assert sidecar_of(path).read_bytes() == stale
 
     @pytest.mark.parametrize("damage", ["truncated", "nan", "shape", "dtype", "last-nan",
                                         "last-rows", "other-file", "plain-npy", "old-layout"])
-    def test_bad_sidecar_is_parsed_again_and_rewritten(self, tmp_path, monkeypatch, damage):
+    def test_bad_sidecar_is_a_miss_and_left_as_it_is(self, tmp_path, monkeypatch, damage):
         path = self.write(tmp_path)
         parsed = load_csv(path, "label")
         sidecar = sidecar_of(path)
@@ -350,7 +366,6 @@ class TestParsedSidecar:
             sidecar.write_bytes(sidecar.read_bytes()[: sidecar.stat().st_size // 2])
         elif damage == "other-file":  # same shape, other bytes
             other = self.write(tmp_path, "other.csv", seed=2)
-            load_csv(other, "label")
             os.replace(sidecar_of(other), sidecar)
         elif damage == "plain-npy":
             with open(sidecar, "wb") as f:
@@ -367,12 +382,13 @@ class TestParsedSidecar:
                    "last-rows": (lead, last[1:])}
             with open(sidecar, "wb") as f:
                 np.savez(f, key=key, lead=bad[damage][0], last=bad[damage][1])
+        damaged = sidecar.read_bytes()
+        parses = []
+        monkeypatch.setattr(dataio, "read_table",
+                            lambda *args: parses.append(args) or read_table(*args))
         assert_same_load(load_csv(path, "label"), parsed)
-        with open(sidecar, "rb") as f, np.load(f) as stored:
-            assert sorted(stored.files) == ["key", "last", "lead"]
-            assert stored["key"] == key
-        monkeypatch.setattr(dataio, "read_table", no_parse)
-        assert_same_load(load_csv(path, "label"), parsed)
+        assert len(parses) == 1
+        assert sidecar.read_bytes() == damaged
 
     def test_wrong_label_column_on_a_hit_raises_the_parse_error(self, tmp_path, monkeypatch):
         path = self.write(tmp_path)
@@ -408,28 +424,6 @@ class TestParsedSidecar:
         finally:
             tmp_path.chmod(0o755)
         assert os.listdir(tmp_path) == ["d.csv"]
-
-    def test_file_rewritten_during_its_parse_gets_no_sidecar(self, tmp_path):
-        path = tmp_path / "d.txt"
-        path.write_bytes(b"old")
-        parses = []
-
-        def parse():  # the first parse sees the file rewritten under it
-            if not parses:
-                path.write_bytes(b"newer")
-            parses.append(path.read_bytes())
-            return parses[-1]
-
-        def load():
-            return dataio.parse_once(path, 1, parse, lambda text: {"text": np.array(text)},
-                                     lambda arrays: arrays["text"].item())
-
-        assert load() == (b"newer", hashlib.sha256(b"old").hexdigest())
-        assert os.listdir(tmp_path) == ["d.txt"]
-        path.write_bytes(b"old")  # the bytes the first load hashed
-        assert load() == (b"old", hashlib.sha256(b"old").hexdigest())
-        assert parses == [b"newer", b"old"]
-        assert sidecar_of(path).is_file()
 
     def test_cmatrix_load_writes_no_sidecar(self, tmp_path):
         export_cmatrix(CMatrix.zeros(3, 0.1), tmp_path / "cmatrix.csv")
@@ -595,24 +589,32 @@ class TestStoreParsed:
 def test_raising_one_kinds_version_keeps_the_other_kinds_sidecars(tmp_path, monkeypatch,
                                                                    raised):
     # each kind of sidecar has its own layout version: raising one turns
-    # only that kind's sidecars into misses, which the next load rewrites
-    data, checkpoint = tmp_path / "d.csv", tmp_path / "checkpoint.json"
-    save_csv(gaussian_dataset(0), data)
-    save_checkpoint(init_model([12, 8, 4], seed=0), checkpoint)
-    before = {path: sidecar_of(path).read_bytes() for path in (data, checkpoint)}
+    # only that kind's sidecars into misses, which a load parses and leaves
+    # as they are, until the kind's writer stores them again
+    paths = {"data": tmp_path / "d.csv", "checkpoint": tmp_path / "checkpoint.json"}
+    writers = {"data": lambda: save_csv(gaussian_dataset(0), paths["data"]),
+               "checkpoint": lambda: save_checkpoint(init_model([12, 8, 4], seed=0),
+                                                     paths["checkpoint"])}
+    parsers = {"data": (dataio, "read_table"), "checkpoint": (model, "_parse_checkpoint")}
     version = {"data": (dataio, "DATA_PARSED_VERSION"),
                "checkpoint": (model, "CHECKPOINT_PARSED_VERSION")}
+    for write in writers.values():
+        write()
+    before = {path: sidecar_of(path).read_bytes() for path in paths.values()}
     module, name = version[raised]
     monkeypatch.setattr(module, name, getattr(module, name) + 1)
-    raised_path, kept_path = (data, checkpoint) if raised == "data" else (checkpoint, data)
-    kept_parse = (model, "_parse_checkpoint") if raised == "data" else (dataio, "read_table")
-    monkeypatch.setattr(*kept_parse, no_parse)  # the kept kind must be a hit
-    load_csv(data, "label")
-    load_checkpoint(checkpoint)
-    assert sidecar_of(kept_path).read_bytes() == before[kept_path]
-    with open(sidecar_of(raised_path), "rb") as f, np.load(f) as stored:
+    kept = "checkpoint" if raised == "data" else "data"
+    monkeypatch.setattr(*parsers[kept], no_parse)  # the kept kind must be a hit
+    parses, parse = [], getattr(*parsers[raised])
+    monkeypatch.setattr(*parsers[raised], lambda *args: parses.append(args) or parse(*args))
+    load_csv(paths["data"], "label")
+    load_checkpoint(paths["checkpoint"])
+    assert len(parses) == 1
+    assert {path: sidecar_of(path).read_bytes() for path in before} == before
+    writers[raised]()
+    with open(sidecar_of(paths[raised]), "rb") as f, np.load(f) as stored:
         key = stored["key"].item()
-    sha256 = hashlib.sha256(raised_path.read_bytes()).hexdigest()
+    sha256 = hashlib.sha256(paths[raised].read_bytes()).hexdigest()
     assert key == f"{getattr(module, name)}:{sha256}"
 
 

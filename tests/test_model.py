@@ -577,20 +577,20 @@ class TestCheckpointSidecar:
         model.weights[0][...] = 1.0
         assert (model.params[:model.weights[0].size] == 1.0).all()
 
-    def test_edited_checkpoint_is_a_miss_and_stored_again(self, tmp_path, monkeypatch):
+    def test_edited_checkpoint_is_a_miss_and_leaves_the_sidecar(self, tmp_path):
         path = self.saved(tmp_path)
+        stale = sidecar_of(path).read_bytes()
         doc = json.loads(path.read_text())
         doc["biases"][0][0] = 0.25
         path.write_text(json.dumps(doc) + "\n")
         edited = load_checkpoint(path)
         assert edited[0].biases[0][0] == 0.25
         assert_same_load(edited, parse_only(path, tmp_path))
-        monkeypatch.setattr(model_module, "json_document", no_json)  # and was stored
-        assert_same_load(load_checkpoint(path), edited)
+        assert sidecar_of(path).read_bytes() == stale
 
     @pytest.mark.parametrize("damage", ["truncated", "garbage", "big-endian",
                                         "wrong-length", "nan"])
-    def test_bad_sidecar_is_a_miss_and_stored_again(self, tmp_path, monkeypatch, damage):
+    def test_bad_sidecar_is_a_miss_and_left_as_it_is(self, tmp_path, monkeypatch, damage):
         path = self.saved(tmp_path)
         parsed = parse_only(path, tmp_path)
         sidecar = sidecar_of(path)
@@ -609,9 +609,13 @@ class TestCheckpointSidecar:
                                 "wrong-length": params[:-1], "nan": params}[damage]
             with open(sidecar, "wb") as f:
                 np.savez(f, **arrays)
+        damaged = sidecar.read_bytes()
+        parses, parse = [], model_module._parse_checkpoint
+        monkeypatch.setattr(model_module, "_parse_checkpoint",
+                            lambda *args: parses.append(args) or parse(*args))
         assert_same_load(load_checkpoint(path), parsed)
-        monkeypatch.setattr(model_module, "json_document", no_json)
-        assert_same_load(load_checkpoint(path), parsed)
+        assert len(parses) == 1
+        assert sidecar.read_bytes() == damaged
 
     def test_read_only_directory_loads_and_writes_nothing(self, tmp_path, monkeypatch):
         path = self.saved(tmp_path)
