@@ -22,7 +22,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +43,7 @@ from .dataio import (
     write_json,
 )
 from .labelreg import CMatrix, cmatrix_sidecar_path, load_cmatrix
-from .model import load_checkpoint
+from .model import Mlp, load_checkpoint
 from .numerics import checked_seed
 from .train import (
     ABLATION_LOSSES,
@@ -55,7 +55,6 @@ from .train import (
     config_value,
     evaluate,
     gradient_check,
-    teacher_strategy,
     train,
     write_run_artifacts,
 )
@@ -150,13 +149,11 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def load_config(path, overrides: dict, base: dict | None = None) -> TrainConfig:
-    """Defaults, overlaid by ``base`` (typed values), by the file (if any)
-    and by explicit flags."""
-    values = {**(base or {}), **(parse_config_file(path) if path else {})}
-    for key, raw in overrides.items():
-        if raw is not None:
-            values[key] = _coerce(key, raw) if isinstance(raw, str) else raw
+def load_config(values: dict) -> TrainConfig:
+    """Defaults, overlaid by ``values``: a config file's typed values merged
+    with the flags', whose text is read by each key's kind."""
+    values = {key: _coerce(key, raw) if isinstance(raw, str) else raw
+              for key, raw in values.items()}
     with _usage_errors():
         return TrainConfig(**values)
 
@@ -325,35 +322,52 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    """train, ablate and distill: train the strategy that ablate or the
-    teacher's kind (`teacher_strategy`) fixes, else the configured one."""
+    """train, ablate and distill: train the configured strategy, or the one
+    that ablate or distill's teacher flag fixes (`ablation`; `distill` for
+    --teacher-checkpoint, `proxy_distill` for --teacher-cmatrix). Every flag
+    and config rule that needs no input is checked before any is read. A
+    teacher table's alpha is then the student's unless the file or a flag
+    sets one, which `check_teacher` holds to the table's before the data is
+    read."""
     subcommand = args.subcommand
     _check_out(args)
     sources = _data_sources(args)
-    teacher, inputs = _load_teacher(args) if subcommand == "distill" else (None, {})
-    fixed = "ablation" if subcommand == "ablate" else teacher_strategy(teacher)
+    fixed = "ablation" if subcommand == "ablate" else None
+    if subcommand == "distill":
+        if bool(args.teacher_checkpoint) == bool(args.teacher_cmatrix):
+            raise UsageError("pass exactly one of --teacher-checkpoint / --teacher-cmatrix")
+        name = "teacher_checkpoint" if args.teacher_checkpoint else "teacher_cmatrix"
+        fixed = "distill" if name == "teacher_checkpoint" else "proxy_distill"
     if fixed and args.strategy is not None:
         # a config file's strategy is replaced, so a run's config.json is reusable
         raise UsageError(f"{subcommand} trains strategy {fixed!r}; "
                          f"--strategy {args.strategy!r} cannot change it")
-    overrides = _config_overrides(args)
+    values = {**(parse_config_file(args.config) if args.config else {}),
+              **_config_overrides(args)}
     if fixed:
-        overrides["strategy"] = fixed
-    # a teacher table's alpha is the student's unless the file or a flag sets
-    # one, which check_teacher then holds to the table's
-    base = {"alpha": teacher.alpha} if isinstance(teacher, CMatrix) else {}
-    config = load_config(args.config, overrides, base)
+        values["strategy"] = fixed
+    config = load_config(values)
     if not fixed and config.strategy in TEACHERS:
         raise UsageError(
             f"strategy {config.strategy!r} needs a teacher; use the distill subcommand"
         )
+    teacher, inputs = None, {}
+    if subcommand == "distill":
+        path = getattr(args, name)
+        teacher, inputs = _load_artifact(name, path, TEACHERS[fixed])
+        if fixed == "proxy_distill" and "alpha" not in values:
+            with _usage_errors(f"teacher table {path}: "):
+                config = replace(config, alpha=teacher.alpha)
+        with _usage_errors():
+            check_teacher(config, teacher)
     train_set, test_set, data_inputs = _load_datasets(args, sources)
     inputs.update(data_inputs)
     if args.config:
         inputs["config"] = (args.config, None)
     with _usage_errors():
         resolved = config.resolved(train_set.num_features, train_set.num_classes)
-        check_teacher(resolved, teacher, train_set)
+        if teacher is not None:
+            check_fit(teacher, train_set, "teacher")
     run_dir = _start_run(args, resolved.seed, asdict(resolved), inputs)
     result = train(resolved, train_set, test_set, teacher)
     write_run_artifacts(run_dir, resolved, result)
@@ -364,23 +378,17 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_teacher(args) -> tuple:
-    """distill's teacher, a checkpoint or a class table, and its manifest
-    input (name -> (path, sha256 or None))."""
-    if bool(args.teacher_checkpoint) == bool(args.teacher_cmatrix):
-        raise UsageError("pass exactly one of --teacher-checkpoint / --teacher-cmatrix")
-    with _usage_errors("cannot load teacher: "):
-        if args.teacher_checkpoint:
-            teacher, sha256 = load_checkpoint(args.teacher_checkpoint)
-            return teacher, {"teacher_checkpoint": (args.teacher_checkpoint, sha256)}
-        return (load_cmatrix(args.teacher_cmatrix),
-                _cmatrix_inputs("teacher_cmatrix", args.teacher_cmatrix))
-
-
-def _cmatrix_inputs(name: str, path) -> dict:
-    """The manifest inputs of a class table: its CSV and its JSON sidecar,
-    which holds the alpha and class count its load reads."""
-    return {name: (path, None), name + "_json": (cmatrix_sidecar_path(path), None)}
+def _load_artifact(name: str, path, kind: type) -> tuple:
+    """The checkpoint (``kind`` `Mlp`) or the class table (`CMatrix`) at
+    ``path`` and its manifest inputs (name -> (path, sha256 or None)): a
+    table's are its CSV and its JSON sidecar, which holds the alpha and
+    class count its load reads."""
+    with _usage_errors(f"cannot load {name}: "):
+        if kind is CMatrix:
+            return (load_cmatrix(path),
+                    {name: (path, None), name + "_json": (cmatrix_sidecar_path(path), None)})
+        model, sha256 = load_checkpoint(path)
+        return model, {name: (path, sha256)}
 
 
 def _cmd_gradcheck(args) -> int:
@@ -419,14 +427,12 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_analyze(args) -> int:
     _check_out(args)
     train_set, test_set, inputs = _load_datasets(args, _data_sources(args))
-    with _usage_errors("cannot load checkpoint: "):
-        model, sha256 = load_checkpoint(args.checkpoint)
-    inputs["checkpoint"] = (args.checkpoint, sha256)
+    model, model_inputs = _load_artifact("checkpoint", args.checkpoint, Mlp)
+    inputs.update(model_inputs)
     cmatrix = None
     if args.cmatrix:
-        with _usage_errors("cannot load cmatrix: "):
-            cmatrix = load_cmatrix(args.cmatrix)
-        inputs.update(_cmatrix_inputs("cmatrix", args.cmatrix))
+        cmatrix, cmatrix_inputs = _load_artifact("cmatrix", args.cmatrix, CMatrix)
+        inputs.update(cmatrix_inputs)
     with _usage_errors():  # an artifact of another task makes no run directory
         check_fit(model, train_set, "checkpoint")
         if cmatrix is not None:

@@ -145,9 +145,9 @@ class TrainConfig:
             )
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
-        if self.strategy in LEARNED_TABLE and self.alpha >= 0.5:
-            # a learned row can put up to alpha on one class, which outranks
-            # the pinned 1 - alpha once alpha >= 0.5
+        if self.strategy in (*LEARNED_TABLE, "proxy_distill") and self.alpha >= 0.5:
+            # a learned or a teacher's table row can put up to alpha on one
+            # class, which outranks the pinned 1 - alpha once alpha >= 0.5
             raise _pinning_error(f"strategy {self.strategy!r}", "0.5", self.alpha,
                                  "1 - alpha > alpha")
         if self.epochs < 0:
@@ -464,24 +464,20 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset,
           teacher=None) -> TrainOutput:
     """Train one model under ``config.strategy`` and nothing else: ``distill``
     needs a teacher `Mlp`, ``proxy_distill`` a teacher `CMatrix` and any other
-    strategy none (`check_teacher`). `distill` picks the strategy by teacher."""
+    strategy none (`check_teacher`), that fits ``train_set`` (`check_fit`).
+    `distill` picks the strategy by teacher."""
     if test_set.num_classes != train_set.num_classes:
         raise ValueError("train and test sets disagree on the class count")
-    check_teacher(config, teacher, train_set)
+    check_teacher(config, teacher)
+    if teacher is not None:
+        check_fit(teacher, train_set, "teacher")
     return _run(config, train_set, test_set, teacher)
 
 
-def teacher_strategy(teacher) -> str | None:
-    """The strategy `TEACHERS` gives a teacher of ``teacher``'s kind, else None."""
-    return next((s for s, kind in TEACHERS.items() if isinstance(teacher, kind)), None)
-
-
-def check_teacher(config: TrainConfig, teacher, train_set: Dataset) -> None:
+def check_teacher(config: TrainConfig, teacher) -> None:
     """Raise ValueError, naming the strategy, unless ``teacher`` is the kind
-    `TEACHERS` gives ``config.strategy`` (None for the others) and fits
-    ``train_set``: an `Mlp` its input width and class count, a `CMatrix` its
-    class count, with an alpha that keeps every target's argmax on its class
-    and equals ``config.alpha``, the alpha its targets carry."""
+    `TEACHERS` gives ``config.strategy`` (None for the others), a `CMatrix`
+    with ``config.alpha`` as its alpha, the one its targets carry."""
     kind = TEACHERS.get(config.strategy)
     if kind is None:
         if teacher is not None:
@@ -492,10 +488,6 @@ def check_teacher(config: TrainConfig, teacher, train_set: Dataset) -> None:
         got = "none" if teacher is None else f"a {type(teacher).__name__}"
         raise ValueError(f"strategy {config.strategy!r} requires a teacher "
                          f"{kind.__name__}, got {got}")
-    check_fit(teacher, train_set, "teacher")
-    if kind is CMatrix and teacher.alpha >= 0.5:
-        raise _pinning_error("a teacher logit table", "0.5", teacher.alpha,
-                             "1 - alpha > alpha")
     if kind is CMatrix and teacher.alpha != config.alpha:
         raise ValueError(f"strategy {config.strategy!r} trains at its teacher table's "
                          f"alpha {teacher.alpha!r}, got alpha={config.alpha!r}")
@@ -526,7 +518,7 @@ def distill(student_config: TrainConfig, teacher, train_set: Dataset,
     """Distill a student from a teacher network (``distill``) or a frozen
     logit table (``proxy_distill``): the teacher's kind picks the strategy,
     and a table its alpha, whatever ``student_config`` names."""
-    strategy = teacher_strategy(teacher)
+    strategy = next((s for s, kind in TEACHERS.items() if isinstance(teacher, kind)), None)
     if strategy is None:
         raise ValueError(f"teacher must be an Mlp or a CMatrix, got {type(teacher)}")
     alpha = teacher.alpha if strategy == "proxy_distill" else student_config.alpha

@@ -64,14 +64,14 @@ class TestConfigFile:
     def test_empty_file_gives_defaults(self, tmp_path):
         path = tmp_path / "empty.cfg"
         path.write_text("")
-        config = load_config(path, {})
+        config = load_config(parse_config_file(path))
         assert config == TrainConfig()
         assert config.alpha == 0.1
 
     def test_comments_and_values(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# a comment\nalpha = 0.2\nepochs=12\nlayer_sizes=2,8,4\n")
-        config = load_config(path, {})
+        config = load_config(parse_config_file(path))
         assert config.alpha == 0.2
         assert config.epochs == 12
         assert config.layer_sizes == (2, 8, 4)
@@ -79,7 +79,8 @@ class TestConfigFile:
     def test_flag_overrides_file(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("alpha=0.2\n")
-        config = load_config(path, {"alpha": 0.3})
+        args = build_parser().parse_args(["train", "--alpha", "0.3"])
+        config = load_config({**parse_config_file(path), **_config_overrides(args)})
         assert config.alpha == 0.3
 
     def test_misspelled_key_suggests_nearest(self, tmp_path):
@@ -97,7 +98,7 @@ class TestConfigFile:
     def test_json_config_accepted(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"alpha": 0.25, "epochs": 3, "c_lr": None}))
-        config = load_config(path, {})
+        config = load_config(parse_config_file(path))
         assert config.alpha == 0.25
         assert config.c_lr is None
 
@@ -105,7 +106,7 @@ class TestConfigFile:
         path = tmp_path / "c.cfg"
         path.write_text("alpha=0.9\n")
         with pytest.raises(UsageError):
-            load_config(path, {"alpha": 1.5})
+            load_config({**parse_config_file(path), "alpha": 1.5})
 
     @pytest.mark.parametrize("text,error", [
         ('{"epochs": 1,', "is not valid JSON"),
@@ -223,11 +224,11 @@ def test_every_config_field_is_a_key_and_a_flag(key, tmp_path):
     text, value = FIELD_EXAMPLES[key]
     path = tmp_path / "c.cfg"
     path.write_text(f"{key}={text}\n")
-    assert getattr(load_config(path, {}), key) == value
+    assert getattr(load_config(parse_config_file(path)), key) == value
     flag = "--" + key.replace("_", "-")
     argv = ["train", flag] if isinstance(value, bool) else ["train", flag, text]
     args = build_parser().parse_args(argv)
-    assert getattr(load_config(None, _config_overrides(args)), key) == value
+    assert getattr(load_config(_config_overrides(args)), key) == value
 
 
 class TestGenData:
@@ -864,10 +865,17 @@ class TestDistillCommand:
         (CMatrix.zeros(4, 0.9), "argmax-pinning invariant"),
     ], ids=["class-count", "input-width", "table-alpha"])
     def test_unusable_teacher_exits_2_without_a_run_directory(self, data_csv, tmp_path,
-                                                              capsys, teacher, error):
+                                                              monkeypatch, capsys, teacher,
+                                                              error):
         if isinstance(teacher, CMatrix):
             flag, path = "--teacher-cmatrix", tmp_path / "cmatrix.csv"
             export_cmatrix(teacher, path)
+
+            def no_read(*_):
+                raise AssertionError("read the data")
+            # the table's alpha is checked as the student's before the data is read
+            monkeypatch.setattr(dataio, "read_table", no_read)
+            monkeypatch.setattr(cli, "load_csv", no_read)
         else:
             flag, path = "--teacher-checkpoint", tmp_path / "checkpoint.json"
             save_checkpoint(teacher, path)
@@ -898,7 +906,7 @@ class TestDistillCommand:
         assert error in capsys.readouterr().err
         assert not out.exists()
 
-    def test_proxy_student_records_its_teacher_alpha(self, tmp_path, capsys):
+    def test_proxy_student_records_its_teacher_alpha(self, tmp_path, monkeypatch, capsys):
         data = tmp_path / "data.csv"
         assert main(["gen-data", "--per-class", "30", "--out", str(data)]) == 0
         teacher = tmp_path / "teacher"
@@ -913,9 +921,15 @@ class TestDistillCommand:
             assert config["alpha"] == manifest["config"]["alpha"] == 0.3
         assert ((tmp_path / "implied/metrics.csv").read_bytes()
                 == (tmp_path / "explicit/metrics.csv").read_bytes())
-        # an alpha set against the table's, by a flag or the config file
+        # an alpha set against the table's, by a flag or the config file,
+        # exits 2 before the data is read
         config_file = tmp_path / "student.cfg"
         config_file.write_text("alpha=0.1\n")
+
+        def no_read(*_):
+            raise AssertionError("read the data")
+        monkeypatch.setattr(dataio, "read_table", no_read)
+        monkeypatch.setattr(cli, "load_csv", no_read)
         for extra in (["--alpha", "0.1"], ["--config", str(config_file)]):
             out = tmp_path / "disagrees"
             assert main([*argv, *extra, "--out", str(out)]) == 2
@@ -1106,23 +1120,35 @@ def test_unusable_output_location_exits_2_before_any_load_writes(tmp_path, monke
     assert sorted(os.listdir(inputs)) == ["checkpoint.json", "data.csv"]
 
 
-@pytest.mark.parametrize("flags,message", [
-    (["--layer-sizes", "2,0,4"], "layer_sizes must be positive, got [2, 0, 4]"),
-    (["--config", "{config}"], "epochs must be nonnegative, got -1"),
-    (["--strategy", "distill"], "strategy 'distill' needs a teacher"),
-], ids=["layer-sizes", "config-file", "needs-a-teacher"])
-def test_config_is_checked_before_the_data_is_read(tmp_path, monkeypatch, capsys, flags,
+@pytest.mark.parametrize("argv,message", [
+    (["train", "--layer-sizes", "2,0,4"], "layer_sizes must be positive, got [2, 0, 4]"),
+    (["train", "--config", "{config}"], "epochs must be nonnegative, got -1"),
+    (["train", "--strategy", "distill"], "strategy 'distill' needs a teacher"),
+    (["distill", "--teacher-checkpoint", "{checkpoint}", "--lr", "-1"],
+     "lr must be positive and finite, got -1.0"),
+    (["distill", "--teacher-cmatrix", "{table}", "--config", "{config}"],
+     "epochs must be nonnegative, got -1"),
+    (["distill"], "pass exactly one of --teacher-checkpoint / --teacher-cmatrix"),
+    (["distill", "--teacher-checkpoint", "{checkpoint}", "--teacher-cmatrix", "{table}"],
+     "pass exactly one of --teacher-checkpoint / --teacher-cmatrix"),
+], ids=["layer-sizes", "config-file", "needs-a-teacher", "distill-lr",
+        "proxy-distill-config-file", "no-teacher", "two-teachers"])
+def test_config_is_checked_before_the_data_is_read(tmp_path, monkeypatch, capsys, argv,
                                                     message):
     def no_read(*_):
-        raise AssertionError("read the data")
+        raise AssertionError("read an input")
 
     config = tmp_path / "bad.cfg"
     config.write_text("epochs=-1\n")
-    monkeypatch.setattr(dataio, "read_table", no_read)
-    monkeypatch.setattr(cli, "load_csv", no_read)
+    checkpoint, table = tmp_path / "checkpoint.json", tmp_path / "cmatrix.csv"
+    save_checkpoint(init_model([2, 8, 4], seed=0), checkpoint)
+    export_cmatrix(CMatrix.zeros(4, 0.1), table)
+    for module, name in ((dataio, "read_table"), (cli, "load_csv"),
+                         (cli, "load_checkpoint"), (cli, "load_cmatrix")):
+        monkeypatch.setattr(module, name, no_read)
     out = tmp_path / "run"
-    argv = [flag.format(config=config) for flag in flags]
-    assert main(["train", "--data", str(tmp_path / "d.csv"), *argv, "--out", str(out)]) == 2
+    argv = [flag.format(config=config, checkpoint=checkpoint, table=table) for flag in argv]
+    assert main([*argv, "--data", str(tmp_path / "d.csv"), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 

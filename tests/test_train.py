@@ -71,7 +71,7 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="alpha"):
             TrainConfig(alpha=-0.1)
 
-    @pytest.mark.parametrize("strategy", ["lspp", "ablation"])
+    @pytest.mark.parametrize("strategy", ["lspp", "ablation", "proxy_distill"])
     def test_learned_table_needs_alpha_below_half(self, strategy):
         assert TrainConfig(strategy=strategy, alpha=0.49).alpha == 0.49
         for alpha in (0.5, 0.7):
